@@ -9,15 +9,15 @@ Cartan formula, the mu-tower) are checked as exact equalities of point and
 curve sets.
 """
 
-import itertools
 from dataclasses import dataclass
 
-from .curves2d import MultiCurve, double_points, require_general_position
+from .curves2d import MultiCurve, double_points
 from .exactgeom import (
     DEGENERATE,
     _dominant_axis,
     _project_drop,
     cross3,
+    require_general_position,
     seg_intersect,
     tri_normal,
     vadd,
@@ -25,12 +25,12 @@ from .exactgeom import (
     vscale,
     vsub,
 )
-from .rational import rat, rceil, rfloor
+from .rational import rat
 from .surfaces3d import (
     Mesh3,
+    _lattice_translates,
     _segment_bbox,
     mesh_segment_hits,
-    require_general_position as require_mesh_general_position,
 )
 
 # universe tags
@@ -142,6 +142,17 @@ class CheckReport:
 # constructors
 
 
+def _sorted_class(universe, ambient, items, structure):
+    """A class whose payload items are sorted, each keeping its structure entry."""
+    order = sorted(range(len(items)), key=lambda i: items[i])
+    return RepresentedClass(
+        universe,
+        ambient,
+        tuple(items[i] for i in order),
+        tuple(structure[i] for i in order),
+    )
+
+
 def class_of_curve(curve):
     """Wrap a certified multicurve on a square complex."""
     require_general_position(curve)
@@ -155,7 +166,7 @@ def curve_class(complex_, raw_components):
 
 def class_of_mesh(mesh):
     """Wrap a certified closed triangulated surface in the 3-torus."""
-    require_mesh_general_position(mesh)
+    require_general_position(mesh)
     return RepresentedClass(SURFACES_IN_3TORUS, AMBIENT_T3, mesh)
 
 
@@ -202,24 +213,10 @@ def _segments_touch_3d(p, q, r, s):
 def _circle_segments_disjoint(circ_a, circ_b):
     """Whether two canonical circles in the 3-torus avoid each other."""
     for (p, q) in circ_a:
-        pmin, pmax = _segment_bbox(p, q)
+        pbox = _segment_bbox(p, q)
         for (r, s) in circ_b:
-            rmin, rmax = _segment_bbox(r, s)
-            ranges = []
-            empty = False
-            for k in range(3):
-                lo = rceil(pmin[k] - rmax[k])
-                hi = rfloor(pmax[k] - rmin[k])
-                if lo > hi:
-                    empty = True
-                    break
-                ranges.append(range(lo, hi + 1))
-            if empty:
-                continue
-            for v in itertools.product(*ranges):
-                rs = tuple(c + d for c, d in zip(r, v))
-                ss = tuple(c + d for c, d in zip(s, v))
-                if _segments_touch_3d(p, q, rs, ss):
+            for v in _lattice_translates(*pbox, *_segment_bbox(r, s)):
+                if _segments_touch_3d(p, q, vadd(r, v), vadd(s, v)):
                     return False
     return True
 
@@ -351,31 +348,19 @@ def _product_points_curves(a, b):
             idx = comp if comp < n_first else comp - n_first
             bits.append(src.structure[idx])
         structure.append(tuple(sorted(bits)))
-    order = sorted(range(len(points)), key=lambda i: points[i])
-    return RepresentedClass(
-        POINTS_IN_SURFACE,
-        a.ambient,
-        tuple(points[i] for i in order),
-        tuple(structure[i] for i in order),
-    )
+    return _sorted_class(POINTS_IN_SURFACE, a.ambient, points, structure)
 
 
 def _product_curves_meshes(a, b):
     union = Mesh3(a.payload.triangles + b.payload.triangles)
-    require_mesh_general_position(union)
+    require_general_position(union)
     _, _, mixed = _split_double_curves(union, len(a.payload.triangles))
     records = []
     structure = []
     for dc in mixed:
         records.append(_circle_record(dc))
         structure.append(tuple(sorted(pc.w1 for pc in dc.preimages)))
-    order = sorted(range(len(records)), key=lambda i: records[i])
-    return RepresentedClass(
-        CURVES_IN_3TORUS,
-        AMBIENT_T3,
-        tuple(records[i] for i in order),
-        tuple(structure[i] for i in order),
-    )
+    return _sorted_class(CURVES_IN_3TORUS, AMBIENT_T3, records, structure)
 
 
 def _product_circles_mesh(circles, mesh_cls):
@@ -450,16 +435,10 @@ def pullback_class(g, f):
             f_branch = next(b for b in branches if b[0] >= n_first)
             params.append(g_branch)
             structure.append(f.structure[f_branch[0] - n_first])
-        order = sorted(range(len(params)), key=lambda i: params[i])
-        return RepresentedClass(
-            POINTS_ON_SOURCE_CIRCLES,
-            g.payload,
-            tuple(params[i] for i in order),
-            tuple(structure[i] for i in order),
-        )
+        return _sorted_class(POINTS_ON_SOURCE_CIRCLES, g.payload, params, structure)
     if pair == (SURFACES_IN_3TORUS, SURFACES_IN_3TORUS):
         union = Mesh3(g.payload.triangles + f.payload.triangles)
-        require_mesh_general_position(union)
+        require_general_position(union)
         _, _, mixed = _split_double_curves(union, len(g.payload.triangles))
         n_first = len(g.payload.triangles)
         records = []
@@ -473,13 +452,7 @@ def pullback_class(g, f):
             )
             records.append((g_side.arcs, g_side.w1))
             structure.append(f_side.w1)
-        order = sorted(range(len(records)), key=lambda i: records[i])
-        return RepresentedClass(
-            CURVES_ON_SOURCE_MESH,
-            g.payload,
-            tuple(records[i] for i in order),
-            tuple(structure[i] for i in order),
-        )
+        return _sorted_class(CURVES_ON_SOURCE_MESH, g.payload, records, structure)
     if pair == (SURFACES_IN_3TORUS, CURVES_IN_3TORUS):
         segs = [seg for (canonical, _) in f.payload for seg in canonical]
         hits = mesh_segment_hits(g.payload, segs)
@@ -513,13 +486,7 @@ def psi_r(f, r):
                 structure.append(
                     tuple(sorted(f.structure[b[0]] for b in dp.branches))
                 )
-            order = sorted(range(len(pts)), key=lambda i: pts[i])
-            return RepresentedClass(
-                POINTS_IN_SURFACE,
-                f.ambient,
-                tuple(pts[i] for i in order),
-                tuple(structure[i] for i in order),
-            )
+            return _sorted_class(POINTS_IN_SURFACE, f.ambient, pts, structure)
         return empty_class(f.ambient, note=GENERICALLY_EMPTY)
     if f.universe == SURFACES_IN_3TORUS:
         if r == 2:
@@ -528,13 +495,7 @@ def psi_r(f, r):
             for dc in f.payload.double_curves():
                 records.append(_circle_record(dc))
                 structure.append(tuple(sorted(pc.w1 for pc in dc.preimages)))
-            order = sorted(range(len(records)), key=lambda i: records[i])
-            return RepresentedClass(
-                CURVES_IN_3TORUS,
-                AMBIENT_T3,
-                tuple(records[i] for i in order),
-                tuple(structure[i] for i in order),
-            )
+            return _sorted_class(CURVES_IN_3TORUS, AMBIENT_T3, records, structure)
         if r == 3:
             targets = sorted(
                 tp.target for tp in f.payload.triple_points().points
@@ -562,13 +523,7 @@ def mu_r(f, r):
                 for branch in dp.branches:
                     params.append(branch)
                     structure.append(f.structure[branch[0]])
-            order = sorted(range(len(params)), key=lambda i: params[i])
-            return RepresentedClass(
-                POINTS_ON_SOURCE_CIRCLES,
-                f.payload,
-                tuple(params[i] for i in order),
-                tuple(structure[i] for i in order),
-            )
+            return _sorted_class(POINTS_ON_SOURCE_CIRCLES, f.payload, params, structure)
         return empty_class(f.payload, note=GENERICALLY_EMPTY)
     if f.universe == SURFACES_IN_3TORUS:
         if r == 2:
@@ -636,7 +591,7 @@ def check_naturality(g, f):
     if (g.universe, f.universe) != (SURFACES_IN_3TORUS, SURFACES_IN_3TORUS):
         raise ValueError("naturality check runs on two surfaces in the 3-torus")
     union = Mesh3(g.payload.triangles + f.payload.triangles)
-    require_mesh_general_position(union)
+    require_general_position(union)
     n_first = len(g.payload.triangles)
 
     segs = [(s.p, s.q) for s in f.payload.double_segments()]
@@ -689,7 +644,7 @@ def check_cartan(f, g, r):
         )
     if f.universe == SURFACES_IN_3TORUS:
         union = Mesh3(f.payload.triangles + g.payload.triangles)
-        require_mesh_general_position(union)
+        require_general_position(union)
         n_first = len(f.payload.triangles)
         if r == 2:
             first, second, mixed = _split_double_curves(union, n_first)
@@ -809,14 +764,9 @@ def check_mu_tower(f, r=2):
         lhs = tuple(
             sorted(_arc_crossings_on_source(f.payload, mu2.payload))
         )
-    rhs = mu_r(f, 3).payload if not mu_r(f, 3).is_empty else ()
-    ok = lhs == tuple(sorted(rhs))
+    rhs = tuple(sorted(mu_r(f, 3).payload))
     return CheckReport(
-        "mu-tower",
-        ok,
-        lhs,
-        tuple(sorted(rhs)),
-        f"{len(lhs)} arrangement double points",
+        "mu-tower", lhs == rhs, lhs, rhs, f"{len(lhs)} arrangement double points"
     )
 
 

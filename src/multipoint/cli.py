@@ -9,17 +9,19 @@ Subcommands:
 Exit status: 0 when every checked identity holds, 1 when any row fails
 (or generation/fuzzing breaks down), 2 on input errors (missing or
 unparsable files, scenes that fail general-position certification, bad
-flag values).  The MULTIPOINT_SEED environment variable, when set,
-overrides ``--seed`` for ``fuzz`` and ``gen``.
+flag values), which arrive as an ``InputError`` or an ``OSError``; any
+other exception is a bug and propagates.  The MULTIPOINT_SEED
+environment variable, when set, overrides ``--seed`` for ``fuzz`` and
+``gen``.
 """
 
 import argparse
 import os
+import re
 import sys
 
 from . import herbert
-from .curves2d import CurveBuildError
-from .curves2d import GeneralPositionError as CurveGeneralPositionError
+from .exactgeom import InputError
 from .generate import (
     CURVE_AMBIENTS,
     GenerationError,
@@ -27,28 +29,20 @@ from .generate import (
     TORI_AMBIENT,
     generate,
 )
-from .scene import SceneParseError, parse_scene, print_scene
-from .surfaces3d import CycleError, MeshBuildError
-from .surfaces3d import GeneralPositionError as MeshGeneralPositionError
+from .scene import parse_scene, print_scene
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-_INPUT_ERRORS = (
-    SceneParseError,
-    CurveBuildError,
-    CurveGeneralPositionError,
-    MeshBuildError,
-    MeshGeneralPositionError,
-    CycleError,
-    OSError,
-)
-
 
 def _load_scene(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scene(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from None
+    return parse_scene(text)
 
 
 def _reports_for(scene, retry_budget=16):
@@ -161,6 +155,8 @@ def _env_seed(default):
     raw = os.environ.get("MULTIPOINT_SEED")
     if raw is None:
         return default
+    if not re.fullmatch(r"\s*[+-]?\d+\s*", raw):
+        raise InputError(f"MULTIPOINT_SEED must be an integer, not {raw!r}")
     return int(raw)
 
 
@@ -218,10 +214,7 @@ def main(argv=None):
         if hasattr(args, "seed"):
             args.seed = _env_seed(args.seed)
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,15 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .rational import rat, ZERO, ONE, format_rational
+from .rational import rat, ZERO, ONE, format_point
 from .exactgeom import (
     DEGENERATE,
     ChainLink,
     ChainPiece,
     ClosedChain,
+    GeneralPositionError,
+    GenericityError,
+    InputError,
     PushoffCollision,
     dist2_point_seg,
     pushoff_polyline,
+    require_general_position,
     seg_intersect,
     vadd,
     vdot,
@@ -36,12 +40,8 @@ from .exactgeom import (
 from .surface2d import SquareComplex
 
 
-class CurveBuildError(Exception):
+class CurveBuildError(InputError):
     """The raw point list does not describe a curve on this complex."""
-
-
-class GeneralPositionError(Exception):
-    """The configuration has certified violations; results are undefined."""
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ class GeneralPositionCert2:
 
     @property
     def violation_names(self):
-        return tuple(v[0] for v in self.violations)
+        return sorted({name for name, _ in self.violations})
 
 
 class MultiCurve:
@@ -233,10 +233,6 @@ class MultiCurve:
         if self._cert is None:
             self._cert = _certify(self)
         return self._cert
-
-
-def _fmt_point(p):
-    return "(" + ", ".join(format_rational(c) for c in p) + ")"
 
 
 def _adjacent(comp: Component, pa: Piece, pb: Piece) -> bool:
@@ -300,7 +296,7 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
         for si, (sq, v) in enumerate(comp.vertices):
             if v[0] in (ZERO, ONE) or v[1] in (ZERO, ONE):
                 violations.append(
-                    ("vertex-on-edge", f"component {ci} vertex {si} at {_fmt_point(v)}")
+                    ("vertex-on-edge", f"component {ci} vertex {si} at {format_point(v)}")
                 )
         for pi, piece in enumerate(comp.pieces):
             if piece.p0 == piece.p1:
@@ -352,7 +348,7 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
         pairs = hits[(square, point)]
         if len(pairs) > 1:
             violations.append(
-                ("triple-point", f"{len(pairs)} branch pairs meet at {_fmt_point(point)} in square {square}")
+                ("triple-point", f"{len(pairs)} branch pairs meet at {format_point(point)} in square {square}")
             )
             continue
         doubles.append(DoublePoint(square, point, pairs[0]))
@@ -373,16 +369,6 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
         min_sep_sq=min_sep_sq,
         double_points=tuple(doubles) if not violations else (),
     )
-
-
-def require_general_position(curve: MultiCurve) -> GeneralPositionCert2:
-    cert = curve.certify()
-    if not cert.ok:
-        raise GeneralPositionError(
-            "configuration is not in general position: "
-            + ", ".join(f"{n} ({d})" for n, d in cert.violations)
-        )
-    return cert
 
 
 def double_points(curve: MultiCurve):
@@ -456,7 +442,8 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
     Every contact between the component and the pushoff must be a strict
     transverse interior crossing; otherwise the offset is halved and the
     count retried.  The result is the homological pairing regardless of
-    how the two original curves touch each other.
+    how the two original curves touch each other.  Raises
+    :class:`GenericityError` after ``retry_budget`` halvings.
     """
     if curve_a.complex != curve_b.complex:
         raise ValueError("curves live on different complexes")
@@ -503,9 +490,7 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
             epsilon = epsilon / 2
             continue
         return count % 2
-    raise PushoffCollision(
-        f"pushoff retry budget exhausted: {last_error}"
-    )
+    raise GenericityError(f"pushoff retry budget exhausted: {last_error}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,46 @@ from .rational import rat, ZERO, ONE
 
 
 # ---------------------------------------------------------------------------
+# the error model
+#
+# An InputError is input the package refuses by name; the command line
+# exits with status 2 on it.  A GenericityError is a retry budget that ran
+# out on certified input; the verifier reports it as an ERROR row.  Any
+# other exception is a bug.
+
+
+class InputError(ValueError):
+    """Input the package refuses; the message names what is wrong."""
+
+
+class GeneralPositionError(InputError):
+    """A multicurve or mesh is not in general position.
+
+    ``cert`` is its certificate; the message lists the violation names.
+    """
+
+    def __init__(self, cert, message=None):
+        if message is None:
+            message = "general position violations: " + ", ".join(
+                cert.violation_names
+            )
+        super().__init__(message)
+        self.cert = cert
+
+
+class GenericityError(RuntimeError):
+    """A genericity retry budget was exhausted."""
+
+
+def require_general_position(obj):
+    """The certificate of a multicurve or mesh, which must be ok."""
+    cert = obj.certify()
+    if not cert.ok:
+        raise GeneralPositionError(cert)
+    return cert
+
+
+# ---------------------------------------------------------------------------
 # vector helpers
 
 
@@ -137,7 +177,7 @@ def seg_intersect(a, b):
 
 
 # ---------------------------------------------------------------------------
-# minimum separation
+# point-segment distance
 
 
 def dist2_point_seg(p, seg):
@@ -153,98 +193,6 @@ def dist2_point_seg(p, seg):
     elif t > 1:
         t = ONE
     return dist2(p, vadd(a, vscale(t, d)))
-
-
-_dist2_point_seg = dist2_point_seg
-
-
-def _dist2_seg_seg_2d(s1, s2):
-    hit = seg_intersect(s1, s2)
-    if hit is not None:
-        return ZERO
-    return min(
-        _dist2_point_seg(s1[0], s2),
-        _dist2_point_seg(s1[1], s2),
-        _dist2_point_seg(s2[0], s1),
-        _dist2_point_seg(s2[1], s1),
-    )
-
-
-def _dist2_seg_seg_3d(s1, s2):
-    p0, p1 = s1
-    q0, q1 = s2
-    u = vsub(p1, p0)
-    v = vsub(q1, q0)
-    w0 = vsub(p0, q0)
-    a = vdot(u, u)
-    c = vdot(v, v)
-    if a == 0:
-        return _dist2_point_seg(p0, s2) if c != 0 else dist2(p0, q0)
-    if c == 0:
-        return _dist2_point_seg(q0, s1)
-    b = vdot(u, v)
-    d = vdot(u, w0)
-    e = vdot(v, w0)
-    den = a * c - b * b
-    if den != 0:
-        s = (b * e - c * d) / den
-        t = (a * e - b * d) / den
-        if 0 <= s <= 1 and 0 <= t <= 1:
-            return dist2(vadd(p0, vscale(s, u)), vadd(q0, vscale(t, v)))
-    return min(
-        _dist2_point_seg(p0, s2),
-        _dist2_point_seg(p1, s2),
-        _dist2_point_seg(q0, s1),
-        _dist2_point_seg(q1, s1),
-    )
-
-
-def _feature_parts(f):
-    """Classify a feature as a point or segment; return (kind, endpoints)."""
-    if isinstance(f[0], tuple):
-        return "seg", (f[0], f[1])
-    return "pt", (f,)
-
-
-def min_separation(features):
-    """Minimum squared distance over non-incident pairs of features.
-
-    Features are points (tuples of 2 or 3 rationals) or segments (pairs of
-    such points), all of one dimension.  Pairs sharing an exact endpoint
-    are skipped, as are self-pairs.  A result of zero means two
-    non-incident features touch.  Raises ValueError when every pair is
-    incident (callers fall back to a default scale).
-    """
-    parsed = [_feature_parts(f) for f in features]
-    dims = {len(p) for _, eps in parsed for p in eps}
-    if len(dims) > 1:
-        raise ValueError(f"mixed feature dimensions {sorted(dims)}")
-    best = None
-    for i in range(len(parsed)):
-        ki, epi = parsed[i]
-        for j in range(i + 1, len(parsed)):
-            kj, epj = parsed[j]
-            if set(epi) & set(epj):
-                continue
-            if ki == "pt" and kj == "pt":
-                d = dist2(epi[0], epj[0])
-            elif ki == "pt":
-                d = _dist2_point_seg(epi[0], epj)
-            elif kj == "pt":
-                d = _dist2_point_seg(epj[0], epi)
-            else:
-                dim = len(epi[0])
-                if dim == 2:
-                    d = _dist2_seg_seg_2d(epi, epj)
-                else:
-                    d = _dist2_seg_seg_3d(epi, epj)
-            if best is None or d < best:
-                best = d
-                if best == 0:
-                    return best
-    if best is None:
-        raise ValueError("no non-incident feature pairs")
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +607,7 @@ def _offset_run(pieces, links, side_mults, epsilon):
     return out
 
 
-def pushoff_polyline(chain, side="left", epsilon=None, min_sep_sq=None):
+def pushoff_polyline(chain, side="left", epsilon=None):
     """Push a closed chain off itself by ``epsilon`` on the given side.
 
     The offset of each piece is epsilon times the L1-normalized left (or
@@ -683,8 +631,6 @@ def pushoff_polyline(chain, side="left", epsilon=None, min_sep_sq=None):
     """
     if epsilon is None or epsilon <= 0:
         raise ValueError("epsilon must be a positive rational")
-    if min_sep_sq is not None and not (3 * epsilon < min_sep_sq):
-        raise ValueError("pushoff epsilon too large for the separation bound")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _validate_chain(chain)
@@ -732,6 +678,10 @@ def pushoff_polyline(chain, side="left", epsilon=None, min_sep_sq=None):
 
 
 __all__ = [
+    "InputError",
+    "GeneralPositionError",
+    "GenericityError",
+    "require_general_position",
     "vsub",
     "vadd",
     "vscale",
@@ -744,7 +694,6 @@ __all__ = [
     "DEGENERATE",
     "SegmentHit",
     "seg_intersect",
-    "min_separation",
     "dist2_point_seg",
     "tri_normal",
     "coplanar_tri_relation",

@@ -18,17 +18,16 @@ Klein bottle) and additionally rejects any candidate with double points.
 import random
 from dataclasses import dataclass
 
-from .curves2d import CurveBuildError, GeneralPositionError
+from .curves2d import CurveBuildError
+from .exactgeom import GeneralPositionError, InputError, require_general_position
 from .rational import format_rational, rat
 from .scene import parse_scene, print_scene
 from .surfaces3d import (
     CycleError,
-    GeneralPositionError as MeshGeneralPositionError,
     MeshBuildError,
     coordinate_torus,
     herbert_rhs_r1_cycle_parts,
     parallelogram_torus,
-    require_general_position as require_mesh_general_position,
 )
 
 CURVE_AMBIENTS = ("torus", "klein", "genus2")
@@ -52,19 +51,19 @@ class GeneratorConfig:
 
     def __post_init__(self):
         if self.universe not in ("curves", "tori"):
-            raise ValueError(f"unknown universe {self.universe!r}")
+            raise InputError(f"unknown universe {self.universe!r}")
         allowed = CURVE_AMBIENTS if self.universe == "curves" else (TORI_AMBIENT,)
         if self.ambient not in allowed:
-            raise ValueError(
+            raise InputError(
                 f"ambient {self.ambient!r} invalid for universe {self.universe!r}"
             )
         for lo, hi in (self.components, self.segments):
             if lo < 1 or hi < lo:
-                raise ValueError("ranges must be nonempty")
+                raise InputError("ranges must be nonempty")
         if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
+            raise InputError("seed must fit in 64 bits")
         if self.retry_budget < 1:
-            raise ValueError("retry budget must be at least 1")
+            raise InputError("retry budget must be at least 1")
 
 
 def _q64(rng, lo=5, hi=59):
@@ -254,28 +253,17 @@ def _tori_scene_text(rng, config):
 
 # --- driver ------------------------------------------------------------------
 
-_REJECTIONS = (
-    CurveBuildError,
-    GeneralPositionError,
-    MeshBuildError,
-    MeshGeneralPositionError,
-    CycleError,
-)
+_REJECTIONS = (CurveBuildError, MeshBuildError, CycleError, GeneralPositionError)
 
 
 def _accept(scene, config):
     for name in scene.curves:
-        cert = scene.multicurve(name).certify()
-        if not cert.ok:
-            raise GeneralPositionError(
-                "candidate not in general position: "
-                + ", ".join(cert.violation_names)
-            )
+        cert = require_general_position(scene.multicurve(name))
         if config.embedded_only and cert.double_points:
-            raise GeneralPositionError("candidate is not embedded")
+            raise GeneralPositionError(cert, "candidate is not embedded")
     for name in scene.immersions:
         mesh = scene.mesh(name)
-        require_mesh_general_position(mesh)
+        require_general_position(mesh)
         for cyc_name, decl in scene.cycles.items():
             if decl.immersion != name:
                 continue

@@ -19,19 +19,17 @@ from .curves2d import (
     herbert_lhs_r1,
     herbert_rhs_r1_parts,
     mu_count_r1,
-    require_general_position as require_curve_gp,
 )
-from .rational import format_rational
+from .exactgeom import GenericityError, require_general_position
+from .rational import format_point, format_rational
 from .surfaces3d import (
     CycleError,
-    GenericityError,
     Mesh3,
     MeshCycle,
     herbert_lhs_r1_cycle,
     herbert_lhs_r2,
     herbert_rhs_r1_cycle_parts,
     herbert_rhs_r2_parts,
-    require_general_position as require_mesh_gp,
 )
 
 TSV_COLUMNS = ("scene", "r", "target", "lhs", "mu", "euler", "verdict")
@@ -91,12 +89,8 @@ def _error_row(target, r, exc):
     return HerbertRow(target, r, None, None, None, "ERROR", str(exc))
 
 
-def _fmt_point(p):
-    return "(" + ", ".join(format_rational(c) for c in p) + ")"
-
-
-def _verify_curve(curve, scene_id, retry_budget):
-    require_curve_gp(curve)
+def _verify_curve(curve, retry_budget):
+    require_general_position(curve)
     dps = double_points(curve)
     rows = []
     for i in range(len(curve.components)):
@@ -104,7 +98,7 @@ def _verify_curve(curve, scene_id, retry_budget):
         try:
             lhs = herbert_lhs_r1(curve, i, retry_budget)
             mu, euler = herbert_rhs_r1_parts(curve, i)
-        except Exception as exc:  # genericity budget exhaustion
+        except GenericityError as exc:
             rows.append(_error_row(target, 1, exc))
             continue
         diag = (
@@ -115,8 +109,8 @@ def _verify_curve(curve, scene_id, retry_budget):
     return rows, len(dps), 0
 
 
-def _verify_mesh(mesh, targets, scene_id, retry_budget):
-    require_mesh_gp(mesh)
+def _verify_mesh(mesh, targets, retry_budget):
+    require_general_position(mesh)
     curves = mesh.double_curves()
     triples = mesh.triple_points()
     rows = []
@@ -158,11 +152,9 @@ def verify(scene, targets=None, scene_id="scene", retry_budget=16):
     payload = getattr(scene, "payload", scene)
     start = time.perf_counter()
     if isinstance(payload, MultiCurve):
-        rows, n_double, n_triple = _verify_curve(payload, scene_id, retry_budget)
+        rows, n_double, n_triple = _verify_curve(payload, retry_budget)
     elif isinstance(payload, Mesh3):
-        rows, n_double, n_triple = _verify_mesh(
-            payload, targets, scene_id, retry_budget
-        )
+        rows, n_double, n_triple = _verify_mesh(payload, targets, retry_budget)
     else:
         raise TypeError(f"cannot verify scenes of type {type(payload).__name__}")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -175,7 +167,7 @@ def _geometry_lines(scene):
     if isinstance(payload, MultiCurve):
         for ci, comp in enumerate(payload.components):
             pts = " ".join(
-                f"s{sq}:{_fmt_point(p)}" for sq, p in comp.vertices
+                f"s{sq}:{format_point(p)}" for sq, p in comp.vertices
             )
             lines.append(f"component[{ci}]: {pts}")
         for dp in double_points(payload):
@@ -184,13 +176,13 @@ def _geometry_lines(scene):
                 for c, s, t in dp.branches
             )
             lines.append(
-                f"double point s{dp.square}:{_fmt_point(dp.point)} "
+                f"double point s{dp.square}:{format_point(dp.point)} "
                 f"from {branches}"
             )
     elif isinstance(payload, Mesh3):
         for ti, tri in enumerate(payload.triangles):
             lines.append(
-                f"t{ti}: " + " ".join(_fmt_point(p) for p in tri)
+                f"t{ti}: " + " ".join(format_point(p) for p in tri)
             )
         for ci, dc in enumerate(payload.double_curves()):
             lines.append(
@@ -199,8 +191,8 @@ def _geometry_lines(scene):
                 f"{[pc.w1 for pc in dc.preimages]}"
             )
         for tp in payload.triple_points().points:
-            pre = ", ".join(f"t{t}:{_fmt_point(p)}" for t, p in tp.preimages)
-            lines.append(f"triple point {_fmt_point(tp.target)} over {pre}")
+            pre = ", ".join(f"t{t}:{format_point(p)}" for t, p in tp.preimages)
+            lines.append(f"triple point {format_point(tp.target)} over {pre}")
     return lines
 
 

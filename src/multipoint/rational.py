@@ -58,6 +58,11 @@ def format_rational(q) -> str:
     return f"{num}/{den}"
 
 
+def format_point(p) -> str:
+    """Render a point as ``(x, y[, z])`` with :func:`format_rational` entries."""
+    return "(" + ", ".join(format_rational(c) for c in p) + ")"
+
+
 def rfloor(q) -> int:
     """Floor of a rational as a plain int."""
     return int(q.numerator // q.denominator)
@@ -76,6 +81,7 @@ __all__ = [
     "ONE",
     "parse_rational",
     "format_rational",
+    "format_point",
     "rfloor",
     "rceil",
 ]

@@ -24,12 +24,13 @@ component to that multicurve.
 from dataclasses import dataclass, field
 
 from .curves2d import MultiCurve
+from .exactgeom import InputError
 from .rational import format_rational, parse_rational
 from .surface2d import EDGE_NAMES, SquareComplex
 from .surfaces3d import Mesh3, MeshCycle
 
 
-class SceneParseError(ValueError):
+class SceneParseError(InputError):
     """A scene file failed to parse; carries the 1-based line number."""
 
     def __init__(self, line, message):
@@ -118,7 +119,7 @@ def _rational(tok, line):
 
 
 def _square_token(tok, line, prefix="s"):
-    if not tok.startswith(prefix) or not tok[len(prefix):].isdigit():
+    if not tok.startswith(prefix) or not tok[len(prefix):].isdecimal():
         raise SceneParseError(line, f"expected {prefix}<index>, got {tok!r}")
     return int(tok[len(prefix):])
 
@@ -163,7 +164,7 @@ def parse_scene(text):
                 raise SceneParseError(line_no, "squares outside a surface stanza")
             if current.num_squares:
                 raise SceneParseError(line_no, "squares already declared")
-            if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
+            if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
                 raise SceneParseError(line_no, "squares needs a positive count")
             current.num_squares = int(args[0])
         elif head == "glue":

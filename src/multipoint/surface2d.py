@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .rational import rat, ZERO, ONE
-from .exactgeom import Transform2
+from .exactgeom import InputError, Transform2
 
 EDGE_NAMES = ("E", "W", "N", "S")
 
@@ -124,7 +124,7 @@ class SquareComplex:
 
     def __init__(self, num_squares: int, gluings):
         if num_squares < 1:
-            raise ValueError("a complex needs at least one square")
+            raise InputError("a complex needs at least one square")
         self.num_squares = num_squares
         glus = []
         for g in gluings:
@@ -132,9 +132,9 @@ class SquareComplex:
                 g = Gluing(*g)
             for sq, ed in ((g.square_a, g.edge_a), (g.square_b, g.edge_b)):
                 if not (0 <= sq < num_squares):
-                    raise ValueError(f"square index {sq} out of range")
+                    raise InputError(f"square index {sq} out of range")
                 if ed not in EDGE_NAMES:
-                    raise ValueError(f"unknown edge name {ed!r}")
+                    raise InputError(f"unknown edge name {ed!r}")
             glus.append(g.normalized())
         self.gluings = tuple(sorted(glus, key=lambda g: (g.square_a, g.edge_a)))
         self._by_edge = {}

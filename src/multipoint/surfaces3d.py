@@ -57,6 +57,9 @@ from dataclasses import dataclass
 from .rational import ONE, ZERO, parse_rational, rat, rceil, rfloor
 from .exactgeom import (
     DEGENERATE,
+    GeneralPositionError,
+    GenericityError,
+    InputError,
     _clip_line_to_tri,
     _dominant_axis,
     _project_drop,
@@ -64,6 +67,7 @@ from .exactgeom import (
     cross2,
     cross3,
     dist2_point_seg,
+    require_general_position,
     seg_intersect,
     segment_triangle_hit,
     tri_normal,
@@ -75,24 +79,11 @@ from .exactgeom import (
 )
 
 
-class MeshBuildError(ValueError):
+class MeshBuildError(InputError):
     """The triangle soup does not describe a closed surface."""
 
 
-class GeneralPositionError(ValueError):
-    """The mesh violates general position; see the attached certificate."""
-
-    def __init__(self, cert):
-        names = sorted({name for name, _ in cert.violations})
-        super().__init__("general position violations: " + ", ".join(names))
-        self.cert = cert
-
-
-class GenericityError(RuntimeError):
-    """A genericity retry budget was exhausted."""
-
-
-class CycleError(ValueError):
+class CycleError(InputError):
     """A cycle drawn on the source surface is malformed or non-generic."""
 
 
@@ -134,6 +125,18 @@ def _ineg(u):
 
 def _shift_tri(tri, v):
     return (vadd(tri[0], v), vadd(tri[1], v), vadd(tri[2], v))
+
+
+def _lattice_translates(amin, amax, bmin, bmax):
+    """Integer vectors v for which the box [bmin, bmax] + v meets [amin, amax]."""
+    ranges = []
+    for k in range(3):
+        lo = rceil(amin[k] - bmax[k])
+        hi = rfloor(amax[k] - bmin[k])
+        if lo > hi:
+            return ()
+        ranges.append(range(lo, hi + 1))
+    return itertools.product(*ranges)
 
 
 class _UnionFind:
@@ -505,19 +508,6 @@ class Mesh3:
 
     # -- pair enumeration and certification ---------------------------------
 
-    def _translate_candidates(self, i, j):
-        (mins_i, maxs_i) = self._bbox[i]
-        (mins_j, maxs_j) = self._bbox[j]
-        ranges = []
-        for k in range(3):
-            lo = rceil(mins_i[k] - maxs_j[k])
-            hi = rfloor(maxs_i[k] - mins_j[k])
-            if lo > hi:
-                return
-            ranges.append(range(lo, hi + 1))
-        for v in itertools.product(*ranges):
-            yield v
-
     def _coplanar(self, i, ta, j, tb):
         na, nb = self._normals[i], self._normals[j]
         if cross3(na, nb) != (ZERO, ZERO, ZERO):
@@ -556,7 +546,7 @@ class Mesh3:
         for i in range(n):
             ta = self.triangles[i]
             for j in range(i, n):
-                for v in self._translate_candidates(i, j):
+                for v in _lattice_translates(*self._bbox[i], *self._bbox[j]):
                     if i == j and v <= (0, 0, 0):
                         continue
                     detail = f"triangles {i} and {j} + {v}"
@@ -852,13 +842,6 @@ class Mesh3:
         return self._triples
 
 
-def require_general_position(mesh):
-    cert = mesh.certify()
-    if not cert.ok:
-        raise GeneralPositionError(cert)
-    return cert
-
-
 # ---------------------------------------------------------------------------
 # homology of the image
 
@@ -948,34 +931,35 @@ def _segment_bbox(p, q):
     )
 
 
+def _segment_contacts(mesh, segs, w=None):
+    """Contacts of 3-space segments with every lift of the mesh translated by w.
+
+    Yields ``(triangle, lattice translate, hit)`` for each lift the segment
+    touches, where ``hit`` is a :class:`SegmentHit` or ``DEGENERATE``.
+    """
+    tris, boxes = mesh.triangles, mesh._bbox
+    if w is not None:
+        tris = [_shift_tri(tri, w) for tri in tris]
+        boxes = [(vadd(lo, w), vadd(hi, w)) for lo, hi in boxes]
+    for (p, q) in segs:
+        smin, smax = _segment_bbox(p, q)
+        for t, (tri, (tmin, tmax)) in enumerate(zip(tris, boxes)):
+            for v in _lattice_translates(smin, smax, tmin, tmax):
+                h = segment_triangle_hit(p, q, _shift_tri(tri, v))
+                if h is not None:
+                    yield t, v, h
+
+
 def _crossings_with_translate(mesh, segs, w):
     """Strict crossings of 3-space segments with the mesh translated by w.
 
     Returns None as soon as any contact is non-transverse.
     """
     total = 0
-    for (p, q) in segs:
-        smin, smax = _segment_bbox(p, q)
-        for t, tri in enumerate(mesh.triangles):
-            tmin, tmax = mesh._bbox[t]
-            ranges = []
-            empty = False
-            for k in range(3):
-                lo = rceil(smin[k] - tmax[k] - w[k])
-                hi = rfloor(smax[k] - tmin[k] - w[k])
-                if lo > hi:
-                    empty = True
-                    break
-                ranges.append(range(lo, hi + 1))
-            if empty:
-                continue
-            base = _shift_tri(tri, w)
-            for v in itertools.product(*ranges):
-                h = segment_triangle_hit(p, q, _shift_tri(base, v))
-                if h is DEGENERATE:
-                    return None
-                if h is not None:
-                    total += 1
+    for _, _, h in _segment_contacts(mesh, segs, w):
+        if h is DEGENERATE:
+            return None
+        total += 1
     return total
 
 
@@ -1006,29 +990,10 @@ def mesh_segment_hits(mesh, segs):
     non-transverse contact.
     """
     hits = []
-    for (p, q) in segs:
-        smin, smax = _segment_bbox(p, q)
-        for t, tri in enumerate(mesh.triangles):
-            tmin, tmax = mesh._bbox[t]
-            ranges = []
-            empty = False
-            for k in range(3):
-                lo = rceil(smin[k] - tmax[k])
-                hi = rfloor(smax[k] - tmin[k])
-                if lo > hi:
-                    empty = True
-                    break
-                ranges.append(range(lo, hi + 1))
-            if empty:
-                continue
-            for v in itertools.product(*ranges):
-                h = segment_triangle_hit(p, q, _shift_tri(tri, v))
-                if h is DEGENERATE:
-                    raise GenericityError(
-                        f"non-transverse contact with triangle {t} + {v}"
-                    )
-                if h is not None:
-                    hits.append((t, vsub(h.point, v)))
+    for t, v, h in _segment_contacts(mesh, segs):
+        if h is DEGENERATE:
+            raise GenericityError(f"non-transverse contact with triangle {t} + {v}")
+        hits.append((t, vsub(h.point, v)))
     return hits
 
 

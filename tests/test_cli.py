@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from multipoint import herbert
 from multipoint.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 
 FIG8 = """\
@@ -98,6 +99,31 @@ def test_verify_degenerate_scene_exit_two(tmp_path, capsys):
     p.write_text(TANGENT)
     assert main(["verify", str(p)]) == EXIT_INPUT
     assert "tangency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"surface S\ncurve c on S\nverify c\n",
+        b"\xff\xfe not a scene",
+        "surface S\nsquares \u00b2\n".encode(),
+    ],
+    ids=["no-squares", "not-utf8", "non-ascii-digit"],
+)
+def test_verify_malformed_file_exit_two(tmp_path, capsys, data):
+    p = tmp_path / "bad.scene"
+    p.write_bytes(data)
+    assert main(["verify", str(p)]) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_internal_error_propagates(fig8_file, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(herbert, "verify", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["verify", fig8_file])
 
 
 def test_verify_mesh_scene(tmp_path, capsys):

@@ -186,6 +186,18 @@ def test_triple_point_flagged():
         double_points(c)
 
 
+def test_violation_names_are_sorted_and_unique():
+    c = curve_str(
+        TORUS, [(0, "1/2", "0"), (0, "3/4", "1/2"), (0, "1/4", "1/2")], HORIZ
+    )
+    cert = c.certify()
+    names = ["degenerate-overlap", "tangency", "vertex-on-edge"]
+    assert len(cert.violations) > len(names)
+    assert cert.violation_names == names
+    with pytest.raises(GeneralPositionError, match=": " + ", ".join(names) + "$"):
+        double_points(c)
+
+
 def test_collinear_continuation_is_legal():
     # a vertex of angle pi subdividing a straight run is not a violation
     c = curve_str(

@@ -1,9 +1,10 @@
 """Exact geometry kernel: intersections, separation, charts, pushoffs."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from multipoint.curves2d import degeneracy_scale_sq
 from multipoint.rational import rat, ZERO, ONE
 from multipoint.exactgeom import (
     DEGENERATE,
@@ -16,7 +17,6 @@ from multipoint.exactgeom import (
     TriTriHit,
     coplanar_tri_relation,
     dist2,
-    min_separation,
     pushoff_polyline,
     seg_intersect,
     segment_triangle_hit,
@@ -106,69 +106,58 @@ def test_seg_intersect_is_symmetric(a, b):
 
 
 # ---------------------------------------------------------------------------
-# min_separation
+# the error model
 
 
-def test_min_separation_parallel_segments():
-    feats = [
-        ((rat(0), rat(0)), (rat(1), rat(0))),
-        ((rat(0), rat(1, 4)), (rat(1), rat(1, 4))),
-    ]
-    assert min_separation(feats) == rat(1, 16)
+def test_one_error_hierarchy():
+    from multipoint import curves2d, generate, scene, surfaces3d
+    from multipoint.exactgeom import GenericityError, InputError
+
+    assert curves2d.GeneralPositionError is surfaces3d.GeneralPositionError
+    assert curves2d.require_general_position is surfaces3d.require_general_position
+    for cls in (
+        curves2d.GeneralPositionError,
+        curves2d.CurveBuildError,
+        surfaces3d.MeshBuildError,
+        surfaces3d.CycleError,
+        scene.SceneParseError,
+    ):
+        assert issubclass(cls, InputError), cls
+    assert issubclass(InputError, ValueError)
+    assert not issubclass(GenericityError, InputError)
+    with pytest.raises(InputError):
+        generate.GeneratorConfig(components=(3, 1))
 
 
-def test_min_separation_point_vs_segment():
-    feats = [
-        (rat(1, 2), rat(1)),
-        ((rat(0), rat(0)), (rat(1), rat(0))),
-    ]
-    assert min_separation(feats) == 1
+# ---------------------------------------------------------------------------
+# separation scale of a segment family
 
 
-def test_min_separation_skew_segments_3d():
-    feats = [
-        ((rat(0), rat(0), rat(0)), (rat(2), rat(2), rat(0))),
-        ((rat(1), rat(0), rat(1)), (rat(1), rat(2), rat(1))),
-    ]
-    assert min_separation(feats) == 1
-
-
-def test_min_separation_crossing_segments_is_zero():
-    feats = [
-        ((rat(0), rat(0)), (rat(1), rat(1))),
-        ((rat(0), rat(1)), (rat(1), rat(0))),
-    ]
-    assert min_separation(feats) == 0
-
-
-def test_min_separation_skips_shared_endpoints():
-    shared = (rat(0), rat(0))
-    feats = [
-        (shared, (rat(1), rat(0))),
-        (shared, (rat(0), rat(1))),
-    ]
-    with pytest.raises(ValueError):
-        min_separation(feats)
-
-
-def test_min_separation_rejects_mixed_dimensions():
-    feats = [(rat(0), rat(0)), (rat(0), rat(0), rat(0))]
-    with pytest.raises(ValueError):
-        min_separation(feats)
+def _meets(a, b):
+    return oracles.seg_relation_oracle(a, b) != "disjoint"
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(segments2(max_denominator=8), min_size=2, max_size=4))
-def test_min_separation_bounded_by_sampled_distances(feats):
+def test_degeneracy_scale_bounded_by_sampled_distances(feats):
+    # a crossing pair's scale is its endpoint distance, not zero, so the
+    # sampled bound holds only for families without meeting pairs
+    assume(
+        not any(
+            _meets(a, b)
+            for i, a in enumerate(feats)
+            for b in feats[i + 1:]
+            if not set(a) & set(b)
+        )
+    )
     sampled = oracles.sampled_min_dist2(feats)
+    scale = degeneracy_scale_sq(feats)
     if sampled is None:
-        with pytest.raises(ValueError):
-            min_separation(feats)
+        assert scale is None
         return
-    msq = min_separation(feats)
     # the true minimum can only be smaller than any sampled distance, and
     # endpoint parameters are always sampled so equality is reachable
-    assert msq <= sampled
+    assert scale is not None and 0 < scale <= sampled
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +374,9 @@ def test_pushoff_oversized_epsilon_collides():
 
 
 def test_pushoff_epsilon_precondition():
-    with pytest.raises(ValueError):
-        pushoff_polyline(
-            square_loop_chain(), side="left", epsilon=rat(1, 10), min_sep_sq=rat(1, 10)
-        )
+    for epsilon in (ZERO, rat(-1, 10)):
+        with pytest.raises(ValueError, match="positive"):
+            pushoff_polyline(square_loop_chain(), side="left", epsilon=epsilon)
 
 
 def torus_horizontal_chain():

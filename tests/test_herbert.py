@@ -2,6 +2,7 @@
 
 import pytest
 
+from multipoint import herbert
 from multipoint.curves2d import MultiCurve
 from multipoint.herbert import (
     HerbertReport,
@@ -95,6 +96,22 @@ def test_verify_accepts_represented_classes():
 def test_verify_rejects_uncertified_scene():
     with pytest.raises(GeneralPositionError):
         verify(Mesh3(coordinate_torus(2, Q) + coordinate_torus(2, Q, rat(-1, 8))))
+
+
+def test_curve_budget_exhaustion_is_error_row():
+    rep = verify(curve(FIG8), retry_budget=0)
+    (row,) = rep.rows
+    assert row.verdict == "ERROR"
+    assert "budget exhausted" in row.diagnostics
+
+
+def test_internal_error_in_curve_row_propagates(monkeypatch):
+    def broken(*args):
+        raise KeyError("internal bug")
+
+    monkeypatch.setattr(herbert, "herbert_lhs_r1", broken)
+    with pytest.raises(KeyError, match="internal bug"):
+        verify(curve(FIG8))
 
 
 def test_cycle_error_becomes_error_row():
