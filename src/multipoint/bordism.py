@@ -13,25 +13,19 @@ from dataclasses import dataclass
 
 from .curves2d import MultiCurve, double_points
 from .exactgeom import (
-    DEGENERATE,
-    _dominant_axis,
-    _project_drop,
-    cross3,
+    InputError,
+    bbox,
+    frac_vec,
+    lattice_translates,
     require_general_position,
     seg_intersect,
-    tri_normal,
+    segments_touch,
+    strict_crossing,
     vadd,
-    vdot,
     vscale,
     vsub,
 )
-from .rational import rat
-from .surfaces3d import (
-    Mesh3,
-    _lattice_translates,
-    _segment_bbox,
-    mesh_segment_hits,
-)
+from .surfaces3d import Mesh3, mesh_segment_hits
 
 # universe tags
 CURVES_IN_SURFACE = "curves-in-surface"
@@ -59,7 +53,7 @@ _DIMS = {
 }
 
 
-class TransversalityError(ValueError):
+class TransversalityError(InputError):
     """Two representatives are not in general position with each other."""
 
 
@@ -184,39 +178,16 @@ def identity_class(ambient=None):
 
 
 # ---------------------------------------------------------------------------
-# exact contact test for closed polylines in the 3-torus
-
-
-def _segments_touch_3d(p, q, r, s):
-    """Whether the closed 3-space segments [p,q] and [r,s] share a point."""
-    d1, d2 = vsub(q, p), vsub(s, r)
-    w = vsub(r, p)
-    n = cross3(d1, d2)
-    if n == (rat(0), rat(0), rat(0)):
-        if cross3(w, d1) != (rat(0), rat(0), rat(0)):
-            return False
-        den = vdot(d1, d1)
-        t0 = vdot(w, d1) / den
-        t1 = vdot(vsub(s, p), d1) / den
-        lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-        return not (hi < 0 or lo > 1)
-    if vdot(w, n) != 0:
-        return False
-    den = vdot(n, n)
-    t = vdot(cross3(w, d2), n) / den
-    u = vdot(cross3(w, d1), n) / den
-    if not (0 <= t <= 1 and 0 <= u <= 1):
-        return False
-    return vadd(p, vscale(t, d1)) == vadd(r, vscale(u, d2))
+# contact of closed polylines in the 3-torus
 
 
 def _circle_segments_disjoint(circ_a, circ_b):
     """Whether two canonical circles in the 3-torus avoid each other."""
     for (p, q) in circ_a:
-        pbox = _segment_bbox(p, q)
+        pbox = bbox((p, q))
         for (r, s) in circ_b:
-            for v in _lattice_translates(*pbox, *_segment_bbox(r, s)):
-                if _segments_touch_3d(p, q, vadd(r, v), vadd(s, v)):
+            for v in lattice_translates(*pbox, *bbox((r, s))):
+                if segments_touch((p, q), (vadd(r, v), vadd(s, v))):
                     return False
     return True
 
@@ -366,9 +337,7 @@ def _product_curves_meshes(a, b):
 def _product_circles_mesh(circles, mesh_cls):
     segs = [seg for (canonical, _) in circles.payload for seg in canonical]
     hits = mesh_segment_hits(mesh_cls.payload, segs)
-    points = set()
-    for tri, point in hits:
-        points.add(tuple(c - rat(int(c // 1)) for c in point))
+    points = {frac_vec(point) for _, point in hits}
     return RepresentedClass(
         POINTS_IN_3TORUS, AMBIENT_T3, tuple(sorted(points))
     )
@@ -723,7 +692,8 @@ def _arc_crossings_on_source(mesh, records):
         by_tri.setdefault(e[0], []).append(e)
     crossings = set()
     for tri, here in by_tri.items():
-        axis = _dominant_axis(tri_normal(mesh.triangles[tri]))
+        chart = mesh.chart(tri)
+        flat = [chart.points((p, q)) for _, p, q, _, _, _ in here]
         for i in range(len(here)):
             for j in range(i + 1, len(here)):
                 _, p1, q1, c1, a1, n1 = here[i]
@@ -735,14 +705,10 @@ def _arc_crossings_on_source(mesh, records):
                     raise TransversalityError(
                         "preimage arcs touch at an endpoint"
                     )
-                s1 = (_project_drop(p1, axis), _project_drop(q1, axis))
-                s2 = (_project_drop(p2, axis), _project_drop(q2, axis))
-                hit = seg_intersect(s1, s2)
+                hit = seg_intersect(flat[i], flat[j])
                 if hit is None:
                     continue
-                if hit is DEGENERATE or not (
-                    0 < hit.ta < 1 and 0 < hit.tb < 1
-                ):
+                if not strict_crossing(hit):
                     raise TransversalityError(
                         "preimage arcs meet non-transversally"
                     )

@@ -45,7 +45,7 @@ def _load_scene(path):
     return parse_scene(text)
 
 
-def _reports_for(scene, retry_budget=16):
+def _reports_for(scene):
     """One verification report per ``verify`` directive, with its subject."""
     out = []
     for decl in scene.verifies:

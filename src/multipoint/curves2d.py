@@ -21,6 +21,7 @@ from typing import Optional
 from .rational import rat, ZERO, ONE, format_point
 from .exactgeom import (
     DEGENERATE,
+    SQUARE_EDGES,
     ChainLink,
     ChainPiece,
     ClosedChain,
@@ -28,12 +29,13 @@ from .exactgeom import (
     GenericityError,
     InputError,
     PushoffCollision,
+    collinear_overlap,
     dist2_point_seg,
     pushoff_polyline,
     require_general_position,
     seg_intersect,
+    strict_crossing,
     vadd,
-    vdot,
     vscale,
     vsub,
 )
@@ -94,14 +96,12 @@ def _in_closed_square(p) -> bool:
     return 0 <= p[0] <= 1 and 0 <= p[1] <= 1
 
 
-_EXITS = (("E", 0, ONE, 1), ("W", 0, ZERO, -1), ("N", 1, ONE, 1), ("S", 1, ZERO, -1))
-
-
 def _resolve_wrap(cx: SquareComplex, square: int, v, q):
     """First crossing of segment v->q out of the closed unit square."""
     d = vsub(q, v)
     best = None
-    for edge, axis, value, direction in _EXITS:
+    for edge, (axis, value) in SQUARE_EDGES.items():
+        direction = 1 if value == ONE else -1
         if direction * d[axis] <= 0:
             continue
         t = (value - v[axis]) / d[axis]
@@ -278,18 +278,6 @@ def degeneracy_scale_sq(segments):
     return best
 
 
-def _interval_overlap_positive(a, b):
-    """Do collinear segments a and b share more than a point?"""
-    d = vsub(a[1], a[0])
-    if d == (ZERO, ZERO):
-        d = vsub(b[1], b[0])
-        if d == (ZERO, ZERO):
-            return False
-    pa = sorted((vdot(a[0], d), vdot(a[1], d)))
-    pb = sorted((vdot(b[0], d), vdot(b[1], d)))
-    return min(pa[1], pb[1]) > max(pa[0], pb[0])
-
-
 def _certify(curve: MultiCurve) -> GeneralPositionCert2:
     violations = []
     for ci, comp in enumerate(curve.components):
@@ -325,7 +313,8 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
                 )
                 if adjacent:
                     if res is DEGENERATE:
-                        if _interval_overlap_positive((pa.p0, pa.p1), (pb.p0, pb.p1)):
+                        lo, hi = collinear_overlap((pa.p0, pa.p1), (pb.p0, pb.p1))
+                        if lo != hi:
                             violations.append(("degenerate-overlap", where))
                         continue  # collinear continuation through the vertex
                     shared = pa.p1 if pa.p1 in (pb.p0, pb.p1) else pa.p0
@@ -335,7 +324,7 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
                 if res is DEGENERATE:
                     violations.append(("degenerate-overlap", where))
                     continue
-                if 0 < res.ta < 1 and 0 < res.tb < 1:
+                if strict_crossing(res):
                     key = (square, res.point)
                     ga = (ca, pa.seg, pa.t0 + res.ta * (pa.t1 - pa.t0))
                     gb = (cb, pb.seg, pb.t0 + res.tb * (pb.t1 - pb.t0))
@@ -439,29 +428,18 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
     """Mod-2 intersection number of one component of ``curve_a`` with the
     whole multicurve ``curve_b``, via a small normal pushoff of ``curve_b``.
 
-    Every contact between the component and the pushoff must be a strict
-    transverse interior crossing; otherwise the offset is halved and the
-    count retried.  The result is the homological pairing regardless of
-    how the two original curves touch each other.  Raises
+    The offset starts below the separation scale in ``curve_b``'s
+    certificate.  Every contact between the component and the pushoff must
+    be a strict transverse interior crossing; otherwise the offset is
+    halved and the count retried.  The result is the homological pairing
+    regardless of how the two original curves touch each other.  Raises
     :class:`GenericityError` after ``retry_budget`` halvings.
     """
     if curve_a.complex != curve_b.complex:
         raise ValueError("curves live on different complexes")
     require_general_position(curve_a)
     cert_b = require_general_position(curve_b)
-
-    feats = {}
-    for c in (curve_a, curve_b):
-        for square, entries in c.pieces_by_square().items():
-            feats.setdefault(square, []).extend((p.p0, p.p1) for _, _, p in entries)
-    seps = []
-    for square, fs in feats.items():
-        s = degeneracy_scale_sq(fs)
-        if s is not None:
-            seps.append(s)
-    msq = min(seps) if seps else cert_b.min_sep_sq
-    epsilon = initial_epsilon(msq)
-
+    epsilon = initial_epsilon(cert_b.min_sep_sq)
     comp_pieces = [p for p in curve_a.components[comp_a].pieces]
     last_error = None
     for _ in range(retry_budget):
@@ -480,7 +458,7 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
                     res = seg_intersect((piece.p0, piece.p1), (off.start, off.end))
                     if res is None:
                         continue
-                    if res is DEGENERATE or not (0 < res.ta < 1 and 0 < res.tb < 1):
+                    if not strict_crossing(res):
                         raise PushoffCollision(
                             "pushoff-collision: non-transverse contact while counting"
                         )

@@ -9,10 +9,11 @@ outcome here; callers decide whether it is a violation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .rational import rat, ZERO, ONE
+from .rational import rat, rceil, rfloor, ZERO, ONE
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +128,7 @@ DEGENERATE = _Degenerate()
 
 
 # ---------------------------------------------------------------------------
-# 2D segment intersection
+# segment intersection
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,29 @@ class SegmentHit:
     point: tuple
     ta: object
     tb: Optional[object] = None
+
+
+def collinear_overlap(a, b):
+    """The common part of closed segments ``a`` and ``b`` on one line.
+
+    Returns None when they are disjoint, else the end points ``(lo, hi)``
+    of the shared interval, equal when they share a single point.  Works
+    in any dimension; the caller has checked that the segments are
+    collinear.
+    """
+    p = a[0]
+    d = vsub(a[1], p)
+    if not any(d):
+        d = vsub(b[1], b[0])
+        if not any(d):  # both are points
+            return (p, p) if p == b[0] else None
+    dd = vdot(d, d)
+    fa = sorted((ZERO, vdot(d, vsub(a[1], p)) / dd))
+    fb = sorted((vdot(d, vsub(b[0], p)) / dd, vdot(d, vsub(b[1], p)) / dd))
+    lo, hi = max(fa[0], fb[0]), min(fa[1], fb[1])
+    if lo > hi:
+        return None
+    return vadd(p, vscale(lo, d)), vadd(p, vscale(hi, d))
 
 
 def seg_intersect(a, b):
@@ -157,23 +181,47 @@ def seg_intersect(a, b):
     if denom == 0:
         if cross2(qp, r) != 0 or cross2(qp, s) != 0:
             return None  # parallel, distinct supporting lines
-        # collinear: compare parameter intervals along a common direction
-        d = r if r != (ZERO, ZERO) else s
-        if d == (ZERO, ZERO):  # both degenerate points
-            return DEGENERATE if p == q else None
-        dd = vdot(d, d)
-        ta0, ta1 = ZERO, vdot(r, d) / dd
-        tb0, tb1 = vdot(qp, d) / dd, vdot(vsub(q1, p), d) / dd
-        lo_a, hi_a = min(ta0, ta1), max(ta0, ta1)
-        lo_b, hi_b = min(tb0, tb1), max(tb0, tb1)
-        if hi_a < lo_b or hi_b < lo_a:
-            return None
-        return DEGENERATE
+        return None if collinear_overlap(a, b) is None else DEGENERATE
     t = cross2(qp, s) / denom
     u = cross2(qp, r) / denom
     if 0 <= t <= 1 and 0 <= u <= 1:
         return SegmentHit(vadd(p, vscale(t, r)), t, u)
     return None
+
+
+def strict_crossing(h):
+    """Whether a :func:`seg_intersect` hit is interior to both segments."""
+    return h is not DEGENERATE and 0 < h.ta < 1 and 0 < h.tb < 1
+
+
+def contact_only_at(a, b, w):
+    """True when closed 2D segments meet in at most the single point w."""
+    h = seg_intersect(a, b)
+    if h is None:
+        return True
+    if h is DEGENERATE:
+        return collinear_overlap(a, b) == (w, w)
+    return h.point == w
+
+
+def segments_touch(a, b):
+    """Whether the closed segments ``a`` and ``b`` of 3-space share a point."""
+    (p, q), (r, s) = a, b
+    d1, d2 = vsub(q, p), vsub(s, r)
+    w = vsub(r, p)
+    n = cross3(d1, d2)
+    if n == (ZERO, ZERO, ZERO):
+        if cross3(w, d1) != (ZERO, ZERO, ZERO):
+            return False
+        return collinear_overlap(a, b) is not None
+    if vdot(w, n) != 0:
+        return False
+    den = vdot(n, n)
+    t = vdot(cross3(w, d2), n) / den
+    u = vdot(cross3(w, d1), n) / den
+    if not (0 <= t <= 1 and 0 <= u <= 1):
+        return False
+    return vadd(p, vscale(t, d1)) == vadd(r, vscale(u, d2))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +244,40 @@ def dist2_point_seg(p, seg):
 
 
 # ---------------------------------------------------------------------------
+# the integer lattice of the 3-torus
+
+
+def floor_vec(p):
+    return (rfloor(p[0]), rfloor(p[1]), rfloor(p[2]))
+
+
+def frac_vec(p):
+    """The representative of p in the unit cube [0, 1)^3."""
+    return vsub(p, floor_vec(p))
+
+
+def bbox(points):
+    """The smallest axis-parallel box ``(lo, hi)`` that holds the points."""
+    dims = range(len(points[0]))
+    return (
+        tuple(min(p[k] for p in points) for k in dims),
+        tuple(max(p[k] for p in points) for k in dims),
+    )
+
+
+def lattice_translates(amin, amax, bmin, bmax):
+    """Integer vectors v for which the box [bmin, bmax] + v meets [amin, amax]."""
+    ranges = []
+    for k in range(3):
+        lo = rceil(amin[k] - bmax[k])
+        hi = rfloor(amax[k] - bmin[k])
+        if lo > hi:
+            return ()
+        ranges.append(range(lo, hi + 1))
+    return itertools.product(*ranges)
+
+
+# ---------------------------------------------------------------------------
 # triangle-triangle intersection in 3-space
 
 
@@ -206,14 +288,40 @@ def tri_normal(tri):
     return n
 
 
-def _dominant_axis(n):
-    absn = [a if a >= 0 else -a for a in n]
-    m = max(absn)
-    return absn.index(m)
+def coplanar(ta, na, tb, nb):
+    """Whether triangles ``ta`` and ``tb``, with normals ``na`` and ``nb``,
+    lie in one plane."""
+    if cross3(na, nb) != (ZERO, ZERO, ZERO):
+        return False
+    return vdot(na, vsub(tb[0], ta[0])) == ZERO
 
 
-def _project_drop(p, axis):
-    return tuple(c for k, c in enumerate(p) if k != axis)
+@dataclass(frozen=True)
+class PlaneChart:
+    """Plane coordinates that drop the 3-space coordinate ``axis``.
+
+    The chart :meth:`of` a normal drops its dominant coordinate, so it is
+    one-to-one on every plane with that normal and keeps the parameter of
+    each point along a segment: a :func:`seg_intersect` in the chart
+    answers for the segments in 3-space, with the hit point in the chart.
+    """
+
+    axis: int
+
+    @classmethod
+    def of(cls, n):
+        absn = [a if a >= 0 else -a for a in n]
+        return cls(absn.index(max(absn)))
+
+    def point(self, p):
+        return tuple(c for k, c in enumerate(p) if k != self.axis)
+
+    def points(self, ps):
+        return tuple(self.point(p) for p in ps)
+
+    def intersect(self, a, b):
+        """:func:`seg_intersect` of the 3-space segments a and b in this chart."""
+        return seg_intersect(self.points(a), self.points(b))
 
 
 def coplanar_tri_relation(a, b):
@@ -222,10 +330,8 @@ def coplanar_tri_relation(a, b):
     'touch' means the closed triangles meet but their interiors do not;
     'overlap' means the interiors intersect.
     """
-    n = tri_normal(a)
-    axis = _dominant_axis(n)
-    pa = [_project_drop(p, axis) for p in a]
-    pb = [_project_drop(p, axis) for p in b]
+    chart = PlaneChart.of(tri_normal(a))
+    pa, pb = chart.points(a), chart.points(b)
     touched = False
     for poly in (pa, pb):
         for i in range(3):
@@ -237,6 +343,34 @@ def coplanar_tri_relation(a, b):
             if ia[2] == ib[0] or ib[2] == ia[0]:
                 touched = True
     return "touch" if touched else "overlap"
+
+
+def point_in_tri_2d(pt, tri):
+    """1 strictly inside a 2D triangle, 0 strictly outside, None when pt
+    lies on the line through one of its edges."""
+    side = 0
+    for i in range(3):
+        c = cross2(vsub(tri[(i + 1) % 3], tri[i]), vsub(pt, tri[i]))
+        if c == 0:
+            return None
+        s = 1 if c > 0 else -1
+        if side == 0:
+            side = s
+        elif side != s:
+            return 0
+    return 1
+
+
+def _inward_edge_normals(tri, n):
+    """Yield ``(i, v_i, m_i)`` for each edge i of a triangle with normal
+    ``n = tri_normal(tri)``.
+
+    ``m_i = n x (v_{i+1} - v_i)`` lies in the plane and points into the
+    triangle: ``m_i . (v_{i+2} - v_i) = |n|^2 > 0``.
+    """
+    for i in range(3):
+        vi = tri[i]
+        yield i, vi, cross3(n, vsub(tri[(i + 1) % 3], vi))
 
 
 @dataclass(frozen=True)
@@ -254,21 +388,16 @@ class TriTriHit:
     tag_q: tuple
 
 
-def _clip_line_to_tri(p0, u, tri, owner):
+def clip_line_to_tri(p0, u, tri, owner):
     """Clip line ``p0 + t u`` (lying in the triangle's plane) to a triangle.
 
     Returns ('miss',), ('degenerate', why), or
     ('interval', lo, lo_tag, lo_tie, hi, hi_tag, hi_tie).
     """
-    n = tri_normal(tri)
     lo = hi = None
     lo_tag = hi_tag = None
     lo_tie = hi_tie = False
-    for i in range(3):
-        vi = tri[i]
-        m = cross3(n, vsub(tri[(i + 1) % 3], vi))
-        if vdot(m, vsub(tri[(i + 2) % 3], vi)) < 0:
-            m = vscale(rat(-1), m)
+    for i, vi, m in _inward_edge_normals(tri, tri_normal(tri)):
         c0 = vdot(m, vsub(p0, vi))
         c1 = vdot(m, u)
         if c1 == 0:
@@ -326,8 +455,8 @@ def tri_tri_intersect(a, b):
     alpha = (wa * nbb - wb * nab) / den
     beta = (wb * naa - wa * nab) / den
     p0 = vadd(vscale(alpha, na), vscale(beta, nb))
-    ra = _clip_line_to_tri(p0, u, a, "a")
-    rb = _clip_line_to_tri(p0, u, b, "b")
+    ra = clip_line_to_tri(p0, u, a, "a")
+    rb = clip_line_to_tri(p0, u, b, "b")
     for r in (ra, rb):
         if r[0] == "miss":
             return None
@@ -378,11 +507,7 @@ def segment_triangle_hit(p, q, tri):
         return None
     t = d0 / (d0 - d1)
     x = vadd(p, vscale(t, vsub(q, p)))
-    for i in range(3):
-        vi = tri[i]
-        m = cross3(n, vsub(tri[(i + 1) % 3], vi))
-        if vdot(m, vsub(tri[(i + 2) % 3], vi)) < 0:
-            m = vscale(rat(-1), m)
+    for _, vi, m in _inward_edge_normals(tri, n):
         s = vdot(m, vsub(x, vi))
         if s < 0:
             return None
@@ -452,9 +577,9 @@ class Transform2:
 # ---------------------------------------------------------------------------
 # normal pushoff of a closed chain in unit-square charts
 
-# Each chart is the closed unit square; an edge name gives the supporting
-# line of the chart boundary through which a wrap link exits.
-_EDGE_AXIS = {"E": (0, ONE), "W": (0, ZERO), "N": (1, ONE), "S": (1, ZERO)}
+# Each chart is the closed unit square.  An edge name gives the axis and
+# the value of the coordinate that is constant along that edge.
+SQUARE_EDGES = {"E": (0, ONE), "W": (0, ZERO), "N": (1, ONE), "S": (1, ZERO)}
 
 
 @dataclass(frozen=True)
@@ -532,7 +657,7 @@ def _miter(prev_piece, prev_off, next_piece, next_off):
 
 def _edge_crossing(piece, off, link):
     """Exit point of an offset line through the link's boundary edge."""
-    axis, value = _EDGE_AXIS[link.out_edge]
+    axis, value = SQUARE_EDGES[link.out_edge]
     d = vsub(piece.end, piece.start)
     if d[axis] == 0:
         raise PushoffCollision("pushoff-collision: offset parallel to exit edge")
@@ -566,7 +691,7 @@ def _validate_chain(chain):
             if cur.chart != nxt.chart or cur.end != nxt.start:
                 raise ValueError(f"chain discontinuity at corner link {i}")
         elif link.kind == "wrap":
-            axis, value = _EDGE_AXIS[link.out_edge]
+            axis, value = SQUARE_EDGES[link.out_edge]
             if cur.end[axis] != value:
                 raise ValueError(f"wrap link {i} does not end on edge {link.out_edge}")
             if link.transform.apply(cur.end) != nxt.start:
@@ -693,14 +818,27 @@ __all__ = [
     "l1norm",
     "DEGENERATE",
     "SegmentHit",
+    "collinear_overlap",
     "seg_intersect",
+    "strict_crossing",
+    "contact_only_at",
+    "segments_touch",
     "dist2_point_seg",
+    "floor_vec",
+    "frac_vec",
+    "bbox",
+    "lattice_translates",
     "tri_normal",
+    "coplanar",
+    "PlaneChart",
     "coplanar_tri_relation",
+    "point_in_tri_2d",
     "TriTriHit",
+    "clip_line_to_tri",
     "tri_tri_intersect",
     "segment_triangle_hit",
     "Transform2",
+    "SQUARE_EDGES",
     "ChainPiece",
     "ChainLink",
     "ClosedChain",

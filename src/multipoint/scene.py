@@ -82,6 +82,9 @@ class Scene:
     immersions: dict = field(default_factory=dict)
     cycles: dict = field(default_factory=dict)
     verifies: tuple = ()
+    # multicurves and meshes by name, built on first request: every caller
+    # gets the one object, so its certificate is computed once
+    _built: dict = field(default_factory=dict, init=False, repr=False)
 
     def __eq__(self, other):
         return isinstance(other, Scene) and self.order == other.order
@@ -97,12 +100,17 @@ class Scene:
 
     def multicurve(self, name):
         decl = self.curves[name]
-        return MultiCurve.build(
-            self.complex(decl.surface), [list(c) for c in decl.components]
-        )
+        if name not in self._built:
+            self._built[name] = MultiCurve.build(
+                self.complex(decl.surface), [list(c) for c in decl.components]
+            )
+        return self._built[name]
 
     def mesh(self, name):
-        return Mesh3(list(self.immersions[name].triangles))
+        decl = self.immersions[name]
+        if name not in self._built:
+            self._built[name] = Mesh3(list(decl.triangles))
+        return self._built[name]
 
     def mesh_cycle(self, name, mesh=None):
         decl = self.cycles[name]

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .rational import rat, ZERO, ONE
-from .exactgeom import InputError, Transform2
+from .exactgeom import SQUARE_EDGES, InputError, Transform2
 
-EDGE_NAMES = ("E", "W", "N", "S")
+EDGE_NAMES = tuple(SQUARE_EDGES)
 
 # edge frames: base point, tangent along the edge, outward normal
 _FRAMES = {

@@ -60,20 +60,26 @@ from .exactgeom import (
     GeneralPositionError,
     GenericityError,
     InputError,
-    _clip_line_to_tri,
-    _dominant_axis,
-    _project_drop,
+    PlaneChart,
+    bbox,
+    clip_line_to_tri,
+    contact_only_at,
+    coplanar,
     coplanar_tri_relation,
     cross2,
     cross3,
     dist2_point_seg,
+    floor_vec,
+    frac_vec,
+    lattice_translates,
+    point_in_tri_2d,
     require_general_position,
     seg_intersect,
     segment_triangle_hit,
+    strict_crossing,
     tri_normal,
     tri_tri_intersect,
     vadd,
-    vdot,
     vscale,
     vsub,
 )
@@ -102,41 +108,8 @@ def _point3(p):
     return (_as_rat(x), _as_rat(y), _as_rat(z))
 
 
-def _floor_vec(p):
-    return (rfloor(p[0]), rfloor(p[1]), rfloor(p[2]))
-
-
-def _frac_vec(p):
-    f = _floor_vec(p)
-    return (p[0] - f[0], p[1] - f[1], p[2] - f[2])
-
-
-def _iadd(u, v):
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
-def _isub(u, v):
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def _ineg(u):
-    return (-u[0], -u[1], -u[2])
-
-
 def _shift_tri(tri, v):
     return (vadd(tri[0], v), vadd(tri[1], v), vadd(tri[2], v))
-
-
-def _lattice_translates(amin, amax, bmin, bmax):
-    """Integer vectors v for which the box [bmin, bmax] + v meets [amin, amax]."""
-    ranges = []
-    for k in range(3):
-        lo = rceil(amin[k] - bmax[k])
-        hi = rfloor(amax[k] - bmin[k])
-        if lo > hi:
-            return ()
-        ranges.append(range(lo, hi + 1))
-    return itertools.product(*ranges)
 
 
 class _UnionFind:
@@ -275,7 +248,7 @@ class TriplePointSet:
 
 
 def _canon_segment(p, q):
-    s = _floor_vec(min(p, q))
+    s = floor_vec(min(p, q))
     return (vsub(p, s), vsub(q, s)) if p <= q else (vsub(q, s), vsub(p, s))
 
 
@@ -286,24 +259,22 @@ def vertex_adjacent_contact(ta, tb, w):
     violation name (``"coplanar-overlap"`` or ``"vertex-contact"``).
     """
     na, nb = tri_normal(ta), tri_normal(tb)
-    if cross3(na, nb) == (ZERO, ZERO, ZERO) and vdot(na, vsub(tb[0], ta[0])) == ZERO:
-        rel = coplanar_tri_relation(ta, tb)
-        if rel == "overlap":
+    if coplanar(ta, na, tb, nb):
+        if coplanar_tri_relation(ta, tb) == "overlap":
             return "coplanar-overlap"
-        axis = _dominant_axis(na)
-        w2 = _project_drop(w, axis)
-        pa = [_project_drop(p, axis) for p in ta]
-        pb = [_project_drop(p, axis) for p in tb]
+        chart = PlaneChart.of(na)
+        w2 = chart.point(w)
+        pa, pb = chart.points(ta), chart.points(tb)
         for ea in range(3):
             for eb in range(3):
                 sa = (pa[ea], pa[(ea + 1) % 3])
                 sb = (pb[eb], pb[(eb + 1) % 3])
-                if not Mesh3._contact_only_at(sa, sb, w2):
+                if not contact_only_at(sa, sb, w2):
                     return "vertex-contact"
         return None
     u = cross3(na, nb)
-    ra = _clip_line_to_tri(w, u, ta, "a")
-    rb = _clip_line_to_tri(w, u, tb, "b")
+    ra = clip_line_to_tri(w, u, ta, "a")
+    rb = clip_line_to_tri(w, u, tb, "b")
     if ra[0] != "interval" or rb[0] != "interval":
         return "vertex-contact"
     lo = max(ra[1], rb[1])
@@ -333,13 +304,7 @@ class Mesh3:
             raise MeshBuildError("edge-matching: empty mesh")
         self.triangles = tuple(tris)
         self._normals = tuple(tri_normal(t) for t in self.triangles)
-        self._bbox = tuple(
-            (
-                tuple(min(p[k] for p in t) for k in range(3)),
-                tuple(max(p[k] for p in t) for k in range(3)),
-            )
-            for t in self.triangles
-        )
+        self._bbox = tuple(bbox(t) for t in self.triangles)
         self._build_matching()
         self._check_vertex_links()
         self._build_adjacency()
@@ -361,9 +326,8 @@ class Mesh3:
         for t in range(len(self.triangles)):
             for e in range(3):
                 p, q = self._edge_points(t, e)
-                a, b = (p, q) if p <= q else (q, p)
-                s = _floor_vec(a)
-                key = (vsub(a, s), vsub(b, s))
+                key = _canon_segment(p, q)
+                s = floor_vec(min(p, q))
                 slots.setdefault(key, []).append((t, e, s, 0 if p <= q else 1))
         matches = []
         slot_of = {}
@@ -377,7 +341,7 @@ class Mesh3:
             m = EdgeMatch(
                 slot_a=(t1, e1),
                 slot_b=(t2, e2),
-                rel_shift=_isub(s1, s2),
+                rel_shift=vsub(s1, s2),
                 flip=0 if o1 != o2 else 1,
             )
             slot_of[(t1, e1)] = (len(matches), 0)
@@ -477,7 +441,7 @@ class Mesh3:
             (t1, _), (t2, _) = m.slot_a, m.slot_b
             edge_adj.setdefault((t1, t2), {}).setdefault(m.rel_shift, []).append(mi)
             edge_adj.setdefault((t2, t1), {}).setdefault(
-                _ineg(m.rel_shift), []
+                vscale(-1, m.rel_shift), []
             ).append(mi)
         self._edge_adj = edge_adj
         vertex_adj = {}
@@ -487,7 +451,7 @@ class Mesh3:
                     if (t1, c1) == (t2, c2):
                         continue
                     d = vsub(self._corner_position(t1, c1), self._corner_position(t2, c2))
-                    v = _floor_vec(d)
+                    v = floor_vec(d)
                     if vsub(d, v) != (ZERO, ZERO, ZERO):
                         raise MeshBuildError(
                             "edge-matching: identified vertices differ by a "
@@ -508,51 +472,25 @@ class Mesh3:
 
     # -- pair enumeration and certification ---------------------------------
 
-    def _coplanar(self, i, ta, j, tb):
-        na, nb = self._normals[i], self._normals[j]
-        if cross3(na, nb) != (ZERO, ZERO, ZERO):
-            return False
-        return vdot(na, vsub(tb[0], ta[0])) == ZERO
-
-    @staticmethod
-    def _contact_only_at(sa, sb, w2):
-        """True when closed 2D segments meet in at most the single point w2."""
-        h = seg_intersect(sa, sb)
-        if h is None:
-            return True
-        if h is DEGENERATE:
-            d = vsub(sa[1], sa[0])
-            if d == (ZERO, ZERO):
-                d = vsub(sb[1], sb[0])
-            dd = vdot(d, d)
-            fa = sorted((ZERO, vdot(d, vsub(sa[1], sa[0])) / dd))
-            fb = sorted(
-                (
-                    vdot(d, vsub(sb[0], sa[0])) / dd,
-                    vdot(d, vsub(sb[1], sa[0])) / dd,
-                )
-            )
-            lo = max(fa[0], fb[0])
-            hi = min(fa[1], fb[1])
-            if lo != hi:
-                return False
-            return vadd(sa[0], vscale(lo, d)) == w2
-        return h.point == w2
+    def chart(self, t):
+        """The :class:`PlaneChart` of triangle t's plane."""
+        return PlaneChart.of(self._normals[t])
 
     def _enumerate_pairs(self):
         violations = []
         segments = []
         n = len(self.triangles)
         for i in range(n):
-            ta = self.triangles[i]
+            ta, na = self.triangles[i], self._normals[i]
             for j in range(i, n):
-                for v in _lattice_translates(*self._bbox[i], *self._bbox[j]):
+                nb = self._normals[j]
+                for v in lattice_translates(*self._bbox[i], *self._bbox[j]):
                     if i == j and v <= (0, 0, 0):
                         continue
                     detail = f"triangles {i} and {j} + {v}"
                     tb = _shift_tri(self.triangles[j], v)
                     if self._edge_adj.get((i, j), {}).get(v):
-                        if self._coplanar(i, ta, j, tb):
+                        if coplanar(ta, na, tb, nb):
                             if coplanar_tri_relation(ta, tb) == "overlap":
                                 violations.append(("coplanar-overlap", detail))
                         continue
@@ -566,7 +504,7 @@ class Mesh3:
                         if verdict is not None:
                             violations.append((verdict, detail))
                         continue
-                    if self._coplanar(i, ta, j, tb):
+                    if coplanar(ta, na, tb, nb):
                         rel = coplanar_tri_relation(ta, tb)
                         if rel == "overlap":
                             violations.append(("coplanar-overlap", detail))
@@ -595,17 +533,17 @@ class Mesh3:
     @staticmethod
     def _sheets_at(seg, end):
         """Canonical local sheets at a segment end: label -> (triangle, translate)."""
-        u = _floor_vec(Mesh3._end_point(seg, end))
+        u = floor_vec(Mesh3._end_point(seg, end))
         return {
-            "a": (seg.tri_a, _ineg(u)),
-            "b": (seg.tri_b, _isub(seg.shift, u)),
+            "a": (seg.tri_a, vscale(-1, u)),
+            "b": (seg.tri_b, vsub(seg.shift, u)),
         }
 
     def _match_ends(self, segments, violations):
         groups = {}
         for si, seg in enumerate(segments):
             for end in (0, 1):
-                key = _frac_vec(self._end_point(seg, end))
+                key = frac_vec(self._end_point(seg, end))
                 groups.setdefault(key, []).append((si, end))
         links = {}
         for key, g in sorted(groups.items()):
@@ -642,25 +580,24 @@ class Mesh3:
                 (
                     vsub(seg.p, seg.shift),
                     vsub(seg.q, seg.shift),
-                    (seg.tri_a, _ineg(seg.shift)),
+                    (seg.tri_a, vscale(-1, seg.shift)),
                     si,
                 )
             )
         witnesses = {}
         for t, entries in sorted(hosts.items()):
-            axis = _dominant_axis(self._normals[t])
+            chart = self.chart(t)
+            flat = [chart.points((p, q)) for p, q, _, _ in entries]
+            detail = f"double arcs in triangle {t}"
             for x in range(len(entries)):
                 for y in range(x + 1, len(entries)):
                     px, qx, ox, sx = entries[x]
                     py, qy, oy, sy = entries[y]
                     if ox == oy:
                         continue
-                    sa = (_project_drop(px, axis), _project_drop(qx, axis))
-                    sb = (_project_drop(py, axis), _project_drop(qy, axis))
-                    h = seg_intersect(sa, sb)
+                    h = seg_intersect(flat[x], flat[y])
                     if h is None:
                         continue
-                    detail = f"double arcs in triangle {t}"
                     # consecutive pieces of one double curve share an end
                     # inside this chart when the other sheet crosses its
                     # own chart boundary there; that contact is legitimate
@@ -670,9 +607,7 @@ class Mesh3:
                         ea = 0 if px == s3 else 1
                         eb = 0 if py == s3 else 1
                         if links.get((sx, ea)) == (sy, eb):
-                            if not self._contact_only_at(
-                                sa, sb, _project_drop(s3, axis)
-                            ):
+                            if not contact_only_at(flat[x], flat[y], chart.point(s3)):
                                 violations.append(
                                     ("tangency", detail + " double back")
                                 )
@@ -680,21 +615,21 @@ class Mesh3:
                     if h is DEGENERATE:
                         violations.append(("tangency", detail + " overlap"))
                         continue
-                    if not (0 < h.ta < 1 and 0 < h.tb < 1):
+                    if not strict_crossing(h):
                         violations.append(
                             ("tangency", detail + " meet at a chart boundary")
                         )
                         continue
                     y3 = vadd(px, vscale(h.ta, vsub(qx, px)))
-                    u = _floor_vec(y3)
+                    u = floor_vec(y3)
                     sheets = frozenset(
                         {
-                            (t, _ineg(u)),
-                            (ox[0], _isub(ox[1], u)),
-                            (oy[0], _isub(oy[1], u)),
+                            (t, vscale(-1, u)),
+                            (ox[0], vsub(ox[1], u)),
+                            (oy[0], vsub(oy[1], u)),
                         }
                     )
-                    witnesses.setdefault(_frac_vec(y3), []).append((t, y3, sheets))
+                    witnesses.setdefault(frac_vec(y3), []).append((t, y3, sheets))
         for key, ws in sorted(witnesses.items()):
             if len(ws) != 3 or len({sh for _, _, sh in ws}) != 1:
                 violations.append(
@@ -858,28 +793,13 @@ _PROBE_PARAMS = (
 )
 
 
-def _point_in_tri_2d(pt, tri):
-    """1 strictly inside, 0 strictly outside, None on the boundary."""
-    side = 0
-    for i in range(3):
-        c = cross2(vsub(tri[(i + 1) % 3], tri[i]), vsub(pt, tri[i]))
-        if c == 0:
-            return None
-        s = 1 if c > 0 else -1
-        if side == 0:
-            side = s
-        elif side != s:
-            return 0
-    return 1
-
-
 def _axis_crossings(mesh, axis, probe):
     total = 0
+    chart = PlaneChart(axis)
     for t, tri in enumerate(mesh.triangles):
-        flat = [_project_drop(p, axis) for p in tri]
+        flat = chart.points(tri)
         area2 = cross2(vsub(flat[1], flat[0]), vsub(flat[2], flat[0]))
-        mins = tuple(min(p[k] for p in flat) for k in range(2))
-        maxs = tuple(max(p[k] for p in flat) for k in range(2))
+        mins, maxs = bbox(flat)
         ranges = [
             range(rceil(mins[k] - probe[k]), rfloor(maxs[k] - probe[k]) + 1)
             for k in range(2)
@@ -893,7 +813,7 @@ def _axis_crossings(mesh, axis, probe):
                     if dist2_point_seg(pt, (flat[i], flat[(i + 1) % 3])) == 0:
                         return None
                 continue
-            inside = _point_in_tri_2d(pt, flat)
+            inside = point_in_tri_2d(pt, flat)
             if inside is None:
                 return None
             total += inside
@@ -924,13 +844,6 @@ def ambient_class_h2(mesh):
 # crossing counts against a translated copy of the mesh
 
 
-def _segment_bbox(p, q):
-    return (
-        tuple(min(p[k], q[k]) for k in range(3)),
-        tuple(max(p[k], q[k]) for k in range(3)),
-    )
-
-
 def _segment_contacts(mesh, segs, w=None):
     """Contacts of 3-space segments with every lift of the mesh translated by w.
 
@@ -942,9 +855,9 @@ def _segment_contacts(mesh, segs, w=None):
         tris = [_shift_tri(tri, w) for tri in tris]
         boxes = [(vadd(lo, w), vadd(hi, w)) for lo, hi in boxes]
     for (p, q) in segs:
-        smin, smax = _segment_bbox(p, q)
+        smin, smax = bbox((p, q))
         for t, (tri, (tmin, tmax)) in enumerate(zip(tris, boxes)):
-            for v in _lattice_translates(smin, smax, tmin, tmax):
+            for v in lattice_translates(smin, smax, tmin, tmax):
                 h = segment_triangle_hit(p, q, _shift_tri(tri, v))
                 if h is not None:
                     yield t, v, h
@@ -1117,12 +1030,9 @@ class MeshCycle:
     def _validate_containment(self):
         for (t, p, q) in self.segments:
             tri = self.mesh.triangles[t]
-            axis = _dominant_axis(self.mesh._normals[t])
-            p2, q2 = _project_drop(p, axis), _project_drop(q, axis)
-            flat = [_project_drop(v, axis) for v in tri]
+            chart = self.mesh.chart(t)
             for i in range(3):
-                edge = (flat[i], flat[(i + 1) % 3])
-                h = seg_intersect((p2, q2), edge)
+                h = chart.intersect((p, q), (tri[i], tri[(i + 1) % 3]))
                 if h is None:
                     continue
                 if h is DEGENERATE:
@@ -1152,20 +1062,16 @@ def herbert_rhs_r1_cycle_parts(mesh, cycle):
     curves = mesh.double_curves()
     count = 0
     for (t, p, q) in cycle.segments:
-        axis = _dominant_axis(mesh._normals[t])
-        p2, q2 = _project_drop(p, axis), _project_drop(q, axis)
+        chart = mesh.chart(t)
         for dc in curves:
             for pc in dc.preimages:
                 for (at, ap, aq) in pc.arcs:
                     if at != t:
                         continue
-                    h = seg_intersect(
-                        (p2, q2),
-                        (_project_drop(ap, axis), _project_drop(aq, axis)),
-                    )
+                    h = chart.intersect((p, q), (ap, aq))
                     if h is None:
                         continue
-                    if h is DEGENERATE or not (0 < h.ta < 1 and 0 < h.tb < 1):
+                    if not strict_crossing(h):
                         raise CycleError(
                             "cycle-tangency: cycle meets the double-locus "
                             "preimage non-transversally"

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +195,38 @@ def test_module_entry_point(fig8_file):
     )
     assert proc.returncode == 0
     assert "ALL PASS" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# golden output of the anchor scenes
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+TSV_HEADER = "scene\tr\ttarget\tlhs\tmu\teuler\tverdict\n"
+GOLDEN = {
+    "figure-eight": "c\t1\tcomponent[0]\t0\t0\t0\tPASS\n",
+    "genus2-loop": (
+        "c\t1\tcomponent[0]\t0\t0\t0\tPASS\n"
+        "c\t1\tcomponent[1]\t0\t0\t0\tPASS\n"
+    ),
+    "klein-core": "c\t1\tcomponent[0]\t1\t0\t1\tPASS\n",
+    "three-tori": "f\t2\t[M]\t1\t1\t0\tPASS\n",
+    "two-loops": (
+        "c\t1\tcomponent[0]\t1\t1\t0\tPASS\n"
+        "c\t1\tcomponent[1]\t1\t1\t0\tPASS\n"
+    ),
+    "two-tori-cycle": (
+        "f\t2\t[M]\t0\t0\t0\tPASS\n"
+        "f\t1\tg\t1\t1\t0\tPASS\n"
+    ),
+}
+
+
+def test_golden_output_covers_every_docs_scene():
+    assert sorted(GOLDEN) == sorted(p.stem for p in DOCS.glob("*.scene"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_verify_machine_golden_output(name, capsys):
+    code = main(["verify", str(DOCS / f"{name}.scene"), "--machine"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_OK, TSV_HEADER + GOLDEN[name], "")

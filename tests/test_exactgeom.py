@@ -11,15 +11,22 @@ from multipoint.exactgeom import (
     ChainLink,
     ChainPiece,
     ClosedChain,
+    PlaneChart,
     PushoffCollision,
     SegmentHit,
     Transform2,
     TriTriHit,
+    collinear_overlap,
+    contact_only_at,
+    coplanar,
     coplanar_tri_relation,
     dist2,
     pushoff_polyline,
     seg_intersect,
     segment_triangle_hit,
+    segments_touch,
+    strict_crossing,
+    tri_normal,
     tri_tri_intersect,
     vadd,
     vscale,
@@ -106,11 +113,107 @@ def test_seg_intersect_is_symmetric(a, b):
 
 
 # ---------------------------------------------------------------------------
+# collinear overlap, strict crossings and contacts
+
+
+def _pt(*cs):
+    return tuple(rat(c) for c in cs)
+
+
+def test_collinear_overlap_interval_point_and_gap():
+    a = (_pt(0, 0), _pt(2, 2))
+    assert collinear_overlap(a, (_pt(3, 3), _pt(1, 1))) == (_pt(1, 1), _pt(2, 2))
+    assert collinear_overlap(a, (_pt(2, 2), _pt(4, 4))) == (_pt(2, 2), _pt(2, 2))
+    assert collinear_overlap(a, (_pt(3, 3), _pt(4, 4))) is None
+    # a point segment takes the other segment's direction
+    assert collinear_overlap((_pt(1, 1), _pt(1, 1)), a) == (_pt(1, 1), _pt(1, 1))
+    assert collinear_overlap((_pt(1, 1), _pt(1, 1)), (_pt(1, 1), _pt(1, 1))) == (
+        _pt(1, 1),
+        _pt(1, 1),
+    )
+    # the same predicate answers in 3-space
+    b3 = (_pt(0, 0, 0), _pt(2, 0, 2))
+    assert collinear_overlap(b3, (_pt(1, 0, 1), _pt(5, 0, 5))) == (
+        _pt(1, 0, 1),
+        _pt(2, 0, 2),
+    )
+
+
+@st.composite
+def collinear_pairs(draw):
+    base = draw(points2(max_denominator=4))
+    d = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (-1, 3)]))
+    ts = [draw(rationals(max_denominator=4)) for _ in range(4)]
+    p = [vadd(base, vscale(t, _pt(*d))) for t in ts]
+    return (p[0], p[1]), (p[2], p[3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(collinear_pairs())
+def test_collinear_overlap_matches_orientation_oracle(pair):
+    a, b = pair
+    rel = oracles.seg_relation_oracle(a, b)
+    ov = collinear_overlap(a, b)
+    if rel == "disjoint":
+        assert ov is None
+        assert seg_intersect(a, b) is None
+    else:
+        lo, hi = ov
+        assert (lo == hi) == (rel == "collinear-point")
+        assert seg_intersect(a, b) is not None
+
+
+def test_strict_crossing():
+    a = (_pt(0, 0), _pt(1, 1))
+    assert strict_crossing(seg_intersect(a, (_pt(0, 1), _pt(1, 0))))
+    # an endpoint touch and a collinear overlap are not strict crossings
+    assert not strict_crossing(seg_intersect(a, (_pt(1, 1), _pt(2, 0))))
+    assert not strict_crossing(seg_intersect(a, (_pt(1, 1), _pt(2, 2))))
+
+
+def test_contact_only_at():
+    w = _pt(1, 1)
+    a = (_pt(0, 0), w)
+    assert contact_only_at(a, (w, _pt(2, 0)), w)
+    assert contact_only_at(a, (w, _pt(2, 2)), w)  # collinear, touching at w
+    assert contact_only_at(a, (_pt(3, 0), _pt(3, 1)), w)  # disjoint
+    assert not contact_only_at(a, (w, _pt(1, 2)), _pt(0, 0))
+    assert not contact_only_at(a, (w, _pt(-1, -1)), w)  # collinear overlap
+    assert not contact_only_at(a, (_pt(0, 1), _pt(1, 0)), w)  # crossing
+
+
+def test_segments_touch_3d():
+    a = (_pt(0, 0, 0), _pt(1, 1, 0))
+    assert segments_touch(a, (_pt(0, 1, 0), _pt(1, 0, 0)))  # crossing
+    assert not segments_touch(a, (_pt(0, 1, 1), _pt(1, 0, 1)))  # skew
+    assert not segments_touch(a, (_pt(0, 1, 0), _pt(1, 2, 0)))  # parallel
+    assert segments_touch(a, (_pt(1, 1, 0), _pt(2, 2, 0)))  # collinear touch
+    assert not segments_touch(a, (_pt(2, 2, 0), _pt(3, 3, 0)))  # collinear gap
+    assert segments_touch(a, (_pt(1, 1, 0), _pt(1, 1, 5)))  # endpoint contact
+
+
+def test_coplanar_and_plane_chart():
+    ta = (_pt(0, 0, 0), _pt(2, 0, 1), _pt(0, 2, 1))  # the plane z = (x + y) / 2
+    tb = (_pt(2, 2, 2), _pt(4, 0, 2), _pt(4, 4, 4))
+    tc = tuple(vadd(p, _pt(0, 0, 1)) for p in ta)
+    td = (_pt(0, 0, 0), _pt(1, 0, 0), _pt(0, 1, 0))
+    na = tri_normal(ta)
+    assert coplanar(ta, na, tb, tri_normal(tb))
+    assert not coplanar(ta, na, tc, tri_normal(tc))  # parallel planes
+    assert not coplanar(ta, na, td, tri_normal(td))  # planes through one point
+    chart = PlaneChart.of(na)
+    assert chart.axis == 2 and chart.point(_pt(4, 5, 6)) == _pt(4, 5)
+    hit = chart.intersect((ta[0], _pt(2, 2, 2)), (ta[1], ta[2]))
+    assert (hit.point, hit.ta, hit.tb) == (_pt(1, 1), rat(1, 2), rat(1, 2))
+    assert strict_crossing(hit)
+
+
+# ---------------------------------------------------------------------------
 # the error model
 
 
 def test_one_error_hierarchy():
-    from multipoint import curves2d, generate, scene, surfaces3d
+    from multipoint import bordism, curves2d, generate, scene, surfaces3d
     from multipoint.exactgeom import GenericityError, InputError
 
     assert curves2d.GeneralPositionError is surfaces3d.GeneralPositionError
@@ -121,12 +224,17 @@ def test_one_error_hierarchy():
         surfaces3d.MeshBuildError,
         surfaces3d.CycleError,
         scene.SceneParseError,
+        bordism.TransversalityError,
     ):
         assert issubclass(cls, InputError), cls
     assert issubclass(InputError, ValueError)
     assert not issubclass(GenericityError, InputError)
     with pytest.raises(InputError):
         generate.GeneratorConfig(components=(3, 1))
+    # misuse of the API is a plain ValueError, not refused input
+    with pytest.raises(ValueError) as info:
+        bordism.psi_r(bordism.empty_class(), -1)
+    assert not isinstance(info.value, InputError)
 
 
 # ---------------------------------------------------------------------------

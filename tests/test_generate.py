@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipoint import herbert
+from multipoint import curves2d, herbert
 from multipoint.generate import (
     GenerationError,
     GeneratorConfig,
@@ -103,6 +103,23 @@ def test_embedded_klein_catalog_includes_one_sided_loops():
     assert bits == {0, 1}
 
 
+def test_generated_curve_is_certified_once(monkeypatch):
+    calls = []
+    real = curves2d._certify
+
+    def counted(curve):
+        calls.append(curve)
+        return real(curve)
+
+    monkeypatch.setattr(curves2d, "_certify", counted)
+    scene = generate(GeneratorConfig(components=(2, 2), seed=3))
+    certified = len(calls)
+    curve = scene.multicurve("c")
+    assert curve is calls[-1]  # the object the generator accepted
+    assert herbert.verify(curve, scene_id="c3").all_pass
+    assert len(calls) == certified
+
+
 def test_verify_directive_is_emitted():
     scene = generate(GeneratorConfig(seed=2))
     assert scene.verifies and scene.verifies[0].name == "c"
@@ -122,6 +139,7 @@ def test_tori_scenes_certify_and_pass():
         )
         scene = generate(cfg)
         mesh = scene.mesh("f")
+        assert scene.mesh("f") is mesh
         assert mesh.certify().ok
         targets = {name: scene.mesh_cycle(name, mesh) for name in scene.cycles}
         report = herbert.verify(mesh, targets=targets or None, scene_id=f"t{seed}")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from multipoint import herbert
+from multipoint import curves2d, herbert
 from multipoint.curves2d import MultiCurve
 from multipoint.herbert import (
     HerbertReport,
@@ -96,6 +96,22 @@ def test_verify_accepts_represented_classes():
 def test_verify_rejects_uncertified_scene():
     with pytest.raises(GeneralPositionError):
         verify(Mesh3(coordinate_torus(2, Q) + coordinate_torus(2, Q, rat(-1, 8))))
+
+
+def test_pairing_reads_the_separation_scale_from_the_certificate(monkeypatch):
+    c = curve(HORIZ, VERT)
+    assert c.certify().min_sep_sq is not None
+    calls = []
+    real = curves2d.degeneracy_scale_sq
+
+    def counted(segments):
+        calls.append(len(segments))
+        return real(segments)
+
+    monkeypatch.setattr(curves2d, "degeneracy_scale_sq", counted)
+    rep = verify(c)
+    assert rep.all_pass and len(rep.rows) == 2
+    assert calls == []
 
 
 def test_curve_budget_exhaustion_is_error_row():
