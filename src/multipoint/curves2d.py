@@ -30,12 +30,14 @@ from .exactgeom import (
     InputError,
     PushoffCollision,
     collinear_overlap,
+    common_denominator,
     dist2_point_seg,
     pushoff_polyline,
     require_general_position,
     seg_intersect,
     strict_crossing,
     vadd,
+    vlift,
     vscale,
     vsub,
 )
@@ -209,6 +211,7 @@ class MultiCurve:
         self.complex = complex_
         self.components = tuple(components)
         self._cert = None
+        self._pushoffs = {}  # epsilon -> pushoff_all(self, epsilon) or its error
 
     @classmethod
     def build(cls, complex_: SquareComplex, raw_components):
@@ -233,6 +236,19 @@ class MultiCurve:
         if self._cert is None:
             self._cert = _certify(self)
         return self._cert
+
+    def pushoff(self, epsilon):
+        """:func:`pushoff_all` of this curve at ``epsilon``, built once per
+        epsilon; raises its :class:`PushoffCollision` again on every call."""
+        if epsilon not in self._pushoffs:
+            try:
+                self._pushoffs[epsilon] = pushoff_all(self, epsilon)
+            except PushoffCollision as e:
+                self._pushoffs[epsilon] = e
+        res = self._pushoffs[epsilon]
+        if isinstance(res, PushoffCollision):
+            raise res
+        return res
 
 
 def _adjacent(comp: Component, pa: Piece, pb: Piece) -> bool:
@@ -292,19 +308,32 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
                     ("zero-length-segment", f"component {ci} segment {piece.seg}")
                 )
 
+    # The predicates run on the integer lifts D * p of the piece end points,
+    # D their common denominator; double points are divided by D and the
+    # separation scale by D^2.
     table = curve.pieces_by_square()
-    hits = {}  # (square, point) -> list of ((comp, seg, t_global), ...)
+    den = common_denominator(
+        p for entries in table.values() for _, _, pc in entries for p in (pc.p0, pc.p1)
+    )
+    lifted = {
+        square: [(vlift(pc.p0, den), vlift(pc.p1, den)) for _, _, pc in entries]
+        for square, entries in table.items()
+    }
+    hits = {}  # (square, lifted point) -> list of ((comp, seg, t_global), ...)
     for square in sorted(table):
         entries = table[square]
+        segs = lifted[square]
         for x in range(len(entries)):
             ca, ia, pa = entries[x]
+            sa = segs[x]
             for y in range(x + 1, len(entries)):
                 cb, ib, pb = entries[y]
                 same_comp = ca == cb
                 if same_comp and ia == ib:
                     continue
                 adjacent = same_comp and _adjacent(curve.components[ca], pa, pb)
-                res = seg_intersect((pa.p0, pa.p1), (pb.p0, pb.p1))
+                sb = segs[y]
+                res = seg_intersect(sa, sb)
                 if res is None:
                     continue
                 where = (
@@ -313,11 +342,11 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
                 )
                 if adjacent:
                     if res is DEGENERATE:
-                        lo, hi = collinear_overlap((pa.p0, pa.p1), (pb.p0, pb.p1))
+                        lo, hi = collinear_overlap(sa, sb)
                         if lo != hi:
                             violations.append(("degenerate-overlap", where))
                         continue  # collinear continuation through the vertex
-                    shared = pa.p1 if pa.p1 in (pb.p0, pb.p1) else pa.p0
+                    shared = sa[1] if sa[1] in sb else sa[0]
                     if res.point != shared:
                         violations.append(("tangency", where))
                     continue
@@ -333,8 +362,9 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
                     violations.append(("tangency", where))
 
     doubles = []
-    for (square, point) in sorted(hits):
-        pairs = hits[(square, point)]
+    for (square, lifted_point) in sorted(hits):
+        pairs = hits[(square, lifted_point)]
+        point = vscale(rat(1, den), lifted_point)
         if len(pairs) > 1:
             violations.append(
                 ("triple-point", f"{len(pairs)} branch pairs meet at {format_point(point)} in square {square}")
@@ -345,13 +375,12 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
     min_sep_sq = None
     if not violations:
         seps = []
-        for square, entries in table.items():
-            feats = [(p.p0, p.p1) for _, _, p in entries]
-            s = degeneracy_scale_sq(feats)
+        for segs in lifted.values():
+            s = degeneracy_scale_sq(segs)
             if s is not None:
                 seps.append(s)
         if seps:
-            min_sep_sq = min(seps)
+            min_sep_sq = rat(min(seps), den * den)
     return GeneralPositionCert2(
         ok=not violations,
         violations=tuple(violations),
@@ -444,13 +473,8 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
     last_error = None
     for _ in range(retry_budget):
         try:
-            offsets = pushoff_all(curve_b, epsilon)
-        except PushoffCollision as e:
-            last_error = e
-            epsilon = epsilon / 2
-            continue
-        count = 0
-        try:
+            offsets = curve_b.pushoff(epsilon)
+            count = 0
             for piece in comp_pieces:
                 for off in offsets:
                     if off.chart != piece.square:

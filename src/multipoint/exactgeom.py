@@ -1,15 +1,24 @@
 """Exact geometric primitives over the rationals.
 
-Points are plain tuples of rationals (length 2 or 3).  Predicates never
-approximate: every routine returns an exact answer, and configurations that
-are not in general position are reported as such (the ``DEGENERATE``
+Points are plain tuples (length 2 or 3) of rationals or of ints.  Predicates
+never approximate: every routine returns an exact answer, and configurations
+that are not in general position are reported as such (the ``DEGENERATE``
 sentinel) rather than resolved arbitrarily.  Degeneracy is an ordinary
 outcome here; callers decide whether it is a violation.
+
+Certification scales each object by the common denominator of its
+coordinates and runs the predicates on the integer numerators, which is
+many times cheaper than rational arithmetic.  Since ``int / int`` is a
+float, nothing here divides one int by another: a predicate tests a
+parameter ``t = n / d`` by comparing ``n`` with ``d`` (``d`` made positive
+first) and builds a rational with :func:`rat` only for a value it returns.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,11 +70,11 @@ def require_general_position(obj):
 
 
 def vsub(p, q):
-    return tuple(a - b for a, b in zip(p, q))
+    return tuple(map(operator.sub, p, q))
 
 
 def vadd(p, q):
-    return tuple(a + b for a, b in zip(p, q))
+    return tuple(map(operator.add, p, q))
 
 
 def vscale(s, p):
@@ -73,7 +82,7 @@ def vscale(s, p):
 
 
 def vdot(p, q):
-    return sum((a * b for a, b in zip(p, q)), ZERO)
+    return sum(map(operator.mul, p, q))
 
 
 def cross2(p, q):
@@ -101,6 +110,16 @@ def perp_left(d):
 
 def l1norm(d):
     return sum((a if a >= 0 else -a for a in d), ZERO)
+
+
+def common_denominator(points):
+    """The least common multiple of the denominators of the coordinates."""
+    return math.lcm(*(c.denominator for p in points for c in p))
+
+
+def vlift(p, den):
+    """``den * p`` as a tuple of ints; den is a common denominator of p."""
+    return tuple(c.numerator * (den // c.denominator) for c in p)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +163,9 @@ def collinear_overlap(a, b):
     """The common part of closed segments ``a`` and ``b`` on one line.
 
     Returns None when they are disjoint, else the end points ``(lo, hi)``
-    of the shared interval, equal when they share a single point.  Works
-    in any dimension; the caller has checked that the segments are
-    collinear.
+    of the shared interval (each an end point of a or b), equal when they
+    share a single point.  Works in any dimension; the caller has checked
+    that the segments are collinear.
     """
     p = a[0]
     d = vsub(a[1], p)
@@ -154,13 +173,15 @@ def collinear_overlap(a, b):
         d = vsub(b[1], b[0])
         if not any(d):  # both are points
             return (p, p) if p == b[0] else None
-    dd = vdot(d, d)
-    fa = sorted((ZERO, vdot(d, vsub(a[1], p)) / dd))
-    fb = sorted((vdot(d, vsub(b[0], p)) / dd, vdot(d, vsub(b[1], p)) / dd))
-    lo, hi = max(fa[0], fb[0]), min(fa[1], fb[1])
-    if lo > hi:
+    ends = (*a, *b)
+    at = [vdot(d, vsub(x, p)) for x in ends]  # positions along d
+    a_lo, a_hi = (0, 1) if at[0] <= at[1] else (1, 0)
+    b_lo, b_hi = (2, 3) if at[2] <= at[3] else (3, 2)
+    lo = a_lo if at[a_lo] >= at[b_lo] else b_lo
+    hi = a_hi if at[a_hi] <= at[b_hi] else b_hi
+    if at[lo] > at[hi]:
         return None
-    return vadd(p, vscale(lo, d)), vadd(p, vscale(hi, d))
+    return ends[lo], ends[hi]
 
 
 def seg_intersect(a, b):
@@ -177,15 +198,18 @@ def seg_intersect(a, b):
     r = vsub(p1, p)
     s = vsub(q1, q)
     qp = vsub(q, p)
-    denom = cross2(r, s)
-    if denom == 0:
+    den = cross2(r, s)
+    if den == 0:
         if cross2(qp, r) != 0 or cross2(qp, s) != 0:
             return None  # parallel, distinct supporting lines
         return None if collinear_overlap(a, b) is None else DEGENERATE
-    t = cross2(qp, s) / denom
-    u = cross2(qp, r) / denom
-    if 0 <= t <= 1 and 0 <= u <= 1:
-        return SegmentHit(vadd(p, vscale(t, r)), t, u)
+    tn = cross2(qp, s)
+    un = cross2(qp, r)
+    if den < 0:
+        den, tn, un = -den, -tn, -un
+    if 0 <= tn <= den and 0 <= un <= den:
+        t = rat(tn, den)
+        return SegmentHit(vadd(p, vscale(t, r)), t, rat(un, den))
     return None
 
 
@@ -210,18 +234,18 @@ def segments_touch(a, b):
     d1, d2 = vsub(q, p), vsub(s, r)
     w = vsub(r, p)
     n = cross3(d1, d2)
-    if n == (ZERO, ZERO, ZERO):
-        if cross3(w, d1) != (ZERO, ZERO, ZERO):
+    if not any(n):
+        if any(cross3(w, d1)):
             return False
         return collinear_overlap(a, b) is not None
     if vdot(w, n) != 0:
         return False
     den = vdot(n, n)
-    t = vdot(cross3(w, d2), n) / den
-    u = vdot(cross3(w, d1), n) / den
-    if not (0 <= t <= 1 and 0 <= u <= 1):
+    tn = vdot(cross3(w, d2), n)
+    un = vdot(cross3(w, d1), n)
+    if not (0 <= tn <= den and 0 <= un <= den):
         return False
-    return vadd(p, vscale(t, d1)) == vadd(r, vscale(u, d2))
+    return vadd(vscale(den, p), vscale(tn, d1)) == vadd(vscale(den, r), vscale(un, d2))
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +256,15 @@ def dist2_point_seg(p, seg):
     """Squared distance from a point to a closed segment (any dimension)."""
     a, b = seg
     d = vsub(b, a)
+    w = vsub(p, a)
+    t = vdot(w, d)
+    if t <= 0:
+        return vdot(w, w)
     dd = vdot(d, d)
-    if dd == 0:
-        return dist2(p, a)
-    t = vdot(vsub(p, a), d) / dd
-    if t < 0:
-        t = ZERO
-    elif t > 1:
-        t = ONE
-    return dist2(p, vadd(a, vscale(t, d)))
+    if t >= dd:
+        return dist2(p, b)
+    # |w|^2 - t^2 / dd, the distance to the foot a + (t / dd) d
+    return rat(vdot(w, w) * dd - t * t, dd)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +307,7 @@ def lattice_translates(amin, amax, bmin, bmax):
 
 def tri_normal(tri):
     n = cross3(vsub(tri[1], tri[0]), vsub(tri[2], tri[0]))
-    if n == (ZERO, ZERO, ZERO):
+    if not any(n):
         raise ValueError("degenerate triangle")
     return n
 
@@ -291,9 +315,9 @@ def tri_normal(tri):
 def coplanar(ta, na, tb, nb):
     """Whether triangles ``ta`` and ``tb``, with normals ``na`` and ``nb``,
     lie in one plane."""
-    if cross3(na, nb) != (ZERO, ZERO, ZERO):
+    if any(cross3(na, nb)):
         return False
-    return vdot(na, vsub(tb[0], ta[0])) == ZERO
+    return vdot(na, vsub(tb[0], ta[0])) == 0
 
 
 @dataclass(frozen=True)
@@ -388,40 +412,42 @@ class TriTriHit:
     tag_q: tuple
 
 
-def clip_line_to_tri(p0, u, tri, owner):
-    """Clip line ``p0 + t u`` (lying in the triangle's plane) to a triangle.
+def clip_line_to_tri(p0, u, tri, owner, w=1):
+    """Clip the line ``p0 / w + t u`` (lying in the triangle's plane) to a
+    triangle; ``w > 0`` lets a caller pass a rational base point as an
+    integer vector and its denominator.
 
     Returns ('miss',), ('degenerate', why), or
     ('interval', lo, lo_tag, lo_tie, hi, hi_tag, hi_tie).
     """
+    # the parameters lo and hi are kept as (numerator, denominator > 0)
     lo = hi = None
     lo_tag = hi_tag = None
     lo_tie = hi_tie = False
     for i, vi, m in _inward_edge_normals(tri, tri_normal(tri)):
-        c0 = vdot(m, vsub(p0, vi))
-        c1 = vdot(m, u)
+        c0 = vdot(m, p0) - w * vdot(m, vi)  # w times m . (p0 / w - vi)
+        c1 = w * vdot(m, u)
         if c1 == 0:
             if c0 < 0:
                 return ("miss",)
             if c0 == 0:
                 return ("degenerate", "line-on-edge")
             continue
-        t = -c0 / c1
-        if c1 > 0:
-            if lo is None or t > lo:
-                lo, lo_tag, lo_tie = t, (owner, i), False
-            elif t == lo:
+        if c1 > 0:  # t = -c0 / c1 is a lower bound
+            if lo is None or -c0 * lo[1] > lo[0] * c1:
+                lo, lo_tag, lo_tie = (-c0, c1), (owner, i), False
+            elif -c0 * lo[1] == lo[0] * c1:
                 lo_tie = True
         else:
-            if hi is None or t < hi:
-                hi, hi_tag, hi_tie = t, (owner, i), False
-            elif t == hi:
+            if hi is None or c0 * hi[1] < hi[0] * -c1:
+                hi, hi_tag, hi_tie = (c0, -c1), (owner, i), False
+            elif c0 * hi[1] == hi[0] * -c1:
                 hi_tie = True
     if lo is None or hi is None:
         return ("miss",)
-    if lo > hi:
+    if lo[0] * hi[1] > hi[0] * lo[1]:
         return ("miss",)
-    return ("interval", lo, lo_tag, lo_tie, hi, hi_tag, hi_tie)
+    return ("interval", rat(*lo), lo_tag, lo_tie, rat(*hi), hi_tag, hi_tie)
 
 
 def tri_tri_intersect(a, b):
@@ -452,11 +478,10 @@ def tri_tri_intersect(a, b):
     wa = vdot(na, a[0])
     wb = vdot(nb, b[0])
     den = naa * nbb - nab * nab  # == |u|^2 > 0
-    alpha = (wa * nbb - wb * nab) / den
-    beta = (wb * naa - wa * nab) / den
-    p0 = vadd(vscale(alpha, na), vscale(beta, nb))
-    ra = clip_line_to_tri(p0, u, a, "a")
-    rb = clip_line_to_tri(p0, u, b, "b")
+    # den times the point of the line in the span of na and nb
+    p0 = vadd(vscale(wa * nbb - wb * nab, na), vscale(wb * naa - wa * nab, nb))
+    ra = clip_line_to_tri(p0, u, a, "a", den)
+    rb = clip_line_to_tri(p0, u, b, "b", den)
     for r in (ra, rb):
         if r[0] == "miss":
             return None
@@ -480,8 +505,9 @@ def tri_tri_intersect(a, b):
         return DEGENERATE
     if flo_tie or fhi_tie:
         return DEGENERATE  # arc endpoint at a triangle vertex
-    p = vadd(p0, vscale(flo, u))
-    q = vadd(p0, vscale(fhi, u))
+    base = vscale(rat(1, den), p0)
+    p = vadd(base, vscale(flo, u))
+    q = vadd(base, vscale(fhi, u))
     if p <= q:
         return TriTriHit(p, q, flo_tag, fhi_tag)
     return TriTriHit(q, p, fhi_tag, flo_tag)
@@ -505,15 +531,17 @@ def segment_triangle_hit(p, q, tri):
         return DEGENERATE
     if (d0 > 0) == (d1 > 0):
         return None
-    t = d0 / (d0 - d1)
-    x = vadd(p, vscale(t, vsub(q, p)))
+    tn, td = (d0, d0 - d1) if d0 > 0 else (-d0, d1 - d0)  # t = tn / td, td > 0
+    d = vsub(q, p)
+    x = vadd(vscale(td, p), vscale(tn, d))  # td times the crossing point
     for _, vi, m in _inward_edge_normals(tri, n):
-        s = vdot(m, vsub(x, vi))
+        s = vdot(m, x) - td * vdot(m, vi)
         if s < 0:
             return None
         if s == 0:
             return DEGENERATE
-    return SegmentHit(x, t)
+    t = rat(tn, td)
+    return SegmentHit(vadd(p, vscale(t, d)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +582,10 @@ class Transform2:
         det = self.det()
         if det == 0:
             raise ValueError("singular transform")
-        ia = self.d / det
-        ib = -self.b / det
-        ic = -self.c / det
-        id_ = self.a / det
+        ia = rat(self.d, det)
+        ib = rat(-self.b, det)
+        ic = rat(-self.c, det)
+        id_ = rat(self.a, det)
         return Transform2(
             ia, ib, ic, id_, -(ia * self.e + ib * self.f), -(ic * self.e + id_ * self.f)
         )
@@ -816,6 +844,8 @@ __all__ = [
     "dist2",
     "perp_left",
     "l1norm",
+    "common_denominator",
+    "vlift",
     "DEGENERATE",
     "SegmentHit",
     "collinear_overlap",

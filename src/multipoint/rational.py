@@ -4,8 +4,13 @@ Every coordinate in this package is a rational number in lowest terms with
 positive denominator.  We use gmpy2's mpq when available (much faster on
 the fuzzing workloads) and fall back to fractions.Fraction, which has the
 same canonical-form guarantees.  Plain ``int`` values mix freely with
-either type under arithmetic; division of two ints must always go through
-:func:`rat` so it never produces a float.
+either type under arithmetic, and certification runs the exact predicates
+on ints: each mesh or multicurve is scaled by the common denominator of its
+coordinates.
+
+The rule that keeps this exact: no code divides one int by another, since
+``int / int`` is a float.  A quotient whose operands may both be ints is
+built with :func:`rat`, which takes ints or rationals.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 
 def rat(num, den=1):
-    """Exact quotient ``num/den`` as a canonical rational."""
+    """Exact quotient ``num/den`` (ints or rationals) as a canonical rational."""
     return Rat(num, den)
 
 

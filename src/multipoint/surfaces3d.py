@@ -63,6 +63,7 @@ from .exactgeom import (
     PlaneChart,
     bbox,
     clip_line_to_tri,
+    common_denominator,
     contact_only_at,
     coplanar,
     coplanar_tri_relation,
@@ -80,6 +81,7 @@ from .exactgeom import (
     tri_normal,
     tri_tri_intersect,
     vadd,
+    vlift,
     vscale,
     vsub,
 )
@@ -477,18 +479,25 @@ class Mesh3:
         return PlaneChart.of(self._normals[t])
 
     def _enumerate_pairs(self):
+        # The predicates run on the integer lifts D * t of the triangles,
+        # D the common denominator of all vertex coordinates; a lattice
+        # shift v becomes D * v, and a hit is divided by D once.
+        den = common_denominator(p for t in self.triangles for p in t)
+        lifts = [tuple(vlift(p, den) for p in t) for t in self.triangles]
+        normals = [tri_normal(t) for t in lifts]
+        unlift = rat(1, den)
         violations = []
         segments = []
         n = len(self.triangles)
         for i in range(n):
-            ta, na = self.triangles[i], self._normals[i]
+            ta, na = lifts[i], normals[i]
             for j in range(i, n):
-                nb = self._normals[j]
+                nb = normals[j]
                 for v in lattice_translates(*self._bbox[i], *self._bbox[j]):
                     if i == j and v <= (0, 0, 0):
                         continue
                     detail = f"triangles {i} and {j} + {v}"
-                    tb = _shift_tri(self.triangles[j], v)
+                    tb = _shift_tri(lifts[j], vscale(den, v))
                     if self._edge_adj.get((i, j), {}).get(v):
                         if coplanar(ta, na, tb, nb):
                             if coplanar_tri_relation(ta, tb) == "overlap":
@@ -499,8 +508,7 @@ class Mesh3:
                         if len(shared) != 1:
                             violations.append(("vertex-contact", detail))
                             continue
-                        w = self._corner_position(i, shared[0][0])
-                        verdict = vertex_adjacent_contact(ta, tb, w)
+                        verdict = vertex_adjacent_contact(ta, tb, ta[shared[0][0]])
                         if verdict is not None:
                             violations.append((verdict, detail))
                         continue
@@ -517,9 +525,8 @@ class Mesh3:
                     if res is DEGENERATE:
                         violations.append(("tangency", detail))
                         continue
-                    segments.append(
-                        DoubleSegment(i, j, v, res.p, res.q, res.tag_p, res.tag_q)
-                    )
+                    p, q = vscale(unlift, res.p), vscale(unlift, res.q)
+                    segments.append(DoubleSegment(i, j, v, p, q, res.tag_p, res.tag_q))
         return violations, segments
 
     @staticmethod

@@ -45,3 +45,20 @@ def test_algebra_rejections_resolve(bench_module):
     rejections = workloads.Algebra.REJECTIONS
     assert len(rejections) == 3
     assert all(issubclass(cls, Exception) for cls in rejections)
+
+
+def test_seg_intersect_is_bound_in_four_modules():
+    # bench/selftest.py checks that the tracer rebinds seg_intersect in at
+    # least four modules, so at least four must hold it by name
+    import pkgutil
+
+    import multipoint
+    from multipoint.exactgeom import seg_intersect
+
+    holders = [
+        info.name
+        for info in pkgutil.iter_modules(multipoint.__path__)
+        if info.name != "__main__"
+        and seg_intersect in vars(importlib.import_module(f"multipoint.{info.name}")).values()
+    ]
+    assert len(holders) >= 4, holders

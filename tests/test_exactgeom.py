@@ -1,5 +1,7 @@
 """Exact geometry kernel: intersections, separation, charts, pushoffs."""
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,13 @@ from multipoint.exactgeom import (
     SegmentHit,
     Transform2,
     TriTriHit,
+    clip_line_to_tri,
     collinear_overlap,
     contact_only_at,
     coplanar,
     coplanar_tri_relation,
     dist2,
+    dist2_point_seg,
     pushoff_polyline,
     seg_intersect,
     segment_triangle_hit,
@@ -411,6 +415,87 @@ def test_segment_triangle_back_substitution(p, q, tri):
     assert hit.point == vadd(p, vscale(hit.ta, vsub(q, p)))
     assert oracles.on_plane(hit.point, tri)
     assert oracles.point_in_triangle(hit.point, tri, strict=True)
+
+
+# ---------------------------------------------------------------------------
+# integer inputs: certification runs the predicates on D-scaled coordinates
+
+BIG = 3 * 2**60  # above 2**53, and a multiple of every denominator below
+
+
+def _big(x):
+    """BIG * x as ints, for a rational or nested tuples of them."""
+    if isinstance(x, tuple):
+        return tuple(_big(y) for y in x)
+    if isinstance(x, str):
+        return x
+    q = BIG * x
+    assert q.denominator == 1
+    return q.numerator
+
+
+def _down(p):
+    """A point of the BIG-scaled input, scaled back."""
+    return tuple(rat(c, BIG) for c in p)
+
+
+def _floats(x):
+    """Every float inside a result built of tuples and dataclasses."""
+    if isinstance(x, float):
+        return [x]
+    if dataclasses.is_dataclass(x):
+        x = dataclasses.astuple(x)
+    if isinstance(x, tuple):
+        return [f for y in x for f in _floats(y)]
+    return []
+
+
+W = _pt(rat(1, 3), rat(2, 3))
+SHIFTED_B = tuple(vadd(p, _pt(rat(1, 3), rat(1, 4), rat(1, 2))) for p in TRI_B)
+
+
+# predicate -> (rational arguments, its result on BIG-scaled arguments scaled back)
+BIG_CASES = {
+    seg_intersect: (
+        ((_pt(0, 0), _pt(rat(2, 3), 1)), (_pt(0, rat(1, 2)), _pt(1, rat(1, 2)))),
+        lambda h: SegmentHit(_down(h.point), h.ta, h.tb),
+    ),
+    collinear_overlap: (
+        ((_pt(0, 0), _pt(2, 1)), (_pt(4, 2), _pt(1, rat(1, 2)))),
+        lambda r: tuple(_down(p) for p in r),
+    ),
+    contact_only_at: (((_pt(0, 0), W), (W, _pt(2, rat(1, 3))), W), lambda r: r),
+    dist2_point_seg: (
+        (_pt(rat(1, 3), 1), (_pt(0, 0), _pt(2, rat(1, 2)))),
+        lambda r: rat(r, BIG * BIG),
+    ),
+    clip_line_to_tri: (
+        (_pt(rat(1, 3), rat(1, 2), 0), _pt(1, rat(2, 3), 0), TRI_A, "a"),
+        lambda r: r,
+    ),
+    tri_tri_intersect: (
+        (TRI_A, SHIFTED_B),
+        lambda h: TriTriHit(_down(h.p), _down(h.q), h.tag_p, h.tag_q),
+    ),
+    coplanar_tri_relation: (
+        (TRI_A, (_pt(1, 1, 0), _pt(5, 1, 0), _pt(1, 3, 0))),
+        lambda r: r,
+    ),
+    segment_triangle_hit: (
+        (_pt(rat(1, 3), 1, -1), _pt(rat(1, 2), rat(2, 3), rat(1, 2)), TRI_A),
+        lambda h: SegmentHit(_down(h.point), h.ta),
+    ),
+}
+
+
+@pytest.mark.parametrize("fn", list(BIG_CASES), ids=lambda fn: fn.__name__)
+def test_predicates_on_big_integers_are_exact(fn):
+    args, back = BIG_CASES[fn]
+    want = fn(*args)
+    got = fn(*_big(args))
+    assert not _floats(got), got
+    assert back(got) == want
+    assert want is not None
 
 
 # ---------------------------------------------------------------------------

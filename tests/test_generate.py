@@ -120,6 +120,21 @@ def test_generated_curve_is_certified_once(monkeypatch):
     assert len(calls) == certified
 
 
+def test_pairing_builds_each_pushoff_once(monkeypatch):
+    calls = []
+    real = curves2d.pushoff_all
+
+    def counted(curve, epsilon, side="left"):
+        calls.append(epsilon)
+        return real(curve, epsilon, side)
+
+    monkeypatch.setattr(curves2d, "pushoff_all", counted)
+    curve = generate(GeneratorConfig(components=(2, 2), seed=3)).multicurve("c")
+    assert len(curve.components) == 2
+    assert herbert.verify(curve, scene_id="c3").all_pass
+    assert calls and len(calls) == len(set(calls))  # once per epsilon
+
+
 def test_verify_directive_is_emitted():
     scene = generate(GeneratorConfig(seed=2))
     assert scene.verifies and scene.verifies[0].name == "c"

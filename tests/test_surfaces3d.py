@@ -1,11 +1,16 @@
 """Meshes in the 3-torus: structure, double locus, triple points, identities."""
 
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipoint.rational import rat
-from multipoint.exactgeom import vsub, vscale
+from multipoint.scene import parse_scene
+from multipoint.exactgeom import floor_vec, vadd, vscale, vsub
 from multipoint.surfaces3d import (
     CycleError,
     GeneralPositionError,
@@ -493,3 +498,62 @@ def test_extraction_is_deterministic():
         dc.canonical for dc in b.double_curves()
     ]
     assert a.triple_points() == b.triple_points()
+
+
+# ---------------------------------------------------------------------------
+# metamorphic checks on a large scene of the benchmark
+
+
+def _bench_scene_text(seed, index):
+    """Scene text from ``bench/scenes.py``, loaded by path (bench/ is no package)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("bench_scenes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scene_text(seed, index)
+
+
+def _canon(p, q):
+    p, q = min(p, q), max(p, q)
+    s = floor_vec(p)
+    return vsub(p, s), vsub(q, s)
+
+
+def _summary(mesh, perm=(0, 1, 2)):
+    """Certificate, double circles and triple points of a mesh, with every
+    coordinate read through the axis permutation ``perm``."""
+
+    def P(p):
+        return tuple(p[k] for k in perm)
+
+    cert = mesh.certify()
+    circles = sorted(
+        (
+            sorted(_canon(P(p), P(q)) for p, q in dc.canonical),
+            P(dc.h1),
+            sorted(pc.w1 for pc in dc.preimages),
+        )
+        for dc in mesh.double_curves()
+    )
+    triples = sorted(P(t.target) for t in mesh.triple_points().points)
+    return cert.ok, cert.n_double_segments, circles, triples
+
+
+def test_large_scene_is_invariant_under_translation_permutation_and_shuffle():
+    mesh = parse_scene(_bench_scene_text(0, 3)).mesh("f")
+    assert len(mesh.triangles) == 40
+    base = _summary(mesh)
+    assert base[0] and len(base[2]) > 10 and len(base[3]) > 10
+
+    shift = (1, -2, 3)
+    moved = Mesh3([[vadd(p, shift) for p in t] for t in mesh.triangles])
+    assert _summary(moved) == base
+
+    for perm in ((1, 2, 0), (1, 0, 2)):  # an even and an odd permutation
+        permuted = Mesh3([[tuple(p[k] for k in perm) for p in t] for t in mesh.triangles])
+        inverse = tuple(perm.index(k) for k in range(3))
+        assert _summary(permuted, inverse) == base
+
+    order = list(mesh.triangles)
+    random.Random(0).shuffle(order)
+    assert _summary(Mesh3(order)) == base
