@@ -215,7 +215,7 @@ def add(a, b):
     if a.universe == CURVES_IN_SURFACE:
         return class_of_curve(a.payload.union(b.payload))
     if a.universe == SURFACES_IN_3TORUS:
-        return class_of_mesh(Mesh3(a.payload.triangles + b.payload.triangles))
+        return class_of_mesh(a.payload.union(b.payload))
     if a.universe in (
         POINTS_IN_SURFACE,
         POINTS_IN_3TORUS,
@@ -304,9 +304,9 @@ def _split_triple_points(mesh, n_first):
     return buckets
 
 
-def _product_points_curves(a, b):
-    union = a.payload.union(b.payload)
-    require_general_position(union)
+def _mixed_points_class(a, b, union):
+    """The product of curve classes a and b, read off the union of their
+    payloads (a's components first)."""
     _, _, mixed = _mixed_double_points(union, len(a.payload.components))
     n_first = len(a.payload.components)
     points = []
@@ -322,9 +322,9 @@ def _product_points_curves(a, b):
     return _sorted_class(POINTS_IN_SURFACE, a.ambient, points, structure)
 
 
-def _product_curves_meshes(a, b):
-    union = Mesh3(a.payload.triangles + b.payload.triangles)
-    require_general_position(union)
+def _mixed_circles_class(a, union):
+    """The product of mesh class a with the other part of ``union``, the
+    union of their payloads with a's triangles first."""
     _, _, mixed = _split_double_curves(union, len(a.payload.triangles))
     records = []
     structure = []
@@ -365,9 +365,9 @@ def internal_product(a, b):
         return empty_class(a.ambient, note=GENERICALLY_EMPTY)
     pair = (a.universe, b.universe)
     if pair == (CURVES_IN_SURFACE, CURVES_IN_SURFACE):
-        return _product_points_curves(a, b)
+        return _mixed_points_class(a, b, a.payload.union(b.payload))
     if pair == (SURFACES_IN_3TORUS, SURFACES_IN_3TORUS):
-        return _product_curves_meshes(a, b)
+        return _mixed_circles_class(a, a.payload.union(b.payload))
     if pair == (CURVES_IN_3TORUS, SURFACES_IN_3TORUS):
         return _product_circles_mesh(a, b)
     if pair == (SURFACES_IN_3TORUS, CURVES_IN_3TORUS):
@@ -406,7 +406,7 @@ def pullback_class(g, f):
             structure.append(f.structure[f_branch[0] - n_first])
         return _sorted_class(POINTS_ON_SOURCE_CIRCLES, g.payload, params, structure)
     if pair == (SURFACES_IN_3TORUS, SURFACES_IN_3TORUS):
-        union = Mesh3(g.payload.triangles + f.payload.triangles)
+        union = g.payload.union(f.payload)
         require_general_position(union)
         _, _, mixed = _split_double_curves(union, len(g.payload.triangles))
         n_first = len(g.payload.triangles)
@@ -559,7 +559,7 @@ def check_naturality(g, f):
     """
     if (g.universe, f.universe) != (SURFACES_IN_3TORUS, SURFACES_IN_3TORUS):
         raise ValueError("naturality check runs on two surfaces in the 3-torus")
-    union = Mesh3(g.payload.triangles + f.payload.triangles)
+    union = g.payload.union(f.payload)
     require_general_position(union)
     n_first = len(g.payload.triangles)
 
@@ -600,7 +600,7 @@ def check_cartan(f, g, r):
         ok = (
             piece_f == psi_r(f, 2).payload
             and piece_g == psi_r(g, 2).payload
-            and piece_fg == internal_product(f, g).payload
+            and piece_fg == _mixed_points_class(f, g, union).payload
             and tuple(sorted(piece_f + piece_g + piece_fg)) == whole
             and len(piece_f) + len(piece_g) + len(piece_fg) == len(whole)
         )
@@ -612,7 +612,7 @@ def check_cartan(f, g, r):
             f"r=2 split {len(piece_f)}+{len(piece_g)}+{len(piece_fg)}",
         )
     if f.universe == SURFACES_IN_3TORUS:
-        union = Mesh3(f.payload.triangles + g.payload.triangles)
+        union = f.payload.union(g.payload)
         require_general_position(union)
         n_first = len(f.payload.triangles)
         if r == 2:
@@ -626,7 +626,7 @@ def check_cartan(f, g, r):
             ok = (
                 piece_f == psi_r(f, 2).payload
                 and piece_g == psi_r(g, 2).payload
-                and piece_fg == internal_product(f, g).payload
+                and piece_fg == _mixed_circles_class(f, union).payload
                 and tuple(sorted(piece_f + piece_g + piece_fg)) == whole
             )
             return CheckReport(

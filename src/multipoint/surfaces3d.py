@@ -295,21 +295,23 @@ class Mesh3:
 
     def __init__(self, triangles):
         tris = []
+        normals = []
         for k, tri in enumerate(triangles):
             t = tuple(_point3(p) for p in tri)
             try:
-                tri_normal(t)
+                normals.append(tri_normal(t))
             except ValueError:
                 raise MeshBuildError(f"degenerate-triangle: triangle {k}")
             tris.append(t)
         if not tris:
             raise MeshBuildError("edge-matching: empty mesh")
         self.triangles = tuple(tris)
-        self._normals = tuple(tri_normal(t) for t in self.triangles)
+        self._normals = tuple(normals)
         self._bbox = tuple(bbox(t) for t in self.triangles)
         self._build_matching()
         self._check_vertex_links()
         self._build_adjacency()
+        self._parts = ()
         self._cert = None
         self._segments = None
         self._end_links = None
@@ -472,26 +474,66 @@ class Mesh3:
     def __hash__(self):
         return hash(self.triangles)
 
+    def union(self, other):
+        """The disjoint union of this mesh and ``other``.
+
+        When the union is certified, the pairs of triangles inside a part
+        that holds an ok certificate take their double segments from that
+        part; only the other pairs run the predicates.
+        """
+        mesh = Mesh3(self.triangles + other.triangles)
+        mesh._parts = (self, other)
+        return mesh
+
     # -- pair enumeration and certification ---------------------------------
 
     def chart(self, t):
         """The :class:`PlaneChart` of triangle t's plane."""
         return PlaneChart.of(self._normals[t])
 
+    def _certified_pairs(self):
+        """The pairs of triangles inside a part with an ok certificate.
+
+        Returns the index of that part for each triangle (None outside such
+        a part) and the part's double segments per pair, renumbered into
+        this mesh.  Inside one part the edge and vertex adjacency are the
+        part's own, since an edge shared across parts fails the edge
+        matching, and the exact predicates do not depend on ``D``.
+        """
+        home = [None] * len(self.triangles)
+        known = {}
+        offset = 0
+        for k, part in enumerate(self._parts):
+            size = len(part.triangles)
+            if part._cert is not None and part._cert.ok:
+                home[offset : offset + size] = [k] * size
+                for s in part._segments:
+                    ij = (s.tri_a + offset, s.tri_b + offset)
+                    known.setdefault(ij, []).append(
+                        DoubleSegment(*ij, s.shift, s.p, s.q, s.tag_p, s.tag_q)
+                    )
+            offset += size
+        return home, known
+
     def _enumerate_pairs(self):
         # The predicates run on the integer lifts D * t of the triangles,
         # D the common denominator of all vertex coordinates; a lattice
-        # shift v becomes D * v, and a hit is divided by D once.
+        # shift v becomes D * v, and a hit is divided by D once.  A pair
+        # inside a certified part takes that part's segments instead.
         den = common_denominator(p for t in self.triangles for p in t)
         lifts = [tuple(vlift(p, den) for p in t) for t in self.triangles]
         normals = [tri_normal(t) for t in lifts]
         unlift = rat(1, den)
+        home, known = self._certified_pairs()
         violations = []
         segments = []
         n = len(self.triangles)
         for i in range(n):
             ta, na = lifts[i], normals[i]
             for j in range(i, n):
+                if home[i] is not None and home[i] == home[j]:
+                    segments.extend(known.get((i, j), ()))
+                    continue
                 nb = normals[j]
                 for v in lattice_translates(*self._bbox[i], *self._bbox[j]):
                     if i == j and v <= (0, 0, 0):
@@ -593,8 +635,12 @@ class Mesh3:
             )
         witnesses = {}
         for t, entries in sorted(hosts.items()):
+            # the arcs meet in their chart, lifted to integers by the
+            # common denominator of their chart end points
             chart = self.chart(t)
             flat = [chart.points((p, q)) for p, q, _, _ in entries]
+            den = common_denominator(e for arc in flat for e in arc)
+            flat = [(vlift(a, den), vlift(b, den)) for a, b in flat]
             detail = f"double arcs in triangle {t}"
             for x in range(len(entries)):
                 for y in range(x + 1, len(entries)):
@@ -614,7 +660,8 @@ class Mesh3:
                         ea = 0 if px == s3 else 1
                         eb = 0 if py == s3 else 1
                         if links.get((sx, ea)) == (sy, eb):
-                            if not contact_only_at(flat[x], flat[y], chart.point(s3)):
+                            w = vlift(chart.point(s3), den)
+                            if not contact_only_at(flat[x], flat[y], w):
                                 violations.append(
                                     ("tangency", detail + " double back")
                                 )
@@ -651,6 +698,7 @@ class Mesh3:
         if self._cert is not None:
             return self._cert
         violations, segments = self._enumerate_pairs()
+        self._parts = ()  # no longer needed; do not keep the parts alive
         if violations:
             self._cert = GeneralPositionCert3(False, tuple(violations), len(segments))
             return self._cert

@@ -418,6 +418,33 @@ def test_cartan_meshes_r3():
     assert rep.lhs == ((Q, Q, Q),)
 
 
+def _counted(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cartan_r2_certifies_one_union_of_curves(monkeypatch):
+    f, g = mk(TORUS, FIG8), mk(TORUS, SMALL8)
+    calls = _counted(monkeypatch, curves2d, "_certify")
+    assert check_cartan(f, g, 2).ok
+    assert len(calls) == 1
+
+
+def test_cartan_r2_certifies_one_union_of_meshes(monkeypatch):
+    f = mesh_class(z_torus() + y_torus())
+    g = mesh_class(x_torus())
+    calls = _counted(monkeypatch, Mesh3, "_enumerate_pairs")
+    assert check_cartan(f, g, 2).ok
+    assert len(calls) == 1
+
+
 def test_cartan_rejects_unsupported_r():
     f, g = mk(TORUS, FIG8), mk(TORUS, SMALL8)
     with pytest.raises(ValueError):

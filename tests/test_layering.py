@@ -30,3 +30,29 @@ def test_package_sources_are_found():
 def test_no_module_imports_a_private_name_of_another():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in _private_imports(path)]
     assert found == []
+
+
+def _triangle_concatenations(source, filename):
+    """Lines that concatenate ``.triangles`` of two meshes with ``+``."""
+    tree = ast.parse(source, filename=filename)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+            continue
+        operands = (node.left, node.right)
+        if any(isinstance(x, ast.Attribute) and x.attr == "triangles" for x in operands):
+            yield f"{filename}:{node.lineno} concatenates triangles"
+
+
+def test_triangle_concatenation_is_detected():
+    source = "def f(a, b):\n    return Mesh3(a.payload.triangles + b.payload.triangles)\n"
+    assert list(_triangle_concatenations(source, "sample.py")) == [
+        "sample.py:2 concatenates triangles"
+    ]
+
+
+def test_bordism_builds_mesh_unions_with_union():
+    # Mesh3.union reuses the certificates of its parts; a mesh built from
+    # concatenated triangles certifies every pair again
+    path = SRC / "bordism.py"
+    found = list(_triangle_concatenations(path.read_text(encoding="utf-8"), path.name))
+    assert found == []

@@ -557,3 +557,116 @@ def test_large_scene_is_invariant_under_translation_permutation_and_shuffle():
     order = list(mesh.triangles)
     random.Random(0).shuffle(order)
     assert _summary(Mesh3(order)) == base
+
+
+# ---------------------------------------------------------------------------
+# certifying a union from its certified parts
+
+
+@pytest.fixture(scope="module")
+def generated_meshes():
+    """Generated 1-, 2- and 3-sheet tori meshes, certified, with fixed seeds."""
+    from multipoint import generate
+
+    meshes = []
+    for seed in (1, 2, 3):
+        for sheets in (1, 2, 3):
+            config = generate.GeneratorConfig(
+                universe="tori",
+                ambient=generate.TORI_AMBIENT,
+                components=(sheets, sheets),
+                seed=seed,
+            )
+            mesh = generate.generate(config).mesh("f")
+            assert mesh.certify().ok
+            meshes.append(mesh)
+    return meshes
+
+
+def _disjoint_pairs(meshes):
+    """Pairs of meshes whose concatenation is a closed surface."""
+    for a in meshes:
+        for b in meshes:
+            try:
+                Mesh3(a.triangles + b.triangles)
+            except MeshBuildError:
+                continue
+            yield a, b
+
+
+def _certified_state(mesh):
+    cert = mesh.certify()
+    if not cert.ok:
+        return cert, mesh._segments
+    return cert, mesh._segments, mesh.double_curves(), mesh.triple_points()
+
+
+def test_union_certifies_like_the_concatenated_mesh(generated_meshes):
+    verdicts = set()
+    for a, b in _disjoint_pairs(generated_meshes):
+        union = a.union(b)
+        assert union.triangles == a.triangles + b.triangles
+        full = Mesh3(a.triangles + b.triangles)
+        assert _certified_state(union) == _certified_state(full)
+        verdicts.add(full.certify().ok)
+    assert verdicts == {True, False}  # accepted and rejected unions both occur
+
+
+def _count_predicate_calls(monkeypatch, mesh):
+    """Calls of the pair predicates made while certifying ``mesh``."""
+    import multipoint.surfaces3d as s3
+
+    counts = dict.fromkeys(
+        ("tri_tri_intersect", "vertex_adjacent_contact", "coplanar_tri_relation"), 0
+    )
+    for name in counts:
+        real = getattr(s3, name)
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(s3, name, counted)
+    mesh.certify()
+    monkeypatch.undo()
+    return counts
+
+
+def test_union_runs_the_predicates_only_on_new_pairs(monkeypatch, generated_meshes):
+    for a, b in list(_disjoint_pairs(generated_meshes))[:12]:
+        part_a, part_b = Mesh3(a.triangles), Mesh3(b.triangles)
+        calls_a = _count_predicate_calls(monkeypatch, part_a)
+        calls_b = _count_predicate_calls(monkeypatch, part_b)
+        full = _count_predicate_calls(monkeypatch, Mesh3(a.triangles + b.triangles))
+        union = _count_predicate_calls(monkeypatch, part_a.union(part_b))
+        assert union == {k: full[k] - calls_a[k] - calls_b[k] for k in full}
+        assert sum(calls_a.values()) + sum(calls_b.values()) > 0
+
+
+def test_union_tests_the_pairs_of_an_uncertified_part(monkeypatch, generated_meshes):
+    a, b = next(_disjoint_pairs(generated_meshes[3:]))
+    part_a, part_b = Mesh3(a.triangles), Mesh3(b.triangles)
+    calls_b = _count_predicate_calls(monkeypatch, part_b)
+    full_mesh = Mesh3(a.triangles + b.triangles)
+    full = _count_predicate_calls(monkeypatch, full_mesh)
+    union = part_a.union(part_b)
+    assert _count_predicate_calls(monkeypatch, union) == {
+        k: full[k] - calls_b[k] for k in full
+    }
+    assert part_a._cert is None  # the union does not certify its parts
+    assert _certified_state(union) == _certified_state(full_mesh)
+
+
+def test_union_tests_the_pairs_of_a_rejected_part(generated_meshes):
+    unions = (a.union(b) for a, b in _disjoint_pairs(generated_meshes))
+    rejected = next(u for u in unions if not u.certify().ok)
+    for other in generated_meshes:
+        try:
+            full = Mesh3(rejected.triangles + other.triangles)
+        except MeshBuildError:
+            continue
+        union = rejected.union(other)
+        assert _certified_state(union) == _certified_state(full)
+        assert not union.certify().ok
+        return
+    pytest.fail("no closed union with the rejected part")
