@@ -186,7 +186,7 @@ def _circle_segments_disjoint(circ_a, circ_b):
     for (p, q) in circ_a:
         pbox = bbox((p, q))
         for (r, s) in circ_b:
-            for v in lattice_translates(*pbox, *bbox((r, s))):
+            for v in lattice_translates(*pbox, *bbox((r, s)), 1):
                 if segments_touch((p, q), (vadd(r, v), vadd(s, v))):
                     return False
     return True

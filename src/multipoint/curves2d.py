@@ -15,6 +15,7 @@ generic; `certify` reports every violation by name instead of guessing.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -469,17 +470,29 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
     require_general_position(curve_a)
     cert_b = require_general_position(curve_b)
     epsilon = initial_epsilon(cert_b.min_sep_sq)
-    comp_pieces = [p for p in curve_a.components[comp_a].pieces]
+    comp_pieces = curve_a.components[comp_a].pieces
     last_error = None
     for _ in range(retry_budget):
         try:
             offsets = curve_b.pushoff(epsilon)
+            # The crossings are counted on the integer lifts D * p of the
+            # component and the offset pieces, D their common denominator.
+            den = common_denominator(
+                itertools.chain(
+                    (p for pc in comp_pieces for p in (pc.p0, pc.p1)),
+                    (p for off in offsets for p in (off.start, off.end)),
+                )
+            )
+            by_chart = {}
+            for off in offsets:
+                by_chart.setdefault(off.chart, []).append(
+                    (vlift(off.start, den), vlift(off.end, den))
+                )
             count = 0
             for piece in comp_pieces:
-                for off in offsets:
-                    if off.chart != piece.square:
-                        continue
-                    res = seg_intersect((piece.p0, piece.p1), (off.start, off.end))
+                seg = (vlift(piece.p0, den), vlift(piece.p1, den))
+                for off in by_chart.get(piece.square, ()):
+                    res = seg_intersect(seg, off)
                     if res is None:
                         continue
                     if not strict_crossing(res):

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .rational import rat, rceil, rfloor, ZERO, ONE
+from .rational import rat, rfloor, ZERO, ONE
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +289,21 @@ def bbox(points):
     )
 
 
-def lattice_translates(amin, amax, bmin, bmax):
-    """Integer vectors v for which the box [bmin, bmax] + v meets [amin, amax]."""
+def lattice_translates(amin, amax, bmin, bmax, den):
+    """The integer vectors v, as a tuple, for which the closed box
+    [bmin, bmax] + den * v meets the closed box [amin, amax].
+
+    ``den`` is the common denominator the boxes were lifted by, or 1 for
+    boxes given as rationals (``x // 1`` is the floor of a rational).
+    """
     ranges = []
     for k in range(3):
-        lo = rceil(amin[k] - bmax[k])
-        hi = rfloor(amax[k] - bmin[k])
+        lo = -((bmax[k] - amin[k]) // den)
+        hi = (amax[k] - bmin[k]) // den
         if lo > hi:
             return ()
         ranges.append(range(lo, hi + 1))
-    return itertools.product(*ranges)
+    return tuple(itertools.product(*ranges))
 
 
 # ---------------------------------------------------------------------------

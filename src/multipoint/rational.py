@@ -73,11 +73,6 @@ def rfloor(q) -> int:
     return int(q.numerator // q.denominator)
 
 
-def rceil(q) -> int:
-    """Ceiling of a rational as a plain int."""
-    return -rfloor(-q)
-
-
 __all__ = [
     "Rat",
     "GMPY2",
@@ -88,5 +83,4 @@ __all__ = [
     "format_rational",
     "format_point",
     "rfloor",
-    "rceil",
 ]

@@ -54,7 +54,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .rational import ONE, ZERO, parse_rational, rat, rceil, rfloor
+from .rational import ONE, ZERO, parse_rational, rat, rfloor
 from .exactgeom import (
     DEGENERATE,
     GeneralPositionError,
@@ -307,7 +307,6 @@ class Mesh3:
             raise MeshBuildError("edge-matching: empty mesh")
         self.triangles = tuple(tris)
         self._normals = tuple(normals)
-        self._bbox = tuple(bbox(t) for t in self.triangles)
         self._build_matching()
         self._check_vertex_links()
         self._build_adjacency()
@@ -523,6 +522,7 @@ class Mesh3:
         den = common_denominator(p for t in self.triangles for p in t)
         lifts = [tuple(vlift(p, den) for p in t) for t in self.triangles]
         normals = [tri_normal(t) for t in lifts]
+        boxes = [bbox(t) for t in lifts]
         unlift = rat(1, den)
         home, known = self._certified_pairs()
         violations = []
@@ -535,7 +535,7 @@ class Mesh3:
                     segments.extend(known.get((i, j), ()))
                     continue
                 nb = normals[j]
-                for v in lattice_translates(*self._bbox[i], *self._bbox[j]):
+                for v in lattice_translates(*boxes[i], *boxes[j], den):
                     if i == j and v <= (0, 0, 0):
                         continue
                     detail = f"triangles {i} and {j} + {v}"
@@ -849,18 +849,23 @@ _PROBE_PARAMS = (
 
 
 def _axis_crossings(mesh, axis, probe):
-    total = 0
+    # The flattened triangles and the probe are lifted by their common
+    # denominator D; the probe's lattice translates step by D.
     chart = PlaneChart(axis)
-    for t, tri in enumerate(mesh.triangles):
-        flat = chart.points(tri)
+    flats = [chart.points(tri) for tri in mesh.triangles]
+    den = common_denominator(itertools.chain(*flats, (probe,)))
+    probe = vlift(probe, den)
+    total = 0
+    for flat in flats:
+        flat = tuple(vlift(p, den) for p in flat)
         area2 = cross2(vsub(flat[1], flat[0]), vsub(flat[2], flat[0]))
         mins, maxs = bbox(flat)
         ranges = [
-            range(rceil(mins[k] - probe[k]), rfloor(maxs[k] - probe[k]) + 1)
+            range(-((probe[k] - mins[k]) // den), (maxs[k] - probe[k]) // den + 1)
             for k in range(2)
         ]
         for u in itertools.product(*ranges):
-            pt = vadd(probe, u)
+            pt = vadd(probe, vscale(den, u))
             if area2 == 0:
                 # the triangle contains the probe direction; the probe
                 # line must stay clear of its projected image
@@ -899,23 +904,31 @@ def ambient_class_h2(mesh):
 # crossing counts against a translated copy of the mesh
 
 
-def _segment_contacts(mesh, segs, w=None):
+def _segment_contacts(mesh, segs, w=(0, 0, 0)):
     """Contacts of 3-space segments with every lift of the mesh translated by w.
 
-    Yields ``(triangle, lattice translate, hit)`` for each lift the segment
-    touches, where ``hit`` is a :class:`SegmentHit` or ``DEGENERATE``.
+    The triangles (translated by w) and the segments are lifted by their
+    common denominator D, and the predicates run on the integer lifts.
+    Returns D and an iterator of ``(triangle, lattice translate, hit)`` for
+    each lift a segment touches, where ``hit`` is a :class:`SegmentHit` on
+    the lifts (its point is D times the contact point) or ``DEGENERATE``.
     """
-    tris, boxes = mesh.triangles, mesh._bbox
-    if w is not None:
-        tris = [_shift_tri(tri, w) for tri in tris]
-        boxes = [(vadd(lo, w), vadd(hi, w)) for lo, hi in boxes]
-    for (p, q) in segs:
-        smin, smax = bbox((p, q))
-        for t, (tri, (tmin, tmax)) in enumerate(zip(tris, boxes)):
-            for v in lattice_translates(smin, smax, tmin, tmax):
-                h = segment_triangle_hit(p, q, _shift_tri(tri, v))
-                if h is not None:
-                    yield t, v, h
+    den = common_denominator(itertools.chain(*mesh.triangles, *segs, (w,)))
+    shift = vlift(w, den)
+    tris = [tuple(vadd(vlift(p, den), shift) for p in tri) for tri in mesh.triangles]
+    boxes = [bbox(tri) for tri in tris]
+    lifted = [(vlift(p, den), vlift(q, den)) for p, q in segs]
+
+    def contacts():
+        for p, q in lifted:
+            smin, smax = bbox((p, q))
+            for t, (tri, (tmin, tmax)) in enumerate(zip(tris, boxes)):
+                for v in lattice_translates(smin, smax, tmin, tmax, den):
+                    h = segment_triangle_hit(p, q, _shift_tri(tri, vscale(den, v)))
+                    if h is not None:
+                        yield t, v, h
+
+    return den, contacts()
 
 
 def _crossings_with_translate(mesh, segs, w):
@@ -924,7 +937,8 @@ def _crossings_with_translate(mesh, segs, w):
     Returns None as soon as any contact is non-transverse.
     """
     total = 0
-    for _, _, h in _segment_contacts(mesh, segs, w):
+    _, contacts = _segment_contacts(mesh, segs, w)
+    for _, _, h in contacts:
         if h is DEGENERATE:
             return None
         total += 1
@@ -958,10 +972,12 @@ def mesh_segment_hits(mesh, segs):
     non-transverse contact.
     """
     hits = []
-    for t, v, h in _segment_contacts(mesh, segs):
+    den, contacts = _segment_contacts(mesh, segs)
+    unlift = rat(1, den)
+    for t, v, h in contacts:
         if h is DEGENERATE:
             raise GenericityError(f"non-transverse contact with triangle {t} + {v}")
-        hits.append((t, vsub(h.point, v)))
+        hits.append((t, vsub(vscale(unlift, h.point), v)))
     return hits
 
 

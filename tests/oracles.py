@@ -324,3 +324,86 @@ def plane_torus_h2(u, v):
     of the integer normal vector."""
     n = _int_cross(u, v)
     return tuple(abs(c) % 2 for c in n)
+
+
+# --- rational references for the left-hand-side crossing counts -----------
+#
+# Both walks run on Fraction coordinates, with no common denominator: the
+# library counts the same crossings on integer lifts.
+
+
+def pairing_mod2_reference(curve_a, comp_a, curve_b, retry_budget=16):
+    """The pushoff pairing of one component of ``curve_a`` with ``curve_b``,
+    counted on Fraction coordinates with every piece of the component
+    scanned against every offset piece.
+
+    Returns ``(bit, epsilon)``, the epsilon being the one at which every
+    contact was a strict crossing.
+    """
+    from multipoint.curves2d import initial_epsilon
+    from multipoint.exactgeom import (
+        GenericityError,
+        PushoffCollision,
+        require_general_position,
+        strict_crossing,
+    )
+
+    require_general_position(curve_a)
+    epsilon = initial_epsilon(require_general_position(curve_b).min_sep_sq)
+    for _ in range(retry_budget):
+        try:
+            offsets = curve_b.pushoff(epsilon)
+        except PushoffCollision:
+            epsilon = epsilon / 2
+            continue
+        count = 0
+        for piece in curve_a.components[comp_a].pieces:
+            for off in offsets:
+                if off.chart != piece.square:
+                    continue
+                res = seg_intersect((piece.p0, piece.p1), (off.start, off.end))
+                if res is None:
+                    continue
+                if not strict_crossing(res):
+                    count = None
+                    break
+                count += 1
+            if count is None:
+                break
+        if count is not None:
+            return count % 2, epsilon
+        epsilon = epsilon / 2
+    raise GenericityError("pushoff retry budget exhausted")
+
+
+def segment_contacts_reference(mesh, segs, w=(0, 0, 0)):
+    """Contacts of 3-space segments with every lift of the mesh translated
+    by ``w``, on Fraction coordinates.
+
+    Returns ``[(triangle, lattice translate, hit)]`` in the library's walk
+    order, ``hit`` being a ``SegmentHit`` at the true contact point or
+    ``DEGENERATE``.  The lattice translates come from ``math.ceil`` and
+    ``math.floor`` of the box differences.
+    """
+    import itertools
+    import math
+
+    from multipoint.exactgeom import segment_triangle_hit, vadd
+
+    out = []
+    for p, q in segs:
+        smin = tuple(map(min, p, q))
+        smax = tuple(map(max, p, q))
+        for t, tri in enumerate(mesh.triangles):
+            tri = tuple(vadd(x, w) for x in tri)
+            tmin = tuple(map(min, *tri))
+            tmax = tuple(map(max, *tri))
+            ranges = [
+                range(math.ceil(smin[k] - tmax[k]), math.floor(smax[k] - tmin[k]) + 1)
+                for k in range(3)
+            ]
+            for v in itertools.product(*ranges):
+                h = segment_triangle_hit(p, q, tuple(vadd(x, v) for x in tri))
+                if h is not None:
+                    out.append((t, v, h))
+    return out

@@ -1,6 +1,8 @@
 """Exact geometry kernel: intersections, separation, charts, pushoffs."""
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +27,7 @@ from multipoint.exactgeom import (
     coplanar_tri_relation,
     dist2,
     dist2_point_seg,
+    lattice_translates,
     pushoff_polyline,
     seg_intersect,
     segment_triangle_hit,
@@ -418,6 +421,53 @@ def test_segment_triangle_back_substitution(p, q, tri):
 
 
 # ---------------------------------------------------------------------------
+# the lattice box test
+
+
+def _translates_brute_force(amin, amax, bmin, bmax, den):
+    """The v in a window around both boxes for which [bmin, bmax] / den + v
+    meets [amin, amax] / den, tested on rationals."""
+    lo = [rat(c, den) for c in amin + bmin]
+    hi = [rat(c, den) for c in amax + bmax]
+    reach = int(max(abs(c) for c in lo + hi)) * 2 + 2
+    return tuple(
+        v
+        for v in itertools.product(range(-reach, reach + 1), repeat=3)
+        if all(
+            rat(bmin[k], den) + v[k] <= rat(amax[k], den)
+            and rat(amin[k], den) <= rat(bmax[k], den) + v[k]
+            for k in range(3)
+        )
+    )
+
+
+def test_lattice_translates_of_boxes_touching_at_a_face():
+    # B + 3 (0, v1, v2) touches A at the face x = 0 and B + 3 (2, v1, v2)
+    # at x = 3: closed boxes meet there
+    a = ((0, 0, 0), (3, 3, 3))
+    b = ((-3, 0, 0), (0, 3, 3))
+    want = tuple(itertools.product(range(0, 3), range(-1, 2), range(-1, 2)))
+    assert lattice_translates(*a, *b, 3) == want
+    # one unit further apart, the faces no longer touch
+    assert lattice_translates(*a, (-4, 0, 0), (-1, 3, 3), 3) == tuple(
+        itertools.product(range(1, 3), range(-1, 2), range(-1, 2))
+    )
+    # a box narrower than den meets no translate of a point between lifts
+    assert lattice_translates((1, 1, 1), (2, 2, 2), (0, 0, 0), (0, 0, 0), 3) == ()
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 7, 12])
+def test_lattice_translates_match_brute_force(den):
+    rng = random.Random(den)
+    for _ in range(20):
+        boxes = []
+        for _ in range(2):
+            lo = [rng.randint(-2 * den, den) for _ in range(3)]
+            boxes += [tuple(lo), tuple(c + rng.randint(0, den) for c in lo)]
+        assert lattice_translates(*boxes, den) == _translates_brute_force(*boxes, den)
+
+
+# ---------------------------------------------------------------------------
 # integer inputs: certification runs the predicates on D-scaled coordinates
 
 BIG = 3 * 2**60  # above 2**53, and a multiple of every denominator below
@@ -484,6 +534,18 @@ BIG_CASES = {
     segment_triangle_hit: (
         (_pt(rat(1, 3), 1, -1), _pt(rat(1, 2), rat(2, 3), rat(1, 2)), TRI_A),
         lambda h: SegmentHit(_down(h.point), h.ta),
+    ),
+    # rational boxes with den = 1, whose BIG-scaled copy has den = BIG; the
+    # boxes touch at the faces x = -1 and z = 1 of the first box
+    lattice_translates: (
+        (
+            _pt(-1, rat(-1, 3), rat(-5, 2)),
+            _pt(rat(1, 2), rat(7, 3), 1),
+            _pt(rat(-3, 2), rat(2, 3), 0),
+            _pt(0, 1, rat(1, 2)),
+            1,
+        ),
+        lambda r: r,
     ),
 }
 

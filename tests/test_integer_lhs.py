@@ -1,0 +1,215 @@
+"""The left-hand-side crossing counts against their rational references.
+
+``curves2d.pairing_mod2`` and the 3-torus contact walk behind
+``crossings_mod2_with_generic_translate`` and ``mesh_segment_hits`` run on
+integer lifts by one common denominator.  These tests compare them with
+the Fraction walks kept in ``oracles`` and check that the predicates they
+call receive only ints.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import oracles
+from multipoint import curves2d, herbert, surfaces3d
+from multipoint.curves2d import MultiCurve, initial_epsilon, pairing_mod2
+from multipoint.exactgeom import DEGENERATE, GenericityError, vscale, vsub
+from multipoint.generate import CURVE_AMBIENTS, TORI_AMBIENT, GeneratorConfig, generate
+from multipoint.rational import rat
+from multipoint.scene import parse_scene
+from multipoint.surface2d import torus_complex
+from multipoint.surfaces3d import crossings_mod2_with_generic_translate, mesh_segment_hits
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# ---------------------------------------------------------------------------
+# curves: the pushoff pairing
+
+
+def _generated_curve(ambient, seed, components):
+    config = GeneratorConfig(ambient=ambient, seed=seed, components=components)
+    return generate(config).multicurve("c")
+
+
+@pytest.mark.parametrize("ambient", CURVE_AMBIENTS)
+def test_pairing_matches_rational_reference_on_generated_scenes(ambient):
+    curves = [
+        _generated_curve(ambient, seed, components)
+        for seed in range(12)
+        for components in ((1, 1), (2, 2))
+    ]
+    for a, b in zip(curves, curves[1:] + curves[:1]):
+        for curve_b in (a, b):
+            for i in range(len(a.components)):
+                bit, _ = oracles.pairing_mod2_reference(a, i, curve_b)
+                assert pairing_mod2(a, i, curve_b) == bit
+
+
+def test_pairing_matches_rational_reference_after_a_pushoff_retry():
+    # the pushoff of this scene fails at the first epsilon and succeeds
+    # after eight halvings
+    curve = _generated_curve("torus", 22, (1, 1))
+    bit, epsilon = oracles.pairing_mod2_reference(curve, 0, curve)
+    assert epsilon == initial_epsilon(curve.certify().min_sep_sq) / 256
+    assert pairing_mod2(curve, 0, curve) == bit
+
+
+def test_pairing_retries_after_a_collision_while_counting():
+    # b's pushoff at the first epsilon (1/16) is the line x = 7/16, which
+    # passes through the vertex (7/16, 2/5) of a: the count must halve
+    # epsilon once and count the single crossing with x = 15/32
+    cx = torus_complex()
+    b = MultiCurve.build(cx, [[(0, (rat(1, 2), rat(1, 4))), (0, (rat(1, 2), rat(5, 4)))]])
+    a = MultiCurve.build(
+        cx,
+        [[(0, (rat(1, 4), rat(1, 3))), (0, (rat(7, 16), rat(2, 5))), (0, (rat(5, 4), rat(1, 3)))]],
+    )
+    first = initial_epsilon(b.certify().min_sep_sq)
+    assert first == rat(1, 16)
+    assert pairing_mod2(a, 0, b) == 1
+    assert set(b._pushoffs) == {first, first / 2}
+    assert oracles.pairing_mod2_reference(a, 0, b) == (1, first / 2)
+    with pytest.raises(GenericityError):
+        pairing_mod2(a, 0, b, retry_budget=1)
+
+
+# ---------------------------------------------------------------------------
+# the 3-torus: crossings with a translated mesh
+
+
+def _bench_scene_text(seed, index):
+    """Scene text from ``bench/scenes.py``, loaded by path (bench/ is no package)."""
+    spec = importlib.util.spec_from_file_location("bench_scenes", ROOT / "bench" / "scenes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scene_text(seed, index)
+
+
+GENERATED = [(seed, sheets) for seed in range(1, 5) for sheets in (2, 3)]
+TORI_CASES = (
+    [f"gen{seed}-{sheets}" for seed, sheets in GENERATED]
+    + ["two-tori-cycle"]
+    + [f"bench{index}" for index in range(4)]
+)
+
+
+@pytest.fixture(scope="module")
+def tori_cases():
+    """Case name -> (mesh, segment lists) for generated 2-3-sheet scenes
+    with a cycle, ``docs/two-tori-cycle.scene`` and the default-seed scenes
+    of the ``tori-large`` workload."""
+    cases = {}
+    for seed, sheets in GENERATED:
+        config = GeneratorConfig(
+            universe="tori",
+            ambient=TORI_AMBIENT,
+            components=(sheets, sheets),
+            seed=seed,
+            with_cycle=True,
+        )
+        scene = generate(config)
+        mesh = scene.mesh("f")
+        seg_lists = [[(s.p, s.q) for s in mesh.double_segments()]]
+        for name in scene.cycles:
+            cycle = scene.mesh_cycle(name, mesh)
+            seg_lists.append([(p, q) for (_, p, q) in cycle.segments])
+        cases[f"gen{seed}-{sheets}"] = (mesh, seg_lists)
+    scene = parse_scene((ROOT / "docs" / "two-tori-cycle.scene").read_text(encoding="utf-8"))
+    mesh = scene.mesh("f")
+    cycle = scene.mesh_cycle("g", mesh)
+    cases["two-tori-cycle"] = (
+        mesh,
+        [[(s.p, s.q) for s in mesh.double_segments()], [(p, q) for (_, p, q) in cycle.segments]],
+    )
+    for index in range(4):
+        mesh = parse_scene(_bench_scene_text(0, index)).mesh("f")
+        cases[f"bench{index}"] = (mesh, [[(s.p, s.q) for s in mesh.double_segments()]])
+    return cases
+
+
+def _lifted_contacts(mesh, segs, w):
+    den, contacts = surfaces3d._segment_contacts(mesh, segs, w)
+    unlift = rat(1, den)
+    return [
+        (t, v, h if h is DEGENERATE else (h.ta, vscale(unlift, h.point)))
+        for t, v, h in contacts
+    ]
+
+
+def _reference_contacts(mesh, segs, w):
+    return [
+        (t, v, h if h is DEGENERATE else (h.ta, h.point))
+        for t, v, h in oracles.segment_contacts_reference(mesh, segs, w)
+    ]
+
+
+@pytest.mark.parametrize("name", TORI_CASES)
+def test_translate_steps_match_rational_reference(tori_cases, name):
+    mesh, seg_lists = tori_cases[name]
+    assert mesh.certify().ok
+    for segs in seg_lists:
+        assert segs
+        d = rat(1, 8)
+        for _ in range(16):
+            w = (d, d * d, d * d * d)
+            want = _reference_contacts(mesh, segs, w)
+            assert _lifted_contacts(mesh, segs, w) == want
+            if all(h is not DEGENERATE for _, _, h in want):
+                break
+            d = d / 2
+        else:
+            pytest.fail("no generic translate")
+        assert crossings_mod2_with_generic_translate(mesh, segs) == len(want) % 2
+
+
+@pytest.mark.parametrize("name", TORI_CASES)
+def test_mesh_segment_hits_match_rational_reference(tori_cases, name):
+    mesh, seg_lists = tori_cases[name]
+    segs = seg_lists[0]
+    # the double segments lie on the mesh
+    with pytest.raises(GenericityError):
+        mesh_segment_hits(mesh, segs)
+    # moved off the mesh, they cross it (or not) at points both walks agree on
+    w = (rat(1, 8), rat(1, 64), rat(1, 512))
+    moved = [(vsub(p, w), vsub(q, w)) for p, q in segs]
+    want = [
+        (t, vsub(h.point, v))
+        for t, v, h in oracles.segment_contacts_reference(mesh, moved)
+    ]
+    assert mesh_segment_hits(mesh, moved) == want
+
+
+# ---------------------------------------------------------------------------
+# the predicates of both counts see only ints
+
+
+def test_lhs_predicates_receive_only_integers(monkeypatch):
+    coordinates = {"seg_intersect": [], "segment_triangle_hit": []}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            for x in args:
+                points = (x,) if not isinstance(x[0], tuple) else x
+                coordinates[name].extend(c for p in points for c in p)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(curves2d, "seg_intersect")
+    spy(surfaces3d, "segment_triangle_hit")
+
+    curve = _generated_curve("klein", 3, (2, 2))
+    assert herbert.verify(curve, scene_id="c").all_pass
+    scene = parse_scene((ROOT / "docs" / "two-tori-cycle.scene").read_text(encoding="utf-8"))
+    mesh = scene.mesh("f")
+    report = herbert.verify(mesh, targets={"g": scene.mesh_cycle("g", mesh)}, scene_id="f")
+    assert report.all_pass and len(report.rows) == 2
+
+    for name, coords in coordinates.items():
+        assert coords, name
+        assert {type(c) for c in coords} == {int}, name

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from multipoint.rational import rat
 from multipoint.scene import parse_scene
-from multipoint.exactgeom import floor_vec, vadd, vscale, vsub
+from multipoint.exactgeom import floor_vec, frac_vec, vadd, vscale, vsub
 from multipoint.surfaces3d import (
     CycleError,
     GeneralPositionError,
@@ -539,24 +539,56 @@ def _summary(mesh, perm=(0, 1, 2)):
     return cert.ok, cert.n_double_segments, circles, triples
 
 
+def _lhs_summary(mesh, other, perm=(0, 1, 2)):
+    """The degree-2 LHS bit of a mesh and the hits of its double segments
+    on another mesh, each hit given by its point modulo the lattice and
+    the hit triangle's vertices relative to it, read through ``perm``."""
+
+    def P(p):
+        return tuple(p[k] for k in perm)
+
+    segs = [(s.p, s.q) for s in mesh.double_segments()]
+    hits = sorted(
+        (frac_vec(P(x)), sorted(P(vsub(v, x)) for v in other.triangles[t]))
+        for t, x in mesh_segment_hits(other, segs)
+    )
+    return herbert_lhs_r2(mesh), hits
+
+
 def test_large_scene_is_invariant_under_translation_permutation_and_shuffle():
     mesh = parse_scene(_bench_scene_text(0, 3)).mesh("f")
     assert len(mesh.triangles) == 40
+    # the double segments are counted against a translated copy of the mesh
+    w = (rat(1, 8), rat(1, 64), rat(1, 512))
+    other = Mesh3([[vadd(p, w) for p in t] for t in mesh.triangles])
+
+    def remap(f):
+        return (
+            Mesh3([[f(p) for p in t] for t in mesh.triangles]),
+            Mesh3([[f(p) for p in t] for t in other.triangles]),
+        )
+
     base = _summary(mesh)
     assert base[0] and len(base[2]) > 10 and len(base[3]) > 10
+    base_lhs = _lhs_summary(mesh, other)
+    assert len(base_lhs[1]) > 10
 
     shift = (1, -2, 3)
-    moved = Mesh3([[vadd(p, shift) for p in t] for t in mesh.triangles])
+    moved, moved_other = remap(lambda p: vadd(p, shift))
     assert _summary(moved) == base
+    assert _lhs_summary(moved, moved_other) == base_lhs
 
     for perm in ((1, 2, 0), (1, 0, 2)):  # an even and an odd permutation
-        permuted = Mesh3([[tuple(p[k] for k in perm) for p in t] for t in mesh.triangles])
+        permuted, permuted_other = remap(lambda p: tuple(p[k] for k in perm))
         inverse = tuple(perm.index(k) for k in range(3))
         assert _summary(permuted, inverse) == base
+        assert _lhs_summary(permuted, permuted_other, inverse) == base_lhs
 
-    order = list(mesh.triangles)
+    order, other_order = list(mesh.triangles), list(other.triangles)
     random.Random(0).shuffle(order)
+    random.Random(1).shuffle(other_order)
     assert _summary(Mesh3(order)) == base
+    assert _lhs_summary(Mesh3(order), Mesh3(other_order)) == base_lhs
 
 
 # ---------------------------------------------------------------------------
