@@ -107,9 +107,6 @@ class EvaluationFunctional:
 
     entries: tuple  # (name, bit) pairs
 
-    def as_dict(self):
-        return dict(self.entries)
-
     def __getitem__(self, name):
         for n, b in self.entries:
             if n == name:
@@ -246,26 +243,67 @@ def add(a, b):
 
 
 # ---------------------------------------------------------------------------
-# internal product
+# r-fold points and their split between the parts of a union
+
+# (universe, r) whose r-fold points a representative carries: the double
+# points of curves, and the double circles and triple points of surfaces
+_R_FOLD = {(CURVES_IN_SURFACE, 2), (SURFACES_IN_3TORUS, 2), (SURFACES_IN_3TORUS, 3)}
+
+# the pairs whose product and pullback are read off the double points of
+# their union
+_UNION_PAIRS = (
+    (CURVES_IN_SURFACE, CURVES_IN_SURFACE),
+    (SURFACES_IN_3TORUS, SURFACES_IN_3TORUS),
+)
 
 
-def _mixed_double_points(curve, n_first):
-    """Double points of a union multicurve split by component origin.
+def _r_fold_points(payload, r):
+    """Each r-fold point of a certified payload with its r sheets.
 
-    Returns (first-only, second-only, mixed) tuples of
-    ``(square, point, branches)`` with branches sorted.
+    A sheet is ``(source, data)``: ``source`` is the component or triangle
+    it lies on, and ``data`` is the branch ``(component, segment, t)`` of a
+    curve double point, the preimage circle of a double circle, or the
+    source point ``(triangle, point)`` of a triple point.  A preimage circle
+    that covers its double circle twice is both of its sheets.
     """
-    first, second, mixed = [], [], []
-    for dp in double_points(curve):
-        sides = {branch[0] < n_first for branch in dp.branches}
-        entry = (dp.square, dp.point, dp.branches)
-        if sides == {True}:
-            first.append(entry)
-        elif sides == {False}:
-            second.append(entry)
-        else:
-            mixed.append(entry)
-    return tuple(first), tuple(second), tuple(mixed)
+    if isinstance(payload, MultiCurve):
+        return [
+            (dp, tuple((branch[0], branch) for branch in dp.branches))
+            for dp in double_points(payload)
+        ]
+    if r == 2:
+        points = []
+        for dc in payload.double_curves():
+            circles = dc.preimages * (2 // len(dc.preimages))
+            points.append((dc, tuple((pc.arcs[0][0], pc) for pc in circles)))
+        return points
+    return [
+        (tp, tuple((pre[0], pre) for pre in tp.preimages))
+        for tp in payload.triple_points().points
+    ]
+
+
+def _part_size(cls):
+    """The number of sources (components or triangles) of a class."""
+    if isinstance(cls.payload, MultiCurve):
+        return len(cls.payload.components)
+    return len(cls.payload.triangles)
+
+
+def _by_part(union, n_first, r):
+    """The r-fold points of a union keyed by k, the number of their sheets
+    on the first part (the sources numbered below ``n_first``).
+
+    Every k from 0 to r is a key.  An entry is ``(point, first, second)``,
+    the point with the data of its sheets on the first part and on the
+    second.
+    """
+    parts = {k: [] for k in range(r + 1)}
+    for point, sheets in _r_fold_points(union, r):
+        first = tuple(data for source, data in sheets if source < n_first)
+        second = tuple(data for source, data in sheets if source >= n_first)
+        parts[len(first)].append((point, first, second))
+    return parts
 
 
 def _circle_record(dc):
@@ -273,71 +311,44 @@ def _circle_record(dc):
     return (tuple(sorted(dc.canonical)), dc.h1)
 
 
-def _curve_sides(dc, n_first):
-    """Which source sides (f/g triangles) a union double curve touches."""
-    sides = set()
-    for pc in dc.preimages:
-        for (tri, _, _) in pc.arcs:
-            sides.add(tri < n_first)
-    return sides
+def _point_class(cls, r, entries, bits):
+    """The class of r-fold points in ``psi_r``'s record format.
+
+    ``entries`` are ``_r_fold_points`` or ``_by_part`` entries of a payload
+    whose sources include those of ``cls``; ``bits`` holds one structure
+    bit per component of that payload.  A curve double point is recorded
+    as ``(square, point)`` with the sorted bits of its two components, a
+    double circle as ``(canonical, h1)`` with the sorted w1 of its preimage
+    circles, and a triple point as its target, with no structure.
+    """
+    points = [entry[0] for entry in entries]
+    if cls.universe == CURVES_IN_SURFACE:
+        records = [(dp.square, dp.point) for dp in points]
+        structure = [
+            tuple(sorted(bits[branch[0]] for branch in dp.branches))
+            for dp in points
+        ]
+        return _sorted_class(POINTS_IN_SURFACE, cls.ambient, records, structure)
+    if r == 2:
+        records = [_circle_record(dc) for dc in points]
+        structure = [tuple(sorted(pc.w1 for pc in dc.preimages)) for dc in points]
+        return _sorted_class(CURVES_IN_3TORUS, AMBIENT_T3, records, structure)
+    targets = sorted(tp.target for tp in points)
+    return RepresentedClass(POINTS_IN_3TORUS, AMBIENT_T3, tuple(targets))
 
 
-def _split_double_curves(mesh, n_first):
-    first, second, mixed = [], [], []
-    for dc in mesh.double_curves():
-        sides = _curve_sides(dc, n_first)
-        if sides == {True}:
-            first.append(dc)
-        elif sides == {False}:
-            second.append(dc)
-        else:
-            mixed.append(dc)
-    return first, second, mixed
+# ---------------------------------------------------------------------------
+# internal product
 
 
-def _split_triple_points(mesh, n_first):
-    """Union triple points keyed by how many preimages sit on the first part."""
-    buckets = {0: [], 1: [], 2: [], 3: []}
-    for tp in mesh.triple_points().points:
-        k = sum(1 for (tri, _) in tp.preimages if tri < n_first)
-        buckets[k].append(tp)
-    return buckets
-
-
-def _mixed_points_class(a, b, union):
-    """The product of curve classes a and b, read off the union of their
-    payloads (a's components first)."""
-    _, _, mixed = _mixed_double_points(union, len(a.payload.components))
-    n_first = len(a.payload.components)
-    points = []
-    structure = []
-    for square, point, branches in mixed:
-        points.append((square, point))
-        bits = []
-        for comp, _, _ in branches:
-            src = a if comp < n_first else b
-            idx = comp if comp < n_first else comp - n_first
-            bits.append(src.structure[idx])
-        structure.append(tuple(sorted(bits)))
-    return _sorted_class(POINTS_IN_SURFACE, a.ambient, points, structure)
-
-
-def _mixed_circles_class(a, union):
-    """The product of mesh class a with the other part of ``union``, the
-    union of their payloads with a's triangles first."""
-    _, _, mixed = _split_double_curves(union, len(a.payload.triangles))
-    records = []
-    structure = []
-    for dc in mixed:
-        records.append(_circle_record(dc))
-        structure.append(tuple(sorted(pc.w1 for pc in dc.preimages)))
-    return _sorted_class(CURVES_IN_3TORUS, AMBIENT_T3, records, structure)
+def _circle_hits(circles, mesh_cls):
+    """The ``(triangle, point)`` hits of circles in the 3-torus on a mesh."""
+    segs = [seg for (canonical, _) in circles.payload for seg in canonical]
+    return mesh_segment_hits(mesh_cls.payload, segs)
 
 
 def _product_circles_mesh(circles, mesh_cls):
-    segs = [seg for (canonical, _) in circles.payload for seg in canonical]
-    hits = mesh_segment_hits(mesh_cls.payload, segs)
-    points = {frac_vec(point) for _, point in hits}
+    points = {frac_vec(point) for _, point in _circle_hits(circles, mesh_cls)}
     return RepresentedClass(
         POINTS_IN_3TORUS, AMBIENT_T3, tuple(sorted(points))
     )
@@ -364,10 +375,10 @@ def internal_product(a, b):
     if _dims_a[0] + _dims_b[0] - _dims_a[1] < 0:
         return empty_class(a.ambient, note=GENERICALLY_EMPTY)
     pair = (a.universe, b.universe)
-    if pair == (CURVES_IN_SURFACE, CURVES_IN_SURFACE):
-        return _mixed_points_class(a, b, a.payload.union(b.payload))
-    if pair == (SURFACES_IN_3TORUS, SURFACES_IN_3TORUS):
-        return _mixed_circles_class(a, a.payload.union(b.payload))
+    if pair in _UNION_PAIRS:
+        # the double points of a ⊔ b with one sheet on each part
+        mixed = _by_part(a.payload.union(b.payload), _part_size(a), 2)[1]
+        return _point_class(a, 2, mixed, a.structure + b.structure)
     if pair == (CURVES_IN_3TORUS, SURFACES_IN_3TORUS):
         return _product_circles_mesh(a, b)
     if pair == (SURFACES_IN_3TORUS, CURVES_IN_3TORUS):
@@ -390,45 +401,27 @@ def pullback_class(g, f):
     if g.is_empty:
         raise ValueError("cannot pull back along the empty class")
     pair = (g.universe, f.universe)
-    if pair == (CURVES_IN_SURFACE, CURVES_IN_SURFACE):
+    if pair in _UNION_PAIRS:
         if g.ambient != f.ambient:
             raise ValueError("classes live over different ambients")
         union = g.payload.union(f.payload)
         require_general_position(union)
-        _, _, mixed = _mixed_double_points(union, len(g.payload.components))
-        n_first = len(g.payload.components)
-        params = []
-        structure = []
-        for _, _, branches in mixed:
-            g_branch = next(b for b in branches if b[0] < n_first)
-            f_branch = next(b for b in branches if b[0] >= n_first)
-            params.append(g_branch)
-            structure.append(f.structure[f_branch[0] - n_first])
-        return _sorted_class(POINTS_ON_SOURCE_CIRCLES, g.payload, params, structure)
-    if pair == (SURFACES_IN_3TORUS, SURFACES_IN_3TORUS):
-        union = g.payload.union(f.payload)
-        require_general_position(union)
-        _, _, mixed = _split_double_curves(union, len(g.payload.triangles))
-        n_first = len(g.payload.triangles)
-        records = []
-        structure = []
-        for dc in mixed:
-            g_side = next(
-                pc for pc in dc.preimages if pc.arcs[0][0] < n_first
+        # each double point of g ⊔ f with one sheet on each part gives the
+        # point of g's sheet, carrying the structure of f's sheet
+        mixed = _by_part(union, _part_size(g), 2)[1]
+        if g.universe == CURVES_IN_SURFACE:
+            params = [on_g for _, (on_g,), _ in mixed]
+            bits = g.structure + f.structure
+            structure = [bits[on_f[0]] for _, _, (on_f,) in mixed]
+            return _sorted_class(
+                POINTS_ON_SOURCE_CIRCLES, g.payload, params, structure
             )
-            f_side = next(
-                pc for pc in dc.preimages if pc.arcs[0][0] >= n_first
-            )
-            records.append((g_side.arcs, g_side.w1))
-            structure.append(f_side.w1)
+        records = [(on_g.arcs, on_g.w1) for _, (on_g,), _ in mixed]
+        structure = [on_f.w1 for _, _, (on_f,) in mixed]
         return _sorted_class(CURVES_ON_SOURCE_MESH, g.payload, records, structure)
     if pair == (SURFACES_IN_3TORUS, CURVES_IN_3TORUS):
-        segs = [seg for (canonical, _) in f.payload for seg in canonical]
-        hits = mesh_segment_hits(g.payload, segs)
-        points = sorted(set(hits))
-        return RepresentedClass(
-            POINTS_ON_SOURCE_MESH, g.payload, tuple(points)
-        )
+        points = sorted(set(_circle_hits(f, g)))
+        return RepresentedClass(POINTS_ON_SOURCE_MESH, g.payload, tuple(points))
     raise ValueError(f"pullback undefined on {pair!r}")
 
 
@@ -445,36 +438,12 @@ def psi_r(f, r):
     if r == 1:
         return f
     if f.is_empty or f.universe == IDENTITY_UNIVERSE:
-        return empty_class(f.ambient, note=GENERICALLY_EMPTY if r > 1 else "")
-    if f.universe == CURVES_IN_SURFACE:
-        if r == 2:
-            pts = []
-            structure = []
-            for dp in double_points(f.payload):
-                pts.append((dp.square, dp.point))
-                structure.append(
-                    tuple(sorted(f.structure[b[0]] for b in dp.branches))
-                )
-            return _sorted_class(POINTS_IN_SURFACE, f.ambient, pts, structure)
         return empty_class(f.ambient, note=GENERICALLY_EMPTY)
-    if f.universe == SURFACES_IN_3TORUS:
-        if r == 2:
-            records = []
-            structure = []
-            for dc in f.payload.double_curves():
-                records.append(_circle_record(dc))
-                structure.append(tuple(sorted(pc.w1 for pc in dc.preimages)))
-            return _sorted_class(CURVES_IN_3TORUS, AMBIENT_T3, records, structure)
-        if r == 3:
-            targets = sorted(
-                tp.target for tp in f.payload.triple_points().points
-            )
-            return RepresentedClass(
-                POINTS_IN_3TORUS, AMBIENT_T3, tuple(targets)
-            )
-        return empty_class(f.ambient, note=GENERICALLY_EMPTY)
+    if (f.universe, r) in _R_FOLD:
+        return _point_class(f, r, _r_fold_points(f.payload, r), f.structure)
     # 0- and 1-dimensional classes in a higher-dimensional ambient never
-    # self-intersect generically
+    # self-intersect generically, and no r-fold point of a curve in a
+    # surface or of a surface in the 3-torus has r above 2 or 3
     return empty_class(f.ambient, note=GENERICALLY_EMPTY)
 
 
@@ -486,12 +455,8 @@ def mu_r(f, r):
         return empty_class(None)
     if f.universe == CURVES_IN_SURFACE:
         if r == 2:
-            params = []
-            structure = []
-            for dp in double_points(f.payload):
-                for branch in dp.branches:
-                    params.append(branch)
-                    structure.append(f.structure[branch[0]])
+            params = [b for dp in double_points(f.payload) for b in dp.branches]
+            structure = [f.structure[comp] for comp, _, _ in params]
             return _sorted_class(POINTS_ON_SOURCE_CIRCLES, f.payload, params, structure)
         return empty_class(f.payload, note=GENERICALLY_EMPTY)
     if f.universe == SURFACES_IN_3TORUS:
@@ -561,17 +526,13 @@ def check_naturality(g, f):
         raise ValueError("naturality check runs on two surfaces in the 3-torus")
     union = g.payload.union(f.payload)
     require_general_position(union)
-    n_first = len(g.payload.triangles)
 
     segs = [(s.p, s.q) for s in f.payload.double_segments()]
     lhs = sorted(set(mesh_segment_hits(g.payload, segs)))
 
-    rhs = []
-    for tp in union.triple_points().points:
-        g_side = [pre for pre in tp.preimages if pre[0] < n_first]
-        if len(g_side) == 1:
-            rhs.append(g_side[0])
-    rhs = sorted(set(rhs))
+    # triple points of g ⊔ f with one sheet on g, read on that sheet
+    mixed = _by_part(union, _part_size(g), 3)[1]
+    rhs = sorted({on_g for _, (on_g,), _ in mixed})
 
     ok = lhs == rhs
     return CheckReport(
@@ -583,96 +544,55 @@ def check_naturality(g, f):
     )
 
 
+# The r-fold points of f ⊔ g split by k, the number of their sheets on f.
+# Per r, in report order: each k, its label, and the class its piece must
+# equal.  The r = 2 piece f.g has no entry there: the product of f and g is
+# read off this same union, so that piece is the product by definition.
+_CARTAN_PIECES = {
+    2: (
+        (2, "psi2(f)", lambda f, g: psi_r(f, 2)),
+        (0, "psi2(g)", lambda f, g: psi_r(g, 2)),
+        (1, "f.g", None),
+    ),
+    3: (
+        (3, "psi3(f)", lambda f, g: psi_r(f, 3)),
+        (2, "psi2(f).g", lambda f, g: internal_product(psi_r(f, 2), g)),
+        (1, "f.psi2(g)", lambda f, g: internal_product(f, psi_r(g, 2))),
+        (0, "psi3(g)", lambda f, g: psi_r(g, 3)),
+    ),
+}
+
+
 def check_cartan(f, g, r):
     """The r-fold points of a disjoint union split into indexed pieces."""
     if f.universe != g.universe:
         raise ValueError("Cartan check needs classes in one universe")
-    if f.universe == CURVES_IN_SURFACE:
-        if r != 2:
-            raise ValueError("curves in a surface support r = 2 only")
-        union = f.payload.union(g.payload)
-        require_general_position(union)
-        ff, gg, fg = _mixed_double_points(union, len(f.payload.components))
-        whole = tuple(sorted((sq, pt) for sq, pt, _ in ff + gg + fg))
-        piece_f = tuple(sorted((sq, pt) for sq, pt, _ in ff))
-        piece_g = tuple(sorted((sq, pt) for sq, pt, _ in gg))
-        piece_fg = tuple(sorted((sq, pt) for sq, pt, _ in fg))
-        ok = (
-            piece_f == psi_r(f, 2).payload
-            and piece_g == psi_r(g, 2).payload
-            and piece_fg == _mixed_points_class(f, g, union).payload
-            and tuple(sorted(piece_f + piece_g + piece_fg)) == whole
-            and len(piece_f) + len(piece_g) + len(piece_fg) == len(whole)
-        )
-        return CheckReport(
-            "cartan",
-            ok,
-            whole,
-            (("psi2(f)", piece_f), ("psi2(g)", piece_g), ("f.g", piece_fg)),
-            f"r=2 split {len(piece_f)}+{len(piece_g)}+{len(piece_fg)}",
-        )
-    if f.universe == SURFACES_IN_3TORUS:
-        union = f.payload.union(g.payload)
-        require_general_position(union)
-        n_first = len(f.payload.triangles)
-        if r == 2:
-            first, second, mixed = _split_double_curves(union, n_first)
-            piece_f = tuple(sorted(_circle_record(dc) for dc in first))
-            piece_g = tuple(sorted(_circle_record(dc) for dc in second))
-            piece_fg = tuple(sorted(_circle_record(dc) for dc in mixed))
-            whole = tuple(
-                sorted(_circle_record(dc) for dc in union.double_curves())
-            )
-            ok = (
-                piece_f == psi_r(f, 2).payload
-                and piece_g == psi_r(g, 2).payload
-                and piece_fg == _mixed_circles_class(f, union).payload
-                and tuple(sorted(piece_f + piece_g + piece_fg)) == whole
-            )
-            return CheckReport(
-                "cartan",
-                ok,
-                whole,
-                (
-                    ("psi2(f)", piece_f),
-                    ("psi2(g)", piece_g),
-                    ("f.g", piece_fg),
-                ),
-                f"r=2 split {len(piece_f)}+{len(piece_g)}+{len(piece_fg)}",
-            )
-        if r == 3:
-            buckets = _split_triple_points(union, n_first)
-            pieces = {
-                k: tuple(sorted(tp.target for tp in tps))
-                for k, tps in buckets.items()
-            }
-            whole = tuple(
-                sorted(tp.target for tp in union.triple_points().points)
-            )
-            expected = {
-                3: psi_r(f, 3).payload,
-                0: psi_r(g, 3).payload,
-                2: internal_product(psi_r(f, 2), g).payload,
-                1: internal_product(f, psi_r(g, 2)).payload,
-            }
-            ok = all(pieces[k] == expected[k] for k in range(4)) and tuple(
-                sorted(sum((pieces[k] for k in range(4)), ()))
-            ) == whole
-            return CheckReport(
-                "cartan",
-                ok,
-                whole,
-                (
-                    ("psi3(f)", pieces[3]),
-                    ("psi2(f).g", pieces[2]),
-                    ("f.psi2(g)", pieces[1]),
-                    ("psi3(g)", pieces[0]),
-                ),
-                "r=3 split "
-                + "+".join(str(len(pieces[k])) for k in (3, 2, 1, 0)),
-            )
+    if f.universe == CURVES_IN_SURFACE and r != 2:
+        raise ValueError("curves in a surface support r = 2 only")
+    if f.universe == SURFACES_IN_3TORUS and r not in (2, 3):
         raise ValueError("surfaces in the 3-torus support r = 2 and r = 3")
-    raise ValueError(f"Cartan check undefined on universe {f.universe!r}")
+    if (f.universe, r) not in _R_FOLD:
+        raise ValueError(f"Cartan check undefined on universe {f.universe!r}")
+    union = f.payload.union(g.payload)
+    require_general_position(union)
+    bits = f.structure + g.structure
+    whole = _point_class(f, r, _r_fold_points(union, r), bits).payload
+    pieces = {
+        k: _point_class(f, r, entries, bits).payload
+        for k, entries in _by_part(union, _part_size(f), r).items()
+    }
+    table = _CARTAN_PIECES[r]
+    expected = {k: law(f, g).payload for k, _, law in table if law is not None}
+    ok = all(pieces[k] == expected[k] for k in expected) and (
+        tuple(sorted(sum(pieces.values(), ()))) == whole
+    )
+    return CheckReport(
+        "cartan",
+        ok,
+        whole,
+        tuple((label, pieces[k]) for k, label, _ in table),
+        f"r={r} split " + "+".join(str(len(pieces[k])) for k, _, _ in table),
+    )
 
 
 def _arc_crossings_on_source(mesh, records):
@@ -682,14 +602,11 @@ def _arc_crossings_on_source(mesh, records):
     arcs of one circle share an endpoint by construction and are skipped;
     any other non-transverse contact raises.
     """
-    entries = []
+    by_tri = {}
     for ci, (arcs, _, _) in enumerate(records):
         n = len(arcs)
         for ai, (tri, p, q) in enumerate(arcs):
-            entries.append((tri, p, q, ci, ai, n))
-    by_tri = {}
-    for e in entries:
-        by_tri.setdefault(e[0], []).append(e)
+            by_tri.setdefault(tri, []).append((tri, p, q, ci, ai, n))
     crossings = set()
     for tri, here in by_tri.items():
         chart = mesh.chart(tri)

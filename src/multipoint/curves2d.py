@@ -523,9 +523,9 @@ def mu_count_r1(curve: MultiCurve, comp_idx: int) -> int:
     return count
 
 
-def herbert_lhs_r1(curve: MultiCurve, comp_idx: int, retry_budget: int = 16) -> int:
+def herbert_lhs_r1(curve: MultiCurve, comp_idx: int) -> int:
     """Pairing of the double-point class with one component of the curve."""
-    return pairing_mod2(curve, comp_idx, curve, retry_budget)
+    return pairing_mod2(curve, comp_idx, curve)
 
 
 def herbert_rhs_r1_parts(curve: MultiCurve, comp_idx: int):

@@ -89,14 +89,14 @@ def _error_row(target, r, exc):
     return HerbertRow(target, r, None, None, None, "ERROR", str(exc))
 
 
-def _verify_curve(curve, retry_budget):
+def _verify_curve(curve):
     require_general_position(curve)
     dps = double_points(curve)
     rows = []
     for i in range(len(curve.components)):
         target = f"component[{i}]"
         try:
-            lhs = herbert_lhs_r1(curve, i, retry_budget)
+            lhs = herbert_lhs_r1(curve, i)
             mu, euler = herbert_rhs_r1_parts(curve, i)
         except GenericityError as exc:
             rows.append(_error_row(target, 1, exc))
@@ -109,13 +109,13 @@ def _verify_curve(curve, retry_budget):
     return rows, len(dps), 0
 
 
-def _verify_mesh(mesh, targets, retry_budget):
+def _verify_mesh(mesh, targets):
     require_general_position(mesh)
     curves = mesh.double_curves()
     triples = mesh.triple_points()
     rows = []
     try:
-        lhs = herbert_lhs_r2(mesh, retry_budget)
+        lhs = herbert_lhs_r2(mesh)
         mu, euler = herbert_rhs_r2_parts(mesh)
     except GenericityError as exc:
         rows.append(_error_row("[M]", 2, exc))
@@ -129,7 +129,7 @@ def _verify_mesh(mesh, targets, retry_budget):
     for name, marks in (targets or {}).items():
         try:
             cyc = marks if isinstance(marks, MeshCycle) else MeshCycle(mesh, marks)
-            lhs = herbert_lhs_r1_cycle(mesh, cyc, retry_budget)
+            lhs = herbert_lhs_r1_cycle(mesh, cyc)
             mu, euler = herbert_rhs_r1_cycle_parts(mesh, cyc)
         except (CycleError, GenericityError) as exc:
             rows.append(_error_row(name, 1, exc))
@@ -142,7 +142,7 @@ def _verify_mesh(mesh, targets, retry_budget):
     return rows, len(curves), len(triples)
 
 
-def verify(scene, targets=None, scene_id="scene", retry_budget=16):
+def verify(scene, targets=None, scene_id="scene"):
     """Evaluate every applicable instance of the identity on a scene.
 
     ``scene`` is a :class:`MultiCurve`, a :class:`Mesh3`, or a
@@ -152,9 +152,9 @@ def verify(scene, targets=None, scene_id="scene", retry_budget=16):
     payload = getattr(scene, "payload", scene)
     start = time.perf_counter()
     if isinstance(payload, MultiCurve):
-        rows, n_double, n_triple = _verify_curve(payload, retry_budget)
+        rows, n_double, n_triple = _verify_curve(payload)
     elif isinstance(payload, Mesh3):
-        rows, n_double, n_triple = _verify_mesh(payload, targets, retry_budget)
+        rows, n_double, n_triple = _verify_mesh(payload, targets)
     else:
         raise TypeError(f"cannot verify scenes of type {type(payload).__name__}")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -234,10 +234,9 @@ def write_reproducer(report, scene, path):
     return path
 
 
-def verify_and_dump(scene, targets=None, scene_id="scene", retry_budget=16,
-                    reproducer_dir="."):
+def verify_and_dump(scene, targets=None, scene_id="scene", reproducer_dir="."):
     """Like :func:`verify`, writing a reproducer file on any FAIL row."""
-    report = verify(scene, targets, scene_id, retry_budget)
+    report = verify(scene, targets, scene_id)
     if any(row.verdict == "FAIL" for row in report.rows):
         path = f"{reproducer_dir}/herbert-fail-{scene_id}.txt"
         write_reproducer(report, scene, path)

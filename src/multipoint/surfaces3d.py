@@ -985,12 +985,12 @@ def mesh_segment_hits(mesh, segs):
 # the degree-2 identity
 
 
-def herbert_lhs_r2(mesh, retry_budget=16):
+def herbert_lhs_r2(mesh):
     """Parity of crossings of the double circles with a generic translate
     of the mapped surface."""
     require_general_position(mesh)
     segs = [(s.p, s.q) for s in mesh.double_segments()]
-    return crossings_mod2_with_generic_translate(mesh, segs, retry_budget)
+    return crossings_mod2_with_generic_translate(mesh, segs)
 
 
 def herbert_rhs_r2_parts(mesh):
@@ -1119,12 +1119,12 @@ class MeshCycle:
         return bit
 
 
-def herbert_lhs_r1_cycle(mesh, cycle, retry_budget=16):
+def herbert_lhs_r1_cycle(mesh, cycle):
     """Parity of crossings of the mapped cycle with a generic translate of
     the mapped surface."""
     require_general_position(mesh)
     segs = [(p, q) for (_, p, q) in cycle.segments]
-    return crossings_mod2_with_generic_translate(mesh, segs, retry_budget)
+    return crossings_mod2_with_generic_translate(mesh, segs)
 
 
 def herbert_rhs_r1_cycle_parts(mesh, cycle):

@@ -1,5 +1,7 @@
 """Represented classes: monoid ops, products, pullbacks, psi/mu laws."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -445,12 +447,49 @@ def test_cartan_r2_certifies_one_union_of_meshes(monkeypatch):
     assert len(calls) == 1
 
 
-def test_cartan_rejects_unsupported_r():
-    f, g = mk(TORUS, FIG8), mk(TORUS, SMALL8)
-    with pytest.raises(ValueError):
-        check_cartan(f, g, 3)
-    with pytest.raises(ValueError):
-        check_cartan(mesh_class(z_torus()), mesh_class(x_torus()), 4)
+def test_cartan_rejects_unsupported_r(monkeypatch):
+    # refused before any union is built or certified
+    curves = (mk(TORUS, FIG8), mk(TORUS, SMALL8))
+    meshes = (mesh_class(z_torus() + y_torus()), mesh_class(x_torus()))
+    counted = [
+        _counted(monkeypatch, Mesh3, "union"),
+        _counted(monkeypatch, curves2d.MultiCurve, "union"),
+        _counted(monkeypatch, Mesh3, "_enumerate_pairs"),
+        _counted(monkeypatch, curves2d, "_certify"),
+    ]
+    for (f, g), r in [(curves, 1), (curves, 3), (meshes, 1), (meshes, 4)]:
+        with pytest.raises(ValueError, match="support"):
+            check_cartan(f, g, r)
+    assert counted == [[], [], [], []]
+
+
+def test_cartan_keeps_a_doubled_preimage_circle_on_its_part(monkeypatch):
+    # one preimage circle covering its double circle twice is both of that
+    # circle's sheets, so the circle belongs wholly to the part it lies on
+    f = mesh_class(z_torus() + y_torus())
+    g = mesh_class(x_torus())
+    n_f = len(f.payload.triangles)
+    real = Mesh3.double_curves
+
+    def with_doubled_f_circle(mesh):
+        curves = real(mesh)
+        if len(mesh.triangles) == n_f:
+            return curves
+        out = []
+        for dc in curves:
+            first = dc.preimages[0]
+            if all(pc.arcs[0][0] < n_f for pc in dc.preimages):
+                dc = replace(dc, preimages=(replace(first, doubled=True),))
+            out.append(dc)
+        return tuple(out)
+
+    monkeypatch.setattr(Mesh3, "double_curves", with_doubled_f_circle)
+    rep = check_cartan(f, g, 2)
+    assert rep.ok
+    assert rep.detail == "r=2 split 1+0+2"
+    product = internal_product(f, g)
+    assert len(product.payload) == 2
+    assert product.structure == ((0, 0), (0, 0))
 
 
 # --- mu tower ----------------------------------------------------------------------

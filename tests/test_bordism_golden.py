@@ -1,0 +1,39 @@
+"""Every bordism output on the golden pairs matches its recorded value.
+
+The ``algebra`` bench digest hashes only a law check's kind, verdict and
+piece sizes; this pin holds every report's points and every class's
+payload and structure.
+"""
+
+import pytest
+
+from bordism_golden import load, outputs
+
+CASES = load()
+
+
+def test_golden_cases_cover_both_universes_and_every_check():
+    kinds = {case["kind"] for case in CASES}
+    assert kinds == {"curves", "meshes"}
+    checks = {
+        out["check"]
+        for case in CASES
+        for out in case["outputs"].values()
+        if "check" in out
+    }
+    assert checks == {"cartan", "naturality", "mu-tower"}
+    # the pairs are not all trivial: some pieces are non-empty
+    assert any(
+        out.get("lhs")
+        for case in CASES
+        for name, out in case["outputs"].items()
+        if name.startswith("check_cartan")
+    )
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_bordism_outputs_match_golden(case):
+    got = outputs(case)
+    assert sorted(got) == sorted(case["outputs"])
+    for name, expected in case["outputs"].items():
+        assert got[name] == expected, name

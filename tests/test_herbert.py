@@ -1,5 +1,7 @@
 """The identity verifier: reports, TSV format, explanations, reproducers."""
 
+from functools import partial
+
 import pytest
 
 from multipoint import curves2d, herbert
@@ -114,8 +116,12 @@ def test_pairing_reads_the_separation_scale_from_the_certificate(monkeypatch):
     assert calls == []
 
 
-def test_curve_budget_exhaustion_is_error_row():
-    rep = verify(curve(FIG8), retry_budget=0)
+def test_curve_budget_exhaustion_is_error_row(monkeypatch):
+    # no caller passes a budget through verify; exhaust the pairing's own
+    monkeypatch.setattr(
+        curves2d, "pairing_mod2", partial(curves2d.pairing_mod2, retry_budget=0)
+    )
+    rep = verify(curve(FIG8))
     (row,) = rep.rows
     assert row.verdict == "ERROR"
     assert "budget exhausted" in row.diagnostics
