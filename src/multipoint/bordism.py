@@ -10,6 +10,7 @@ curve sets.
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .curves2d import MultiCurve, double_points
 from .exactgeom import (
@@ -62,10 +63,11 @@ class RepresentedClass:
     """A bordism class held as a concrete certified representative.
 
     ``payload`` is the geometric data (a :class:`MultiCurve`, a
-    :class:`Mesh3`, or a tuple of point/circle records), ``structure`` the
-    normal-transport bits carried along with it, and ``note`` an optional
-    annotation (set when an operation is guaranteed empty by genericity
-    rather than computed).
+    :class:`Mesh3`, or a sorted tuple of point or circle items),
+    ``structure`` the normal-transport bits carried along with it (one
+    entry per curve component, or one per item of a point or circle class
+    that carries bits), and ``note`` an optional annotation (set when an
+    operation is guaranteed empty by genericity rather than computed).
     """
 
     universe: str
@@ -102,23 +104,6 @@ class RepresentedClass:
 
 
 @dataclass(frozen=True)
-class EvaluationFunctional:
-    """A finite table of mod-2 evaluations, one bit per named cycle."""
-
-    entries: tuple  # (name, bit) pairs
-
-    def __getitem__(self, name):
-        for n, b in self.entries:
-            if n == name:
-                return b
-        raise KeyError(name)
-
-    @property
-    def all_zero(self):
-        return all(b == 0 for _, b in self.entries)
-
-
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one algebraic-law check on concrete representatives."""
 
@@ -133,14 +118,22 @@ class CheckReport:
 # constructors
 
 
-def _sorted_class(universe, ambient, items, structure):
-    """A class whose payload items are sorted, each keeping its structure entry."""
-    order = sorted(range(len(items)), key=lambda i: items[i])
+# the point classes whose items carry no normal-transport bits
+_BITLESS = {POINTS_IN_3TORUS, POINTS_ON_SOURCE_MESH}
+
+
+def _record_class(universe, ambient, records):
+    """The point or circle class of ``(item, bits)`` records.
+
+    The records are sorted by item, and each item keeps its own bits: the
+    payload holds the items and the structure their bits, in one order.
+    A class in ``_BITLESS`` takes ``(item, None)`` records and keeps no
+    structure.
+    """
+    records = sorted(records, key=lambda record: record[0])
+    structure = () if universe in _BITLESS else tuple(bits for _, bits in records)
     return RepresentedClass(
-        universe,
-        ambient,
-        tuple(items[i] for i in order),
-        tuple(structure[i] for i in order),
+        universe, ambient, tuple(item for item, _ in records), structure
     )
 
 
@@ -222,32 +215,29 @@ def add(a, b):
         merged = a.payload + b.payload
         if len(set(merged)) != len(merged):
             raise TransversalityError("point sets are not disjoint")
-        return RepresentedClass(
-            a.universe,
-            a.ambient,
-            tuple(sorted(merged)),
-            a.structure + b.structure,
-        )
-    if a.universe == CURVES_IN_3TORUS:
+    elif a.universe == CURVES_IN_3TORUS:
         for ca in a.payload:
             for cb in b.payload:
                 if not _circle_segments_disjoint(ca[0], cb[0]):
                     raise TransversalityError("circles in the 3-torus touch")
-        return RepresentedClass(
-            a.universe,
-            a.ambient,
-            tuple(sorted(a.payload + b.payload)),
-            a.structure + b.structure,
-        )
-    raise ValueError(f"add not defined on universe {a.universe!r}")
+    else:
+        raise ValueError(f"add not defined on universe {a.universe!r}")
+    # the items of a class in _BITLESS have no structure and pair with None
+    records = zip_longest(a.payload + b.payload, a.structure + b.structure)
+    return _record_class(a.universe, a.ambient, records)
 
 
 # ---------------------------------------------------------------------------
 # r-fold points and their split between the parts of a union
 
 # (universe, r) whose r-fold points a representative carries: the double
-# points of curves, and the double circles and triple points of surfaces
-_R_FOLD = {(CURVES_IN_SURFACE, 2), (SURFACES_IN_3TORUS, 2), (SURFACES_IN_3TORUS, 3)}
+# points of curves, and the double circles and triple points of surfaces;
+# each maps to the universe of mu_r, the points with one sheet marked
+_R_FOLD = {
+    (CURVES_IN_SURFACE, 2): POINTS_ON_SOURCE_CIRCLES,
+    (SURFACES_IN_3TORUS, 2): CURVES_ON_SOURCE_MESH,
+    (SURFACES_IN_3TORUS, 3): POINTS_ON_SOURCE_MESH,
+}
 
 # the pairs whose product and pullback are read off the double points of
 # their union
@@ -306,11 +296,6 @@ def _by_part(union, n_first, r):
     return parts
 
 
-def _circle_record(dc):
-    """A mesh-independent record of one double circle in the 3-torus."""
-    return (tuple(sorted(dc.canonical)), dc.h1)
-
-
 def _point_class(cls, r, entries, bits):
     """The class of r-fold points in ``psi_r``'s record format.
 
@@ -323,18 +308,22 @@ def _point_class(cls, r, entries, bits):
     """
     points = [entry[0] for entry in entries]
     if cls.universe == CURVES_IN_SURFACE:
-        records = [(dp.square, dp.point) for dp in points]
-        structure = [
-            tuple(sorted(bits[branch[0]] for branch in dp.branches))
+        records = [
+            ((dp.square, dp.point), tuple(sorted(bits[b[0]] for b in dp.branches)))
             for dp in points
         ]
-        return _sorted_class(POINTS_IN_SURFACE, cls.ambient, records, structure)
+        return _record_class(POINTS_IN_SURFACE, cls.ambient, records)
     if r == 2:
-        records = [_circle_record(dc) for dc in points]
-        structure = [tuple(sorted(pc.w1 for pc in dc.preimages)) for dc in points]
-        return _sorted_class(CURVES_IN_3TORUS, AMBIENT_T3, records, structure)
-    targets = sorted(tp.target for tp in points)
-    return RepresentedClass(POINTS_IN_3TORUS, AMBIENT_T3, tuple(targets))
+        records = [
+            (
+                (tuple(sorted(dc.canonical)), dc.h1),
+                tuple(sorted(pc.w1 for pc in dc.preimages)),
+            )
+            for dc in points
+        ]
+        return _record_class(CURVES_IN_3TORUS, AMBIENT_T3, records)
+    records = [(tp.target, None) for tp in points]
+    return _record_class(POINTS_IN_3TORUS, AMBIENT_T3, records)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +338,7 @@ def _circle_hits(circles, mesh_cls):
 
 def _product_circles_mesh(circles, mesh_cls):
     points = {frac_vec(point) for _, point in _circle_hits(circles, mesh_cls)}
-    return RepresentedClass(
-        POINTS_IN_3TORUS, AMBIENT_T3, tuple(sorted(points))
-    )
+    return _record_class(POINTS_IN_3TORUS, AMBIENT_T3, [(p, None) for p in points])
 
 
 def internal_product(a, b):
@@ -410,18 +397,16 @@ def pullback_class(g, f):
         # point of g's sheet, carrying the structure of f's sheet
         mixed = _by_part(union, _part_size(g), 2)[1]
         if g.universe == CURVES_IN_SURFACE:
-            params = [on_g for _, (on_g,), _ in mixed]
             bits = g.structure + f.structure
-            structure = [bits[on_f[0]] for _, _, (on_f,) in mixed]
-            return _sorted_class(
-                POINTS_ON_SOURCE_CIRCLES, g.payload, params, structure
-            )
-        records = [(on_g.arcs, on_g.w1) for _, (on_g,), _ in mixed]
-        structure = [on_f.w1 for _, _, (on_f,) in mixed]
-        return _sorted_class(CURVES_ON_SOURCE_MESH, g.payload, records, structure)
+            records = [(on_g, bits[on_f[0]]) for _, (on_g,), (on_f,) in mixed]
+            return _record_class(POINTS_ON_SOURCE_CIRCLES, g.payload, records)
+        records = [((on_g.arcs, on_g.w1), on_f.w1) for _, (on_g,), (on_f,) in mixed]
+        return _record_class(CURVES_ON_SOURCE_MESH, g.payload, records)
     if pair == (SURFACES_IN_3TORUS, CURVES_IN_3TORUS):
-        points = sorted(set(_circle_hits(f, g)))
-        return RepresentedClass(POINTS_ON_SOURCE_MESH, g.payload, tuple(points))
+        hits = set(_circle_hits(f, g))
+        return _record_class(
+            POINTS_ON_SOURCE_MESH, g.payload, [(hit, None) for hit in hits]
+        )
     raise ValueError(f"pullback undefined on {pair!r}")
 
 
@@ -448,67 +433,31 @@ def psi_r(f, r):
 
 
 def mu_r(f, r):
-    """The r-fold class with a distinguished preimage, in f's source."""
+    """The r-fold class with a distinguished preimage, in f's source.
+
+    Each sheet of an r-fold point is one record: a curve double point's
+    branch ``(component, segment, t)`` with its component's bit, a preimage
+    circle as ``(arcs, w1, doubled)`` with its w1, or a triple point's
+    source point ``(triangle, point)``.  A preimage circle that covers its
+    double circle twice is both sheets and gives one record.
+    """
     if r < 2:
         raise ValueError("mu_r needs r >= 2")
     if f.is_empty:
         return empty_class(None)
-    if f.universe == CURVES_IN_SURFACE:
-        if r == 2:
-            params = [b for dp in double_points(f.payload) for b in dp.branches]
-            structure = [f.structure[comp] for comp, _, _ in params]
-            return _sorted_class(POINTS_ON_SOURCE_CIRCLES, f.payload, params, structure)
+    universe = _R_FOLD.get((f.universe, r))
+    if universe is None:
         return empty_class(f.payload, note=GENERICALLY_EMPTY)
-    if f.universe == SURFACES_IN_3TORUS:
-        if r == 2:
-            records = []
-            for dc in f.payload.double_curves():
-                for pc in dc.preimages:
-                    records.append((pc.arcs, pc.w1, pc.doubled))
-            records.sort()
-            return RepresentedClass(
-                CURVES_ON_SOURCE_MESH,
-                f.payload,
-                tuple(records),
-                tuple(rec[1] for rec in records),
-            )
-        if r == 3:
-            points = sorted(f.payload.triple_points().mu3_points())
-            return RepresentedClass(
-                POINTS_ON_SOURCE_MESH, f.payload, tuple(points)
-            )
-        return empty_class(f.payload, note=GENERICALLY_EMPTY)
-    return empty_class(getattr(f, "payload", None), note=GENERICALLY_EMPTY)
-
-
-def euler_class(f, cycles=None):
-    """Normal-bundle transport bits as an evaluation table.
-
-    For curves the default cycles are the components themselves; for
-    surfaces in the 3-torus they are the double-locus preimage circles
-    (the cycles the r = 2 identity evaluates on).  ``cycles`` may supply
-    named :class:`~multipoint.surfaces3d.MeshCycle` objects instead.
-    """
-    if f.is_empty:
-        return EvaluationFunctional(())
-    if f.universe == CURVES_IN_SURFACE:
-        entries = tuple(
-            (f"component[{i}]", comp.two_sidedness())
-            for i, comp in enumerate(f.payload.components)
-        )
-        return EvaluationFunctional(entries)
-    if f.universe == SURFACES_IN_3TORUS:
-        if cycles is not None:
-            entries = tuple(
-                (name, cyc.transport_bit()) for name, cyc in cycles.items()
-            )
-            return EvaluationFunctional(entries)
-        entries = []
-        for i, dc in enumerate(f.payload.double_curves()):
-            for j, pc in enumerate(dc.preimages):
-                entries.append((f"mu2[{i}][{j}]", pc.w1))
-        return EvaluationFunctional(tuple(entries))
-    raise ValueError(f"euler_class undefined on universe {f.universe!r}")
+    records = {}
+    for _, sheets in _r_fold_points(f.payload, r):
+        for source, data in sheets:
+            if universe == POINTS_ON_SOURCE_CIRCLES:
+                records[data] = f.structure[source]
+            elif universe == CURVES_ON_SOURCE_MESH:
+                records[(data.arcs, data.w1, data.doubled)] = data.w1
+            else:
+                records[data] = None
+    return _record_class(universe, f.payload, records.items())
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +609,6 @@ __all__ = [
     "CURVES_ON_SOURCE_MESH",
     "CheckReport",
     "EMPTY_UNIVERSE",
-    "EvaluationFunctional",
     "GENERICALLY_EMPTY",
     "IDENTITY_UNIVERSE",
     "POINTS_IN_3TORUS",
@@ -678,7 +626,6 @@ __all__ = [
     "class_of_mesh",
     "curve_class",
     "empty_class",
-    "euler_class",
     "identity_class",
     "internal_product",
     "mesh_class",

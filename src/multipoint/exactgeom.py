@@ -291,13 +291,14 @@ def bbox(points):
 
 def lattice_translates(amin, amax, bmin, bmax, den):
     """The integer vectors v, as a tuple, for which the closed box
-    [bmin, bmax] + den * v meets the closed box [amin, amax].
+    [bmin, bmax] + den * v meets the closed box [amin, amax], in the
+    boxes' dimension.
 
     ``den`` is the common denominator the boxes were lifted by, or 1 for
     boxes given as rationals (``x // 1`` is the floor of a rational).
     """
     ranges = []
-    for k in range(3):
+    for k in range(len(amin)):
         lo = -((bmax[k] - amin[k]) // den)
         hi = (amax[k] - bmin[k]) // den
         if lo > hi:

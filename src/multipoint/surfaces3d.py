@@ -859,12 +859,7 @@ def _axis_crossings(mesh, axis, probe):
     for flat in flats:
         flat = tuple(vlift(p, den) for p in flat)
         area2 = cross2(vsub(flat[1], flat[0]), vsub(flat[2], flat[0]))
-        mins, maxs = bbox(flat)
-        ranges = [
-            range(-((probe[k] - mins[k]) // den), (maxs[k] - probe[k]) // den + 1)
-            for k in range(2)
-        ]
-        for u in itertools.product(*ranges):
+        for u in lattice_translates(*bbox(flat), probe, probe, den):
             pt = vadd(probe, vscale(den, u))
             if area2 == 0:
                 # the triangle contains the probe direction; the probe

@@ -5,10 +5,14 @@ to what every operation returned on them, so the pin does not move when
 the generator changes.  ``tests/test_bordism_golden.py`` recomputes each
 output and compares it with the stored one.
 
-Re-record (inputs and outputs) only on purpose, after checking that a
-change of output is intended:
+To pin a new output, add it to ``curve_outputs`` or ``mesh_outputs`` and
+run
 
     PYTHONPATH=src python tests/bordism_golden.py --record
+
+which adds the outputs that the stored cases lack.  It never changes a
+stored output: if a recomputed one differs, it names it and writes
+nothing.  Only without a stored file are the inputs generated.
 """
 
 import argparse
@@ -91,6 +95,11 @@ def curve_outputs(f, g):
         "internal_product(g, f)": _guarded(bordism.internal_product, g, f),
         "pullback_class(g, f)": _guarded(bordism.pullback_class, g, f),
         "pullback_class(f, g)": _guarded(bordism.pullback_class, f, g),
+        "add(psi_r(f, 2), internal_product(f, g))": _guarded(
+            lambda: bordism.add(
+                bordism.psi_r(f, 2), bordism.internal_product(f, g)
+            )
+        ),
     }
 
 
@@ -119,6 +128,9 @@ def mesh_outputs(f, g):
     )
     out["pullback_class(g, psi_r(f, 2))"] = _guarded(
         bordism.pullback_class, g, circles
+    )
+    out["add(psi_r(f, 2), psi_r(g, 2))"] = _guarded(
+        lambda: bordism.add(circles, bordism.psi_r(g, 2))
     )
     return out
 
@@ -198,18 +210,40 @@ def _mesh_cases():
     return cases + [refused]
 
 
+class ChangedOutputError(Exception):
+    """A recomputed output differs from its stored value."""
+
+
+def _generated_cases():
+    cases = [{"name": f"curves-{k}", **_curve_inputs(k)} for k in range(CURVE_PAIRS)]
+    return cases + _mesh_cases()
+
+
 def record():
-    cases = []
-    for k in range(CURVE_PAIRS):
-        cases.append({"name": f"curves-{k}", **_curve_inputs(k)})
-    cases.extend(_mesh_cases())
+    """Add every output the stored cases lack; return how many were added.
+
+    Raises :class:`ChangedOutputError`, writing nothing, if a stored output
+    is recomputed to a different value.
+    """
+    cases = load() if GOLDEN.exists() else _generated_cases()
+    added, changed = 0, []
     for case in cases:
-        case["outputs"] = outputs(case)
+        stored = case.setdefault("outputs", {})
+        for name, value in outputs(case).items():
+            if name not in stored:
+                stored[name] = value
+                added += 1
+            elif stored[name] != value:
+                changed.append(f"{case['name']}: {name}")
+    if changed:
+        raise ChangedOutputError(
+            "stored outputs changed, nothing written:\n" + "\n".join(changed)
+        )
     GOLDEN.parent.mkdir(exist_ok=True)
-    # one case per line, so a re-recording diffs case by case
+    # one case per line, so an added output diffs case by case
     lines = ",\n".join(json.dumps(case, separators=(",", ":")) for case in cases)
     GOLDEN.write_text('{"cases":[\n' + lines + "\n]}\n")
-    return len(cases)
+    return added
 
 
 def load():
@@ -221,12 +255,17 @@ def main(argv=None):
     parser.add_argument(
         "--record",
         action="store_true",
-        help="regenerate the inputs and overwrite the golden outputs",
+        help="add the outputs the stored cases lack; never change a stored one",
     )
     args = parser.parse_args(argv)
     if not args.record:
         parser.error("nothing to do without --record")
-    print(f"recorded {record()} cases to {GOLDEN}")
+    try:
+        added = record()
+    except ChangedOutputError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    print(f"added {added} outputs to {GOLDEN}")
     return 0
 
 

@@ -26,7 +26,6 @@ from multipoint.bordism import (
     class_of_mesh,
     curve_class,
     empty_class,
-    euler_class,
     identity_class,
     internal_product,
     mesh_class,
@@ -36,7 +35,7 @@ from multipoint.bordism import (
 )
 from multipoint.rational import rat
 from multipoint.surface2d import klein_complex, torus_complex
-from multipoint.surfaces3d import Mesh3, MeshCycle, coordinate_torus
+from multipoint.surfaces3d import Mesh3, coordinate_torus
 
 TORUS = torus_complex()
 KLEIN = klein_complex()
@@ -98,9 +97,11 @@ def test_add_curves_commutes():
     b = mk(TORUS, VERT)
     ab, ba = add(a, b), add(b, a)
     assert ab.universe == ba.universe == CURVES_IN_SURFACE
-    verts = lambda cls: {c.vertices for c in cls.payload.components}
-    assert verts(ab) == verts(ba)
-    assert sorted(ab.structure) == sorted(ba.structure)
+    # each component keeps its own bit, whichever operand comes first
+    records = lambda cls: {
+        (c.vertices, bit) for c, bit in zip(cls.payload.components, cls.structure)
+    }
+    assert records(ab) == records(ba)
 
 
 def test_add_meshes():
@@ -127,6 +128,18 @@ def test_add_point_sets_require_disjointness():
     assert len(merged.payload) == 2
     with pytest.raises(TransversalityError):
         add(p, p)
+
+
+def test_add_points_keeps_each_points_bits():
+    # the crossing of the Klein bottle's one-sided core HORIZ with VERT
+    # carries bits (0, 1); the double point of SMALL8 carries (0, 0)
+    a = internal_product(mk(KLEIN, HORIZ), mk(KLEIN, VERT))
+    b = psi_r(mk(KLEIN, SMALL8), 2)
+    ab, ba = add(a, b), add(b, a)
+    assert (ab.payload, ab.structure) == (ba.payload, ba.structure)
+    bits = dict(zip(ab.payload, ab.structure))
+    assert bits[(0, (rat(1, 2), rat(1, 2)))] == (0, 1)
+    assert bits[(0, (rat(17, 64), rat(31, 64)))] == (0, 0)
 
 
 def test_add_circles_in_3torus():
@@ -223,6 +236,24 @@ def test_mu_on_three_tori():
     )
 
 
+def test_mu_2_takes_a_doubled_preimage_circle_once(monkeypatch):
+    # a preimage circle that covers its double circle twice is both of the
+    # circle's sheets, and mu_2 marks it once
+    m = mesh_class(z_torus() + y_torus())
+    real = Mesh3.double_curves
+
+    def doubled(mesh):
+        return tuple(
+            replace(dc, preimages=(replace(dc.preimages[0], doubled=True),))
+            for dc in real(mesh)
+        )
+
+    monkeypatch.setattr(Mesh3, "double_curves", doubled)
+    circles = mu_r(m, 2)
+    assert [rec[1:] for rec in circles.payload] == [(0, True)]
+    assert circles.structure == (0,)
+
+
 # --- internal product ----------------------------------------------------------
 
 
@@ -315,35 +346,6 @@ def test_pullback_of_empty_and_along_empty():
     assert pullback_class(g, empty_class()).is_empty
     with pytest.raises(ValueError):
         pullback_class(empty_class(), g)
-
-
-# --- euler class -----------------------------------------------------------------
-
-
-def test_euler_class_of_curves():
-    e = euler_class(mk(TORUS, FIG8))
-    assert e.entries == (("component[0]", 0),)
-    assert e.all_zero
-    assert e["component[0]"] == 0
-    core = mk(KLEIN, HORIZ)
-    assert euler_class(core).entries == (("component[0]", 1),)
-    assert not euler_class(core).all_zero
-
-
-def test_euler_class_of_meshes():
-    m = mesh_class(z_torus() + y_torus())
-    e = euler_class(m)
-    assert e.entries == (("mu2[0][0]", 0), ("mu2[0][1]", 0))
-    cyc = MeshCycle(
-        m.payload,
-        [(0, rat(1, 16), rat(1, 16)), (0, 0, rat(1, 8)),
-         (1, rat(3, 16), rat(3, 8)), (1, rat(1, 8), rat(7, 8))],
-    )
-    named = euler_class(m, cycles={"gamma": cyc})
-    assert named.entries == (("gamma", 0),)
-    assert euler_class(empty_class()).entries == ()
-    with pytest.raises(ValueError):
-        euler_class(psi_r(mk(TORUS, FIG8), 2))
 
 
 # --- naturality --------------------------------------------------------------------

@@ -5,9 +5,13 @@ piece sizes; this pin holds every report's points and every class's
 payload and structure.
 """
 
+import copy
+import json
+
 import pytest
 
-from bordism_golden import load, outputs
+import bordism_golden
+from bordism_golden import ChangedOutputError, load, outputs
 
 CASES = load()
 
@@ -37,3 +41,22 @@ def test_bordism_outputs_match_golden(case):
     assert sorted(got) == sorted(case["outputs"])
     for name, expected in case["outputs"].items():
         assert got[name] == expected, name
+
+
+def test_record_adds_missing_outputs_and_never_changes_a_stored_one(
+    tmp_path, monkeypatch
+):
+    golden = tmp_path / "golden.json"
+    monkeypatch.setattr(bordism_golden, "GOLDEN", golden)
+    case = copy.deepcopy(CASES[1])
+    missing = case["outputs"].pop("psi_r(f, 2)")
+    golden.write_text(json.dumps({"cases": [case]}))
+    assert bordism_golden.record() == 1
+    assert load()[0]["outputs"]["psi_r(f, 2)"] == missing
+
+    case["outputs"]["psi_r(f, 2)"] = {"tampered": True}
+    text = json.dumps({"cases": [case]})
+    golden.write_text(text)
+    with pytest.raises(ChangedOutputError, match="curves-1: psi_r"):
+        bordism_golden.record()
+    assert golden.read_text() == text

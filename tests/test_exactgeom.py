@@ -432,11 +432,11 @@ def _translates_brute_force(amin, amax, bmin, bmax, den):
     reach = int(max(abs(c) for c in lo + hi)) * 2 + 2
     return tuple(
         v
-        for v in itertools.product(range(-reach, reach + 1), repeat=3)
+        for v in itertools.product(range(-reach, reach + 1), repeat=len(amin))
         if all(
             rat(bmin[k], den) + v[k] <= rat(amax[k], den)
             and rat(amin[k], den) <= rat(bmax[k], den) + v[k]
-            for k in range(3)
+            for k in range(len(amin))
         )
     )
 
@@ -458,13 +458,15 @@ def test_lattice_translates_of_boxes_touching_at_a_face():
 
 @pytest.mark.parametrize("den", [1, 2, 3, 7, 12])
 def test_lattice_translates_match_brute_force(den):
+    # boxes in the 3-torus, then in a plane chart as ambient_class_h2 uses
     rng = random.Random(den)
-    for _ in range(20):
-        boxes = []
-        for _ in range(2):
-            lo = [rng.randint(-2 * den, den) for _ in range(3)]
-            boxes += [tuple(lo), tuple(c + rng.randint(0, den) for c in lo)]
-        assert lattice_translates(*boxes, den) == _translates_brute_force(*boxes, den)
+    for dim in (3, 2):
+        for _ in range(20):
+            boxes = []
+            for _ in range(2):
+                lo = [rng.randint(-2 * den, den) for _ in range(dim)]
+                boxes += [tuple(lo), tuple(c + rng.randint(0, den) for c in lo)]
+            assert lattice_translates(*boxes, den) == _translates_brute_force(*boxes, den)
 
 
 # ---------------------------------------------------------------------------

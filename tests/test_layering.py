@@ -56,3 +56,52 @@ def test_bordism_builds_mesh_unions_with_union():
     path = SRC / "bordism.py"
     found = list(_triangle_concatenations(path.read_text(encoding="utf-8"), path.name))
     assert found == []
+
+
+# the only functions of bordism.py that build a RepresentedClass; every
+# point and circle class goes through _record_class, which keeps each
+# item's bits with it
+_CLASS_CONSTRUCTORS = {
+    "class_of_curve",
+    "class_of_mesh",
+    "empty_class",
+    "identity_class",
+    "_record_class",
+}
+
+
+def _represented_class_calls(source, filename):
+    """Lines that call ``RepresentedClass(`` outside the class constructors."""
+    tree = ast.parse(source, filename=filename)
+    allowed = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in _CLASS_CONSTRUCTORS
+        for inner in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "RepresentedClass"
+            and id(node) not in allowed
+        ):
+            yield f"{filename}:{node.lineno} calls RepresentedClass"
+
+
+def test_represented_class_call_is_detected():
+    source = (
+        "def _record_class(universe, ambient, records):\n"
+        "    return RepresentedClass(universe, ambient, (), ())\n"
+        "def add(a, b):\n"
+        "    return RepresentedClass(a.universe, a.ambient, (), ())\n"
+    )
+    assert list(_represented_class_calls(source, "sample.py")) == [
+        "sample.py:4 calls RepresentedClass"
+    ]
+
+
+def test_bordism_builds_classes_only_in_its_constructors():
+    path = SRC / "bordism.py"
+    found = list(_represented_class_calls(path.read_text(encoding="utf-8"), path.name))
+    assert found == []
