@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
 """Run a seeded generate-and-verify campaign and print summary statistics.
 
+With --machine every generated scene's TSV report goes to stdout (the
+format of ``verify --machine``, byte-identical across runs) and the
+summary goes to stderr, so two checkouts can be compared with diff, as
+``scripts/verify_corpus.py --machine`` does for docs/.
+
 Examples:
     python3 scripts/fuzz_campaign.py --count 200
     python3 scripts/fuzz_campaign.py --universe tori --count 50 --seed 7
     python3 scripts/fuzz_campaign.py --universe both --count 100 --histogram
+    python3 scripts/fuzz_campaign.py --universe tori --count 100 --machine > tori.tsv
 """
 
 import argparse
@@ -36,7 +42,7 @@ def tori_config(seed):
 
 
 def run_one(cfg):
-    """(all_pass, rows, feature_count) for one generated scene."""
+    """(report, feature_count) for one generated scene."""
     scene = generate(cfg)
     if cfg.universe == "curves":
         curve = scene.multicurve("c")
@@ -49,13 +55,14 @@ def run_one(cfg):
             mesh, targets=targets or None, scene_id=f"seed{cfg.seed}"
         )
         features = len(mesh.double_curves())
-    return report.all_pass, len(report.rows), features
+    return report, features
 
 
-def campaign(universe, count, seed0, histogram):
+def campaign(universe, count, seed0, histogram, machine):
     makers = {"curves": [curve_config], "tori": [tori_config]}.get(
         universe, [curve_config, tori_config]
     )
+    out = sys.stderr if machine else sys.stdout
     failures = 0
     rows = 0
     feature_hist = Counter()
@@ -64,27 +71,30 @@ def campaign(universe, count, seed0, histogram):
         for i in range(count):
             cfg = maker(seed0 + i)
             try:
-                passed, n_rows, features = run_one(cfg)
+                report, features = run_one(cfg)
             except GenerationError as exc:
                 print(f"seed {cfg.seed}: generation failed: {exc}")
                 failures += 1
                 continue
-            rows += n_rows
+            if machine:
+                sys.stdout.write(report.to_tsv())
+            rows += len(report.rows)
             feature_hist[features] += 1
-            if not passed:
-                print(f"seed {cfg.seed} ({cfg.universe}): FAIL")
+            if not report.all_pass:
+                print(f"seed {cfg.seed} ({cfg.universe}): FAIL", file=out)
                 failures += 1
     elapsed = time.perf_counter() - t0
     total = count * len(makers)
     print(
         f"{total - failures}/{total} scenes passed, {rows} identity rows, "
-        f"{elapsed:.2f}s"
+        f"{elapsed:.2f}s",
+        file=out,
     )
     if histogram:
         kind = "double circles" if universe == "tori" else "double points"
-        print(f"scenes by number of {kind}:")
+        print(f"scenes by number of {kind}:", file=out)
         for k in sorted(feature_hist):
-            print(f"  {k:3d}: {'#' * feature_hist[k]}")
+            print(f"  {k:3d}: {'#' * feature_hist[k]}", file=out)
     return failures
 
 
@@ -98,8 +108,14 @@ def main(argv=None):
     parser.add_argument(
         "--histogram", action="store_true", help="print a feature-count histogram"
     )
+    parser.add_argument(
+        "--machine",
+        action="store_true",
+        help="print every scene's TSV report; the summary goes to stderr",
+    )
     args = parser.parse_args(argv)
-    return 1 if campaign(args.universe, args.count, args.seed, args.histogram) else 0
+    failures = campaign(args.universe, args.count, args.seed, args.histogram, args.machine)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -548,8 +548,10 @@ def _arc_crossings_on_source(mesh, records):
     """Strict pairwise crossings of preimage arcs, grouped by source chart.
 
     ``records`` are ``(arcs, w1, doubled)`` circle payloads.  Consecutive
-    arcs of one circle share an endpoint by construction and are skipped;
-    any other non-transverse contact raises.
+    arcs of one circle share an endpoint by construction and are skipped.
+    The mesh is certified, and its certificate refuses every other
+    non-transverse contact of double arcs, so one here is an internal
+    fault and raises ``AssertionError``.
     """
     by_tri = {}
     for ci, (arcs, _, _) in enumerate(records):
@@ -568,27 +570,22 @@ def _arc_crossings_on_source(mesh, records):
                 if shared:
                     if c1 == c2 and (a1 - a2) % n1 in (1, n1 - 1):
                         continue
-                    raise TransversalityError(
-                        "preimage arcs touch at an endpoint"
-                    )
+                    raise AssertionError("preimage arcs touch at an endpoint")
                 hit = seg_intersect(flat[i], flat[j])
                 if hit is None:
                     continue
                 if not strict_crossing(hit):
-                    raise TransversalityError(
-                        "preimage arcs meet non-transversally"
-                    )
+                    raise AssertionError("preimage arcs meet non-transversally")
                 point = vadd(p1, vscale(hit.ta, vsub(q1, p1)))
                 crossings.add((tri, point))
     return crossings
 
 
-def check_mu_tower(f, r=2):
-    """Double points of the source preimage arrangement match mu_3."""
+def check_mu_tower(f):
+    """Double points of the source preimage arrangement match mu_3: the
+    tower step r = 2, the one represented here."""
     if f.universe != SURFACES_IN_3TORUS:
         raise ValueError("mu-tower check runs on surfaces in the 3-torus")
-    if r != 2:
-        raise ValueError("the representable tower step is r = 2")
     mu2 = mu_r(f, 2)
     if mu2.is_empty:
         lhs = ()

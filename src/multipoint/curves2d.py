@@ -15,9 +15,9 @@ generic; `certify` reports every violation by name instead of guessing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from .rational import rat, ZERO, ONE, format_point
 from .exactgeom import (
@@ -197,7 +197,6 @@ class DoublePoint:
 class GeneralPositionCert2:
     ok: bool
     violations: tuple  # (name, detail) pairs
-    min_sep_sq: Optional[object]
     double_points: tuple
 
     @property
@@ -212,6 +211,7 @@ class MultiCurve:
         self.complex = complex_
         self.components = tuple(components)
         self._cert = None
+        self._lift = None
         self._pushoffs = {}  # epsilon -> pushoff_all(self, epsilon) or its error
 
     @classmethod
@@ -233,10 +233,37 @@ class MultiCurve:
                 table.setdefault(piece.square, []).append((ci, pi, piece))
         return table
 
+    def lift(self):
+        """``(D, table, lifts)``, built once: the pieces by square, D the
+        common denominator of their end points, and per square the integer
+        lifts ``(D * p0, D * p1)`` of its pieces, in table order."""
+        if self._lift is None:
+            table = self.pieces_by_square()
+            den = common_denominator(
+                p for entries in table.values() for _, _, pc in entries for p in (pc.p0, pc.p1)
+            )
+            lifts = {
+                square: [(vlift(pc.p0, den), vlift(pc.p1, den)) for _, _, pc in entries]
+                for square, entries in table.items()
+            }
+            self._lift = (den, table, lifts)
+        return self._lift
+
     def certify(self) -> GeneralPositionCert2:
         if self._cert is None:
             self._cert = _certify(self)
         return self._cert
+
+    @functools.cached_property
+    def min_sep_sq(self):
+        """The separation scale of the certified curve: the least
+        :func:`degeneracy_scale_sq` over its squares, divided by D^2, or
+        None when every pair of pieces shares an end.  Only the pushoff
+        pairing reads it, so it is computed on first use."""
+        require_general_position(self)
+        den, _, lifts = self.lift()
+        seps = [s for s in map(degeneracy_scale_sq, lifts.values()) if s is not None]
+        return rat(min(seps), den * den) if seps else None
 
     def pushoff(self, epsilon):
         """:func:`pushoff_all` of this curve at ``epsilon``, built once per
@@ -309,17 +336,9 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
                     ("zero-length-segment", f"component {ci} segment {piece.seg}")
                 )
 
-    # The predicates run on the integer lifts D * p of the piece end points,
-    # D their common denominator; double points are divided by D and the
-    # separation scale by D^2.
-    table = curve.pieces_by_square()
-    den = common_denominator(
-        p for entries in table.values() for _, _, pc in entries for p in (pc.p0, pc.p1)
-    )
-    lifted = {
-        square: [(vlift(pc.p0, den), vlift(pc.p1, den)) for _, _, pc in entries]
-        for square, entries in table.items()
-    }
+    # The predicates run on the curve's integer lifts; double points are
+    # divided by D.
+    den, table, lifted = curve.lift()
     hits = {}  # (square, lifted point) -> list of ((comp, seg, t_global), ...)
     for square in sorted(table):
         entries = table[square]
@@ -373,19 +392,9 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
             continue
         doubles.append(DoublePoint(square, point, pairs[0]))
 
-    min_sep_sq = None
-    if not violations:
-        seps = []
-        for segs in lifted.values():
-            s = degeneracy_scale_sq(segs)
-            if s is not None:
-                seps.append(s)
-        if seps:
-            min_sep_sq = rat(min(seps), den * den)
     return GeneralPositionCert2(
         ok=not violations,
         violations=tuple(violations),
-        min_sep_sq=min_sep_sq,
         double_points=tuple(doubles) if not violations else (),
     )
 
@@ -438,8 +447,8 @@ def initial_epsilon(msq) -> object:
     return min(rat(msq), ONE) / 4
 
 
-def pushoff_all(curve: MultiCurve, epsilon, side="left"):
-    """Offset copies of every component at one epsilon.
+def pushoff_all(curve: MultiCurve, epsilon):
+    """Offset copies of every component at one epsilon, to the left.
 
     Returns a list of (square, start, end) offset pieces including the
     reconnection jumps of one-sided components.  Raises
@@ -447,7 +456,7 @@ def pushoff_all(curve: MultiCurve, epsilon, side="left"):
     """
     out = []
     for ci in range(len(curve.components)):
-        res = pushoff_polyline(component_chain(curve, ci), side=side, epsilon=epsilon)
+        res = pushoff_polyline(component_chain(curve, ci), epsilon=epsilon)
         out.extend(res.pieces)
         if res.jump is not None:
             out.append(res.jump)
@@ -458,18 +467,17 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
     """Mod-2 intersection number of one component of ``curve_a`` with the
     whole multicurve ``curve_b``, via a small normal pushoff of ``curve_b``.
 
-    The offset starts below the separation scale in ``curve_b``'s
-    certificate.  Every contact between the component and the pushoff must
-    be a strict transverse interior crossing; otherwise the offset is
-    halved and the count retried.  The result is the homological pairing
+    The offset starts below the separation scale of ``curve_b``.  Every
+    contact between the component and the pushoff must be a strict
+    transverse interior crossing; otherwise the offset is halved and the
+    count retried.  The result is the homological pairing
     regardless of how the two original curves touch each other.  Raises
     :class:`GenericityError` after ``retry_budget`` halvings.
     """
     if curve_a.complex != curve_b.complex:
         raise ValueError("curves live on different complexes")
     require_general_position(curve_a)
-    cert_b = require_general_position(curve_b)
-    epsilon = initial_epsilon(cert_b.min_sep_sq)
+    epsilon = initial_epsilon(curve_b.min_sep_sq)  # certifies curve_b
     comp_pieces = curve_a.components[comp_a].pieces
     last_error = None
     for _ in range(retry_budget):

@@ -52,6 +52,7 @@ and of the degree-1 identity along a cycle C drawn on the source surface:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .rational import ONE, ZERO, parse_rational, rat, rfloor
@@ -229,10 +230,6 @@ class TriplePoint:
     preimages: tuple
     sheets: frozenset
 
-    def ordered_triples(self):
-        """All six orderings of the three preimage points."""
-        return tuple(itertools.permutations(self.preimages))
-
 
 @dataclass(frozen=True)
 class TriplePointSet:
@@ -241,16 +238,11 @@ class TriplePointSet:
     def __len__(self):
         return len(self.points)
 
-    def ordered_triples(self):
-        return tuple(t for p in self.points for t in p.ordered_triples())
 
-    def mu3_points(self):
-        """All source preimage points, three per triple point."""
-        return tuple(m for p in self.points for m in p.preimages)
-
-
-def _canon_segment(p, q):
-    s = floor_vec(min(p, q))
+def _canon_segment(p, q, den=1):
+    """The segment pq moved back by the floor of its least end, for
+    points lifted by ``den`` (rationals with ``den = 1``)."""
+    s = vscale(den, tuple(c // den for c in min(p, q)))
     return (vsub(p, s), vsub(q, s)) if p <= q else (vsub(q, s), vsub(p, s))
 
 
@@ -294,18 +286,22 @@ class Mesh3:
     """A closed triangulated surface mapped into the flat 3-torus."""
 
     def __init__(self, triangles):
-        tris = []
+        self.triangles = tuple(tuple(_point3(p) for p in tri) for tri in triangles)
+        if not self.triangles:
+            raise MeshBuildError("edge-matching: empty mesh")
+        # The integer frame of the mesh: D, the common denominator of all
+        # vertex coordinates, the lifts D * t of the triangles and their
+        # normals.  Every table, chart and predicate reads these.
+        self.den = common_denominator(p for t in self.triangles for p in t)
+        self._lifts = tuple(
+            tuple(vlift(p, self.den) for p in t) for t in self.triangles
+        )
         normals = []
-        for k, tri in enumerate(triangles):
-            t = tuple(_point3(p) for p in tri)
+        for k, t in enumerate(self._lifts):
             try:
                 normals.append(tri_normal(t))
             except ValueError:
                 raise MeshBuildError(f"degenerate-triangle: triangle {k}")
-            tris.append(t)
-        if not tris:
-            raise MeshBuildError("edge-matching: empty mesh")
-        self.triangles = tuple(tris)
         self._normals = tuple(normals)
         self._build_matching()
         self._check_vertex_links()
@@ -320,17 +316,18 @@ class Mesh3:
 
     # -- structure ---------------------------------------------------------
 
-    def _edge_points(self, t, e):
-        tri = self.triangles[t]
-        return tri[e], tri[(e + 1) % 3]
+    def _floor(self, lifted):
+        """The floor of the point whose lift is ``lifted``."""
+        return tuple(c // self.den for c in lifted)
 
     def _build_matching(self):
+        # edges are keyed on their lifts; scaling by D keeps the key order
         slots = {}
-        for t in range(len(self.triangles)):
+        for t, lift in enumerate(self._lifts):
             for e in range(3):
-                p, q = self._edge_points(t, e)
-                key = _canon_segment(p, q)
-                s = floor_vec(min(p, q))
+                p, q = lift[e], lift[(e + 1) % 3]
+                key = _canon_segment(p, q, self.den)
+                s = self._floor(min(p, q))
                 slots.setdefault(key, []).append((t, e, s, 0 if p <= q else 1))
         matches = []
         slot_of = {}
@@ -400,9 +397,6 @@ class Mesh3:
             comp.union(m.slot_a[0], m.slot_b[0])
         self.num_components = len({comp.find(t) for t in range(n)})
 
-    def _corner_position(self, t, c):
-        return self.triangles[t][c]
-
     def _link_step(self, t, c, e_in):
         # leave corner (t, c) through its edge other than e_in; corner c
         # belongs to edges c and c-1
@@ -453,9 +447,9 @@ class Mesh3:
                 for (t2, c2) in cls:
                     if (t1, c1) == (t2, c2):
                         continue
-                    d = vsub(self._corner_position(t1, c1), self._corner_position(t2, c2))
-                    v = floor_vec(d)
-                    if vsub(d, v) != (ZERO, ZERO, ZERO):
+                    d = vsub(self._lifts[t1][c1], self._lifts[t2][c2])
+                    v = self._floor(d)
+                    if vscale(self.den, v) != d:
                         raise MeshBuildError(
                             "edge-matching: identified vertices differ by a "
                             "non-integer translation"
@@ -515,13 +509,10 @@ class Mesh3:
         return home, known
 
     def _enumerate_pairs(self):
-        # The predicates run on the integer lifts D * t of the triangles,
-        # D the common denominator of all vertex coordinates; a lattice
-        # shift v becomes D * v, and a hit is divided by D once.  A pair
-        # inside a certified part takes that part's segments instead.
-        den = common_denominator(p for t in self.triangles for p in t)
-        lifts = [tuple(vlift(p, den) for p in t) for t in self.triangles]
-        normals = [tri_normal(t) for t in lifts]
+        # The predicates run on the integer lifts D * t of the triangles;
+        # a lattice shift v becomes D * v, and a hit is divided by D once.
+        # A pair inside a certified part takes that part's segments instead.
+        den, lifts, normals = self.den, self._lifts, self._normals
         boxes = [bbox(t) for t in lifts]
         unlift = rat(1, den)
         home, known = self._certified_pairs()
@@ -849,15 +840,16 @@ _PROBE_PARAMS = (
 
 
 def _axis_crossings(mesh, axis, probe):
-    # The flattened triangles and the probe are lifted by their common
-    # denominator D; the probe's lattice translates step by D.
+    # The mesh lifts and the probe are scaled to D', the common denominator
+    # of the mesh's D and the probe; the probe's lattice translates step
+    # by D'.
     chart = PlaneChart(axis)
-    flats = [chart.points(tri) for tri in mesh.triangles]
-    den = common_denominator(itertools.chain(*flats, (probe,)))
+    den = math.lcm(mesh.den, common_denominator((probe,)))
+    k = den // mesh.den
     probe = vlift(probe, den)
     total = 0
-    for flat in flats:
-        flat = tuple(vlift(p, den) for p in flat)
+    for lift in mesh._lifts:
+        flat = tuple(vscale(k, p) for p in chart.points(lift))
         area2 = cross2(vsub(flat[1], flat[0]), vsub(flat[2], flat[0]))
         for u in lattice_translates(*bbox(flat), probe, probe, den):
             pt = vadd(probe, vscale(den, u))
@@ -902,15 +894,17 @@ def ambient_class_h2(mesh):
 def _segment_contacts(mesh, segs, w=(0, 0, 0)):
     """Contacts of 3-space segments with every lift of the mesh translated by w.
 
-    The triangles (translated by w) and the segments are lifted by their
-    common denominator D, and the predicates run on the integer lifts.
-    Returns D and an iterator of ``(triangle, lattice translate, hit)`` for
-    each lift a segment touches, where ``hit`` is a :class:`SegmentHit` on
-    the lifts (its point is D times the contact point) or ``DEGENERATE``.
+    The mesh lifts are scaled to D, the common denominator of the mesh's
+    own D, the segments and w, and the predicates run on the integer
+    lifts.  Returns D and an iterator of ``(triangle, lattice translate,
+    hit)`` for each lift a segment touches, where ``hit`` is a
+    :class:`SegmentHit` on the lifts (its point is D times the contact
+    point) or ``DEGENERATE``.
     """
-    den = common_denominator(itertools.chain(*mesh.triangles, *segs, (w,)))
+    den = math.lcm(mesh.den, common_denominator(itertools.chain(*segs, (w,))))
+    k = den // mesh.den
     shift = vlift(w, den)
-    tris = [tuple(vadd(vlift(p, den), shift) for p in tri) for tri in mesh.triangles]
+    tris = [tuple(vadd(vscale(k, p), shift) for p in lift) for lift in mesh._lifts]
     boxes = [bbox(tri) for tri in tris]
     lifted = [(vlift(p, den), vlift(q, den)) for p, q in segs]
 

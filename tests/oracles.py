@@ -340,7 +340,7 @@ def pairing_mod2_reference(curve_a, comp_a, curve_b, retry_budget=16):
     Returns ``(bit, epsilon)``, the epsilon being the one at which every
     contact was a strict crossing.
     """
-    from multipoint.curves2d import initial_epsilon
+    from multipoint.curves2d import degeneracy_scale_sq, initial_epsilon
     from multipoint.exactgeom import (
         GenericityError,
         PushoffCollision,
@@ -349,7 +349,14 @@ def pairing_mod2_reference(curve_a, comp_a, curve_b, retry_budget=16):
     )
 
     require_general_position(curve_a)
-    epsilon = initial_epsilon(require_general_position(curve_b).min_sep_sq)
+    require_general_position(curve_b)
+    # the separation scale of curve_b, on its rational pieces
+    seps = [
+        degeneracy_scale_sq([(pc.p0, pc.p1) for _, _, pc in entries])
+        for entries in curve_b.pieces_by_square().values()
+    ]
+    seps = [s for s in seps if s is not None]
+    epsilon = initial_epsilon(min(seps) if seps else None)
     for _ in range(retry_budget):
         try:
             offsets = curve_b.pushoff(epsilon)
@@ -407,3 +414,50 @@ def segment_contacts_reference(mesh, segs, w=(0, 0, 0)):
                 if h is not None:
                     out.append((t, v, h))
     return out
+
+
+# --- the Fraction tables of a mesh -----------------------------------------
+#
+# Mesh3 builds its edge matching, adjacency and charts on the integer lifts
+# of its triangles.  This builds the same tables on Fraction coordinates.
+
+
+def mesh_tables_reference(mesh):
+    """``(matches, edge_adj, vertex_adj, chart_axes)`` of a mesh, built on
+    its Fraction vertices: an edge is keyed by its end points less the
+    floor of its least end, a corner translation is the floor of a
+    Fraction difference, and a chart axis is the dominant coordinate of a
+    Fraction normal.  The vertex classes are read from the mesh."""
+    from multipoint.exactgeom import PlaneChart, floor_vec, tri_normal, vscale
+    from multipoint.surfaces3d import EdgeMatch
+
+    tris = mesh.triangles
+    slots = {}
+    for t, tri in enumerate(tris):
+        for e in range(3):
+            p, q = tri[e], tri[(e + 1) % 3]
+            s = floor_vec(min(p, q))
+            key = (vsub(p, s), vsub(q, s)) if p <= q else (vsub(q, s), vsub(p, s))
+            slots.setdefault(key, []).append((t, e, s, 0 if p <= q else 1))
+    matches = []
+    for _, ((t1, e1, s1, o1), (t2, e2, s2, o2)) in sorted(slots.items()):
+        matches.append(EdgeMatch((t1, e1), (t2, e2), vsub(s1, s2), int(o1 == o2)))
+    edge_adj = {}
+    for mi, m in enumerate(matches):
+        (t1, _), (t2, _) = m.slot_a, m.slot_b
+        edge_adj.setdefault((t1, t2), {}).setdefault(m.rel_shift, []).append(mi)
+        edge_adj.setdefault((t2, t1), {}).setdefault(vscale(-1, m.rel_shift), []).append(mi)
+    vertex_adj = {}
+    for cls in mesh._vertex_classes:
+        for t1, c1 in cls:
+            for t2, c2 in cls:
+                if (t1, c1) == (t2, c2):
+                    continue
+                d = vsub(tris[t1][c1], tris[t2][c2])
+                v = floor_vec(d)
+                assert vsub(d, v) == (ZERO, ZERO, ZERO), "non-integer translation"
+                if t1 == t2 and v == (0, 0, 0):
+                    continue
+                vertex_adj.setdefault((t1, t2), {}).setdefault(v, []).append((c1, c2))
+    axes = [PlaneChart.of(tri_normal(tri)).axis for tri in tris]
+    return tuple(matches), edge_adj, vertex_adj, axes

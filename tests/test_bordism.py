@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multipoint import curves2d, surfaces3d
+from multipoint import bordism, curves2d, surfaces3d
 from multipoint.bordism import (
     AMBIENT_T3,
     CURVES_IN_3TORUS,
@@ -512,11 +512,21 @@ def test_mu_tower_embedded():
 
 
 def test_mu_tower_guards():
-    m = mesh_class(z_torus())
-    with pytest.raises(ValueError):
-        check_mu_tower(m, r=3)
     with pytest.raises(ValueError):
         check_mu_tower(mk(TORUS, FIG8))
+
+
+def test_preimage_arc_contact_is_an_internal_fault():
+    # the certificate of the mesh refuses contacts between double arcs, so
+    # one between preimage arcs is a bug, not an input error (exit 2)
+    mesh = Mesh3(z_torus())
+    a, b, c = (rat(1, 8), rat(1, 8), Q), (rat(3, 8), rat(1, 8), Q), (Q, rat(1, 2), Q)
+    mid = (Q, rat(1, 8), Q)
+    touching = [(((0, a, b),), 0, False), (((0, b, c),), 0, False)]
+    t_contact = [(((0, a, b),), 0, False), (((0, mid, c),), 0, False)]
+    for records in (touching, t_contact):
+        with pytest.raises(AssertionError):
+            bordism._arc_crossings_on_source(mesh, records)
 
 
 # --- randomized laws ----------------------------------------------------------------

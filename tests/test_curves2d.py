@@ -116,7 +116,7 @@ def test_figure_eight_cert_and_double_point():
     c = curve_str(TORUS, FIG8)
     cert = c.certify()
     assert cert.ok
-    assert cert.min_sep_sq is not None and cert.min_sep_sq > 0
+    assert c.min_sep_sq is not None and c.min_sep_sq > 0
     dps = double_points(c)
     assert len(dps) == 1
     dp = dps[0]

@@ -124,9 +124,9 @@ def test_pairing_builds_each_pushoff_once(monkeypatch):
     calls = []
     real = curves2d.pushoff_all
 
-    def counted(curve, epsilon, side="left"):
+    def counted(curve, epsilon):
         calls.append(epsilon)
-        return real(curve, epsilon, side)
+        return real(curve, epsilon)
 
     monkeypatch.setattr(curves2d, "pushoff_all", counted)
     curve = generate(GeneratorConfig(components=(2, 2), seed=3)).multicurve("c")

@@ -17,7 +17,7 @@ from multipoint.herbert import (
 from multipoint.rational import rat
 from multipoint.surface2d import klein_complex, torus_complex
 from multipoint.surfaces3d import GeneralPositionError, Mesh3, coordinate_torus
-from multipoint.bordism import mesh_class
+from multipoint.bordism import check_cartan, class_of_curve, mesh_class
 
 TORUS = torus_complex()
 KLEIN = klein_complex()
@@ -100,9 +100,7 @@ def test_verify_rejects_uncertified_scene():
         verify(Mesh3(coordinate_torus(2, Q) + coordinate_torus(2, Q, rat(-1, 8))))
 
 
-def test_pairing_reads_the_separation_scale_from_the_certificate(monkeypatch):
-    c = curve(HORIZ, VERT)
-    assert c.certify().min_sep_sq is not None
+def test_separation_scale_is_computed_on_first_pairing_only(monkeypatch):
     calls = []
     real = curves2d.degeneracy_scale_sq
 
@@ -111,8 +109,13 @@ def test_pairing_reads_the_separation_scale_from_the_certificate(monkeypatch):
         return real(segments)
 
     monkeypatch.setattr(curves2d, "degeneracy_scale_sq", counted)
-    rep = verify(c)
+    assert curve(HORIZ, VERT).certify().ok
+    assert calls == []
+    rep = verify(curve(HORIZ, VERT))
     assert rep.all_pass and len(rep.rows) == 2
+    assert len(calls) == 1  # one square: one scale, read by both components
+    calls.clear()
+    assert check_cartan(class_of_curve(curve(HORIZ)), class_of_curve(curve(VERT)), 2).ok
     assert calls == []
 
 

@@ -53,7 +53,7 @@ def test_pairing_matches_rational_reference_after_a_pushoff_retry():
     # after eight halvings
     curve = _generated_curve("torus", 22, (1, 1))
     bit, epsilon = oracles.pairing_mod2_reference(curve, 0, curve)
-    assert epsilon == initial_epsilon(curve.certify().min_sep_sq) / 256
+    assert epsilon == initial_epsilon(curve.min_sep_sq) / 256
     assert pairing_mod2(curve, 0, curve) == bit
 
 
@@ -67,7 +67,7 @@ def test_pairing_retries_after_a_collision_while_counting():
         cx,
         [[(0, (rat(1, 4), rat(1, 3))), (0, (rat(7, 16), rat(2, 5))), (0, (rat(5, 4), rat(1, 3)))]],
     )
-    first = initial_epsilon(b.certify().min_sep_sq)
+    first = initial_epsilon(b.min_sep_sq)
     assert first == rat(1, 16)
     assert pairing_mod2(a, 0, b) == 1
     assert set(b._pushoffs) == {first, first / 2}

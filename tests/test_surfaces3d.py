@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multipoint.bordism import class_of_mesh, mu_r
 from multipoint.rational import rat
 from multipoint.scene import parse_scene
 from multipoint.exactgeom import floor_vec, frac_vec, vadd, vscale, vsub
@@ -178,12 +179,7 @@ def test_three_tori_anchor():
     point = tp.points[0]
     assert point.target == (Q, Q, Q)
     assert point.preimages == ((0, (Q, Q, Q)), (2, (Q, Q, Q)), (4, (Q, Q, Q)))
-    assert len(point.ordered_triples()) == 6
-    assert sorted(point.ordered_triples()) == sorted(
-        set(point.ordered_triples())
-    )
-    assert len(tp.ordered_triples()) == 6
-    assert tp.mu3_points() == point.preimages
+    assert mu_r(class_of_mesh(m), 3).payload == point.preimages  # the mu_3 records
     assert ambient_class_h2(m) == (1, 1, 1)
     assert herbert_lhs_r2(m) == 1
     assert herbert_rhs_r2_parts(m) == (1, 0)
@@ -702,3 +698,38 @@ def test_union_tests_the_pairs_of_a_rejected_part(generated_meshes):
         assert not union.certify().ok
         return
     pytest.fail("no closed union with the rejected part")
+
+
+# ---------------------------------------------------------------------------
+# tables built on the integer lifts
+
+
+def _lift_tables(mesh):
+    axes = [mesh.chart(t).axis for t in range(len(mesh.triangles))]
+    return mesh.matches, mesh._edge_adj, mesh._vertex_adj, axes
+
+
+def test_lift_built_tables_match_the_fraction_reference(generated_meshes):
+    docs = Path(__file__).resolve().parent.parent / "docs"
+    meshes = []
+    for path in sorted(docs.glob("*.scene")):
+        scene = parse_scene(path.read_text())
+        meshes += [scene.mesh(d.name) for d in scene.verifies if d.name not in scene.curves]
+    assert len(meshes) == 2
+    meshes += generated_meshes
+    meshes += [a.union(b) for a, b in list(_disjoint_pairs(generated_meshes))[:6]]
+    # large prime denominators, and each triangle moved by its own lattice
+    # vector, so that edges match across translates with nonzero shifts
+    w = (rat(1, 1000003), rat(-7, 999983), rat(5, 1000033))
+    meshes.append(
+        Mesh3(
+            [vadd(vadd(p, w), (k, -2 * k, 3 - k % 2)) for p in tri]
+            for k, tri in enumerate(THREE_TORI.triangles)
+        )
+    )
+    for mesh in meshes:
+        assert _lift_tables(mesh) == oracles.mesh_tables_reference(mesh)
+    moved = meshes[-1]
+    assert moved.den == 16 * 1000003 * 999983 * 1000033
+    assert any(any(v) for adj in moved._vertex_adj.values() for v in adj)
+    assert any(any(m.rel_shift) for m in moved.matches)
