@@ -16,7 +16,7 @@ generic; `certify` reports every violation by name instead of guessing.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 
 from .rational import rat, ZERO, ONE, format_point
@@ -104,7 +104,7 @@ def _resolve_wrap(cx: SquareComplex, square: int, v, q):
     d = vsub(q, v)
     best = None
     for edge, (axis, value) in SQUARE_EDGES.items():
-        direction = 1 if value == ONE else -1
+        direction = 1 if value == 1 else -1
         if direction * d[axis] <= 0:
             continue
         t = (value - v[axis]) / d[axis]
@@ -212,7 +212,7 @@ class MultiCurve:
         self.components = tuple(components)
         self._cert = None
         self._lift = None
-        self._pushoffs = {}  # epsilon -> pushoff_all(self, epsilon) or its error
+        self._pushoffs = {}  # epsilon -> pushoff_all(self, epsilon) or its error message
 
     @classmethod
     def build(cls, complex_: SquareComplex, raw_components):
@@ -234,19 +234,24 @@ class MultiCurve:
         return table
 
     def lift(self):
-        """``(D, table, lifts)``, built once: the pieces by square, D the
-        common denominator of their end points, and per square the integer
-        lifts ``(D * p0, D * p1)`` of its pieces, in table order."""
+        """``(D, table, lifts, comp_lifts)``, built once: the pieces by
+        square, D the common denominator of their end points, per square
+        the integer lifts ``(D * p0, D * p1)`` of its pieces in table
+        order, and per component the same lifts in piece order."""
         if self._lift is None:
             table = self.pieces_by_square()
             den = common_denominator(
-                p for entries in table.values() for _, _, pc in entries for p in (pc.p0, pc.p1)
+                p for comp in self.components for pc in comp.pieces for p in (pc.p0, pc.p1)
             )
+            comp_lifts = [
+                [(vlift(pc.p0, den), vlift(pc.p1, den)) for pc in comp.pieces]
+                for comp in self.components
+            ]
             lifts = {
-                square: [(vlift(pc.p0, den), vlift(pc.p1, den)) for _, _, pc in entries]
+                square: [comp_lifts[ci][pi] for ci, pi, _ in entries]
                 for square, entries in table.items()
             }
-            self._lift = (den, table, lifts)
+            self._lift = (den, table, lifts, comp_lifts)
         return self._lift
 
     def certify(self) -> GeneralPositionCert2:
@@ -261,21 +266,26 @@ class MultiCurve:
         None when every pair of pieces shares an end.  Only the pushoff
         pairing reads it, so it is computed on first use."""
         require_general_position(self)
-        den, _, lifts = self.lift()
+        den, _, lifts, _ = self.lift()
         seps = [s for s in map(degeneracy_scale_sq, lifts.values()) if s is not None]
         return rat(min(seps), den * den) if seps else None
 
     def pushoff(self, epsilon):
-        """:func:`pushoff_all` of this curve at ``epsilon``, built once per
-        epsilon; raises its :class:`PushoffCollision` again on every call."""
+        """:func:`pushoff_all` of this curve at ``epsilon`` (its lifted
+        offset pieces by square), built once per epsilon; raises its
+        :class:`PushoffCollision` again on every call.
+
+        A failure is kept as its message, not as the exception: a kept
+        exception's traceback holds this curve's frames, and the cycle
+        keeps the curve alive until a full garbage collection."""
         if epsilon not in self._pushoffs:
             try:
                 self._pushoffs[epsilon] = pushoff_all(self, epsilon)
             except PushoffCollision as e:
-                self._pushoffs[epsilon] = e
+                self._pushoffs[epsilon] = str(e)
         res = self._pushoffs[epsilon]
-        if isinstance(res, PushoffCollision):
-            raise res
+        if isinstance(res, str):
+            raise PushoffCollision(res)
         return res
 
 
@@ -338,7 +348,7 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
 
     # The predicates run on the curve's integer lifts; double points are
     # divided by D.
-    den, table, lifted = curve.lift()
+    den, table, lifted, _ = curve.lift()
     hits = {}  # (square, lifted point) -> list of ((comp, seg, t_global), ...)
     for square in sorted(table):
         entries = table[square]
@@ -415,29 +425,23 @@ def ordered_preimages(curve: MultiCurve):
 
 
 def component_chain(curve: MultiCurve, comp_idx: int) -> ClosedChain:
-    """The component as a closed chain of chart pieces for pushoffs."""
+    """The component as a closed chain of its lifted chart pieces, for
+    pushoffs: a segment's pieces are joined by a wrap, segments by corners."""
+    den, _, _, comp_lifts = curve.lift()
     comp = curve.components[comp_idx]
+    lifted = iter(zip(comp.pieces, comp_lifts[comp_idx]))
     pieces = []
     links = []
-    by_seg = {}
-    for p in comp.pieces:
-        by_seg.setdefault(p.seg, []).append(p)
-    for seg in range(len(comp.vertices)):
-        crossing = comp.crossings[seg]
-        seg_pieces = by_seg[seg]
-        if crossing is None:
-            (a,) = seg_pieces
-            pieces.append(ChainPiece(a.square, a.p0, a.p1))
-        else:
-            a, b = seg_pieces
-            _, _, _, transform, sign = curve.complex.glued(a.square, crossing.edge)
-            pieces.append(ChainPiece(a.square, a.p0, a.p1))
-            links.append(
-                ChainLink("wrap", transform=transform, sign=sign, out_edge=crossing.edge)
-            )
-            pieces.append(ChainPiece(b.square, b.p0, b.p1))
+    for crossing in comp.crossings:
+        a, (p0, p1) = next(lifted)
+        pieces.append(ChainPiece(a.square, p0, p1))
+        if crossing is not None:
+            wrap = curve.complex.glued(a.square, crossing.edge)[3].lift(den)
+            links.append(ChainLink("wrap", transform=wrap, sign=crossing.sign, out_edge=crossing.edge))
+            b, (q0, q1) = next(lifted)
+            pieces.append(ChainPiece(b.square, q0, q1))
         links.append(ChainLink("corner"))
-    return ClosedChain(tuple(pieces), tuple(links))
+    return ClosedChain(tuple(pieces), tuple(links), den)
 
 
 def initial_epsilon(msq) -> object:
@@ -450,17 +454,27 @@ def initial_epsilon(msq) -> object:
 def pushoff_all(curve: MultiCurve, epsilon):
     """Offset copies of every component at one epsilon, to the left.
 
-    Returns a list of (square, start, end) offset pieces including the
-    reconnection jumps of one-sided components.  Raises
-    :class:`PushoffCollision` when any component fails at this epsilon.
+    Returns ``(D', by_square)``: ``by_square`` maps a square to the integer
+    lifts ``(D' * start, D' * end)`` of its offset pieces, including the
+    reconnection jumps of one-sided components, and D' is a multiple of
+    the curve's D.  Raises :class:`PushoffCollision` when any component
+    fails at this epsilon.
     """
-    out = []
+    offsets = []
     for ci in range(len(curve.components)):
         res = pushoff_polyline(component_chain(curve, ci), epsilon=epsilon)
-        out.extend(res.pieces)
+        offsets.extend(res.pieces)
         if res.jump is not None:
-            out.append(res.jump)
-    return out
+            offsets.append(res.jump)
+    # the homogeneous points (X, Y, W) over the curve's lifts share the
+    # weight L, the lcm of their W: the lift by D' = D * L is X * (L / W)
+    scale = math.lcm(*[p[2] for off in offsets for p in (off.start, off.end)])
+    by_square = {}
+    for off in offsets:
+        (x0, y0, w0), (x1, y1, w1) = off.start, off.end
+        k0, k1 = scale // w0, scale // w1
+        by_square.setdefault(off.chart, []).append(((x0 * k0, y0 * k0), (x1 * k1, y1 * k1)))
+    return curve.lift()[0] * scale, by_square
 
 
 def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_budget: int = 16) -> int:
@@ -478,28 +492,29 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
         raise ValueError("curves live on different complexes")
     require_general_position(curve_a)
     epsilon = initial_epsilon(curve_b.min_sep_sq)  # certifies curve_b
-    comp_pieces = curve_a.components[comp_a].pieces
+    den_a, _, _, comp_lifts = curve_a.lift()
+    comp = list(zip((pc.square for pc in curve_a.components[comp_a].pieces), comp_lifts[comp_a]))
     last_error = None
     for _ in range(retry_budget):
         try:
-            offsets = curve_b.pushoff(epsilon)
-            # The crossings are counted on the integer lifts D * p of the
-            # component and the offset pieces, D their common denominator.
-            den = common_denominator(
-                itertools.chain(
-                    (p for pc in comp_pieces for p in (pc.p0, pc.p1)),
-                    (p for off in offsets for p in (off.start, off.end)),
-                )
-            )
-            by_chart = {}
-            for off in offsets:
-                by_chart.setdefault(off.chart, []).append(
-                    (vlift(off.start, den), vlift(off.end, den))
-                )
+            # The crossings are counted on the integer lifts of the
+            # component and the offset pieces by their common denominator:
+            # the pushoff's D' when curve_a is curve_b.
+            den_b, by_square = curve_b.pushoff(epsilon)
+            den = math.lcm(den_a, den_b)
+            ka, kb = den // den_a, den // den_b
+            if kb != 1:
+                by_square = {
+                    square: [(vscale(kb, p), vscale(kb, q)) for p, q in offs]
+                    for square, offs in by_square.items()
+                }
             count = 0
-            for piece in comp_pieces:
-                seg = (vlift(piece.p0, den), vlift(piece.p1, den))
-                for off in by_chart.get(piece.square, ()):
+            for square, (p0, p1) in comp:
+                offs = by_square.get(square)
+                if not offs:
+                    continue
+                seg = ((p0[0] * ka, p0[1] * ka), (p1[0] * ka, p1[1] * ka))
+                for off in offs:
                     res = seg_intersect(seg, off)
                     if res is None:
                         continue
@@ -509,7 +524,7 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
                         )
                     count += 1
         except PushoffCollision as e:
-            last_error = e
+            last_error = str(e)  # not e, whose traceback holds this frame
             epsilon = epsilon / 2
             continue
         return count % 2

@@ -108,13 +108,12 @@ def perp_left(d):
     return (-d[1], d[0])
 
 
-def l1norm(d):
-    return sum((a if a >= 0 else -a for a in d), ZERO)
-
-
 def common_denominator(points):
     """The least common multiple of the denominators of the coordinates."""
-    return math.lcm(*(c.denominator for p in points for c in p))
+    # A list, not a generator: a tuple built from a generator grows by
+    # resizing, and the freed tuple of each new length is kept on the
+    # interpreter's tuple free list until a full garbage collection.
+    return math.lcm(*[c.denominator for p in points for c in p])
 
 
 def vlift(p, den):
@@ -584,17 +583,15 @@ class Transform2:
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def inverse(self):
-        det = self.det()
-        if det == 0:
-            raise ValueError("singular transform")
-        ia = rat(self.d, det)
-        ib = rat(-self.b, det)
-        ic = rat(-self.c, det)
-        id_ = rat(self.a, det)
-        return Transform2(
-            ia, ib, ic, id_, -(ia * self.e + ib * self.f), -(ic * self.e + id_ * self.f)
-        )
+    def lift(self, den):
+        """This map on the lifts ``den * p`` of chart points: the same
+        linear part and the translation ``den * (e, f)``, with int
+        coefficients.  Only a map with integer coefficients lifts."""
+        coeffs = (self.a, self.b, self.c, self.d, self.e, self.f)
+        if any(x.denominator != 1 for x in coeffs):
+            raise ValueError("only a map with integer coefficients lifts")
+        a, b, c, d, e, f = (x.numerator for x in coeffs)
+        return Transform2(a, b, c, d, den * e, den * f)
 
     def compose(self, other):
         """self after other: (self.compose(other)).apply(p) == self.apply(other.apply(p))."""
@@ -610,10 +607,18 @@ class Transform2:
 
 # ---------------------------------------------------------------------------
 # normal pushoff of a closed chain in unit-square charts
+#
+# A chain is given by the integer lifts D * p of its chart points, and its
+# offset is built on them in homogeneous form, with no rational arithmetic.
+# A constructed point is an int triple (X, Y, W), W > 0, in lowest terms:
+# the lifted point (X / W, Y / W), i.e. the chart point (X / (W D), Y / (W D)).
+# An offset line is a tuple (d, k, w, c): the lifted direction d, the
+# offset k * perp_left(d) / w of its points, and c = w * cross2(d, p) for
+# every lifted point p on it.
 
 # Each chart is the closed unit square.  An edge name gives the axis and
 # the value of the coordinate that is constant along that edge.
-SQUARE_EDGES = {"E": (0, ONE), "W": (0, ZERO), "N": (1, ONE), "S": (1, ZERO)}
+SQUARE_EDGES = {"E": (0, 1), "W": (0, 0), "N": (1, 1), "S": (1, 0)}
 
 
 @dataclass(frozen=True)
@@ -631,8 +636,9 @@ class ChainLink:
 
     kind 'corner': both pieces share an endpoint in one chart.
     kind 'wrap': the first piece ends on the chart boundary edge
-    ``out_edge`` and continues in the next chart under ``transform``;
-    ``sign`` is 1 when the transform reverses orientation.
+    ``out_edge`` and continues in the next chart under ``transform``, a
+    map on lifts (:meth:`Transform2.lift`); ``sign`` is 1 when the
+    transform reverses orientation.
     """
 
     kind: str
@@ -643,15 +649,24 @@ class ChainLink:
 
 @dataclass(frozen=True)
 class ClosedChain:
-    """Closed curve as pieces joined cyclically; links[i] joins piece i to i+1."""
+    """Closed curve as pieces joined cyclically; links[i] joins piece i to i+1.
+
+    The end points of the pieces are the integer lifts ``den * p`` of
+    chart points.
+    """
 
     pieces: tuple
     links: tuple
+    den: int
 
 
 @dataclass(frozen=True)
 class PushoffResult:
-    """Offset copy of a chain: pieces, plus a closing jump when one-sided."""
+    """Offset copy of a chain: pieces, plus a closing jump when one-sided.
+
+    Their end points are homogeneous triples ``(X, Y, W)`` over the
+    chain's lifts: the chart point ``(X / (W * den), Y / (W * den))``.
+    """
 
     pieces: tuple
     reconnected: bool
@@ -662,54 +677,76 @@ class PushoffCollision(Exception):
     """The offset curve failed validation at this epsilon; retry smaller."""
 
 
-def _strictly_inside(p):
-    return ZERO < p[0] < ONE and ZERO < p[1] < ONE
+def _reduced(x, y, w):
+    """The homogeneous point (x, y, w), w != 0, with w > 0 in lowest terms."""
+    if w < 0:
+        x, y, w = -x, -y, -w
+    g = math.gcd(x, y, w)
+    return (x // g, y // g, w // g)
 
 
-def _offset_vector(piece, side_mult, epsilon):
+def _offset_line(piece, mult, den, en, ed):
+    """The line of a lifted piece moved by ``mult * epsilon`` (epsilon =
+    en / ed) along the L1-normalized left perpendicular of its direction:
+    in the lifted frame, by ``mult * den * epsilon * perp_left(d) / |d|_1``."""
     d = vsub(piece.end, piece.start)
-    norm = l1norm(d)
+    norm = abs(d[0]) + abs(d[1])
     if norm == 0:
         raise PushoffCollision("pushoff-collision: zero-length piece")
-    return vscale(side_mult * epsilon / norm, perp_left(d))
+    k = mult * den * en
+    w = ed * norm
+    return d, k, w, w * cross2(d, piece.start) + k * (d[0] * d[0] + d[1] * d[1])
 
 
-def _miter(prev_piece, prev_off, next_piece, next_off):
-    """Intersection of the two offset supporting lines at a corner."""
-    d1 = vsub(prev_piece.end, prev_piece.start)
-    d2 = vsub(next_piece.end, next_piece.start)
-    a1 = vadd(prev_piece.start, prev_off)
-    a2 = vadd(next_piece.start, next_off)
-    den = cross2(d1, d2)
-    if den == 0:
+def _moved(p, line):
+    """The homogeneous point p moved by the offset of ``line``."""
+    (dx, dy), k, w, _ = line
+    x, y, pw = p
+    return (x * w - pw * k * dy, y * w + pw * k * dx, pw * w)
+
+
+def _miter(prev_line, next_line, corner):
+    """Intersection of the two offset lines at a lifted corner point."""
+    d1, _, w1, c1 = prev_line
+    d2, _, w2, c2 = next_line
+    det = cross2(d1, d2)
+    if det == 0:
         if vdot(d1, d2) < 0:
             raise PushoffCollision("pushoff-collision: hairpin corner")
-        return vadd(prev_piece.end, prev_off)  # collinear continuation
-    t = cross2(vsub(a2, a1), d2) / den
-    return vadd(a1, vscale(t, d1))
+        return _reduced(*_moved(corner + (1,), prev_line))  # collinear continuation
+    a, b = c1 * w2, c2 * w1
+    return _reduced(a * d2[0] - b * d1[0], a * d2[1] - b * d1[1], w1 * w2 * det)
 
 
-def _edge_crossing(piece, off, link):
-    """Exit point of an offset line through the link's boundary edge."""
-    axis, value = SQUARE_EDGES[link.out_edge]
-    d = vsub(piece.end, piece.start)
+def _edge_crossing(line, edge, den):
+    """Exit point of an offset line through a boundary edge of its chart."""
+    axis, value = SQUARE_EDGES[edge]
+    d, _, w, c = line
     if d[axis] == 0:
         raise PushoffCollision("pushoff-collision: offset parallel to exit edge")
-    a = vadd(piece.start, off)
-    t = (value - a[axis]) / d[axis]
-    z = vadd(a, vscale(t, d))
-    other = z[1 - axis]
-    if not (ZERO < other < ONE):
+    # the point of the line whose coordinate ``axis`` is value * den
+    vw = value * den * w
+    z = [vw * d[0], vw * d[1]]
+    z[1 - axis] += c if axis == 0 else -c
+    z = _reduced(z[0], z[1], w * d[axis])
+    if not (0 < z[1 - axis] < den * z[2]):
         raise PushoffCollision("pushoff-collision: exit point left the open edge")
     return z
 
 
-def _chain_side_product(chain):
-    mult = 1
-    for link in chain.links:
-        if link.kind == "wrap" and link.sign:
-            mult = -mult
-    return mult
+def _apply_lifted(t, p):
+    """A map on lifts applied to a homogeneous point."""
+    x, y, w = p
+    return (t.a * x + t.b * y + t.e * w, t.c * x + t.d * y + t.f * w, w)
+
+
+def _side_mults(base, links):
+    """The side of each piece of a run joined by ``links``: it flips
+    across every orientation-reversing wrap."""
+    mults = [base]
+    for link in links:
+        mults.append(-mults[-1] if link.kind == "wrap" and link.sign else mults[-1])
+    return mults
 
 
 def _validate_chain(chain):
@@ -726,7 +763,7 @@ def _validate_chain(chain):
                 raise ValueError(f"chain discontinuity at corner link {i}")
         elif link.kind == "wrap":
             axis, value = SQUARE_EDGES[link.out_edge]
-            if cur.end[axis] != value:
+            if cur.end[axis] != value * chain.den:
                 raise ValueError(f"wrap link {i} does not end on edge {link.out_edge}")
             if link.transform.apply(cur.end) != nxt.start:
                 raise ValueError(f"chain discontinuity at wrap link {i}")
@@ -734,47 +771,49 @@ def _validate_chain(chain):
             raise ValueError(f"unknown link kind {link.kind!r}")
 
 
-def _offset_run(pieces, links, side_mults, epsilon):
-    """Offset an open run of pieces; returns offset pieces (ends unresolved).
+def _offset_run(pieces, links, mults, den, epsilon, first, last):
+    """Offset an open run of lifted pieces; returns offset pieces.
 
     ``links`` has one entry per adjacent pair.  The first offset piece
-    starts at start+off and the last ends at end+off; interior joints are
-    mitered or wrapped.
+    starts at the offset of the homogeneous point ``first`` and the last
+    ends at the offset of ``last``; interior joints are mitered or wrapped.
     """
-    offs = [_offset_vector(p, m, epsilon) for p, m in zip(pieces, side_mults)]
+    en, ed = epsilon.numerator, epsilon.denominator
+    lines = [_offset_line(p, m, den, en, ed) for p, m in zip(pieces, mults)]
     starts = [None] * len(pieces)
     ends = [None] * len(pieces)
-    starts[0] = vadd(pieces[0].start, offs[0])
-    ends[-1] = vadd(pieces[-1].end, offs[-1])
+    starts[0] = _reduced(*_moved(first, lines[0]))
+    ends[-1] = _reduced(*_moved(last, lines[-1]))
     for i, link in enumerate(links):
         if link.kind == "corner":
-            m = _miter(pieces[i], offs[i], pieces[i + 1], offs[i + 1])
-            if not _strictly_inside(m):
+            m = _miter(lines[i], lines[i + 1], pieces[i].end)
+            x, y, w = m
+            if not (0 < x < den * w and 0 < y < den * w):
                 raise PushoffCollision("pushoff-collision: miter left the chart")
             ends[i] = m
             starts[i + 1] = m
         else:
-            z = _edge_crossing(pieces[i], offs[i], link)
+            z = _edge_crossing(lines[i], link.out_edge, den)
             ends[i] = z
-            starts[i + 1] = link.transform.apply(z)
+            starts[i + 1] = _apply_lifted(link.transform, z)
     out = []
-    for piece, s, e in zip(pieces, starts, ends):
-        d = vsub(piece.end, piece.start)
-        if vdot(vsub(e, s), d) <= 0:
+    for piece, (d, _, _, _), s, e in zip(pieces, lines, starts, ends):
+        if (e[0] * s[2] - s[0] * e[2]) * d[0] + (e[1] * s[2] - s[1] * e[2]) * d[1] <= 0:
             raise PushoffCollision("pushoff-collision: offset piece reversed")
         out.append(ChainPiece(piece.chart, s, e))
     return out
 
 
 def pushoff_polyline(chain, side="left", epsilon=None):
-    """Push a closed chain off itself by ``epsilon`` on the given side.
+    """Push a closed lifted chain off itself by ``epsilon`` on the given side.
 
     The offset of each piece is epsilon times the L1-normalized left (or
     right) perpendicular of its direction, with the side flipping across
     orientation-reversing wrap links.  When the side flips an odd number
     of times around the chain the curve is one-sided: the result is an
     open offset arc anchored at the midpoint of the longest piece plus a
-    closing ``jump`` across the curve at the anchor.
+    closing ``jump`` across the curve at the anchor.  The offset points are
+    homogeneous triples over the chain's lifts (see :class:`PushoffResult`).
 
     Shrinking the offset linearly to zero keeps every construction step
     valid, so the result is always freely homotopic -- in particular
@@ -793,47 +832,28 @@ def pushoff_polyline(chain, side="left", epsilon=None):
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _validate_chain(chain)
-    base = ONE if side == "left" else -ONE
     n = len(chain.pieces)
-    reconnected = _chain_side_product(chain) < 0
-
-    if not reconnected:
-        mults = []
-        m = base
-        for i in range(n):
-            mults.append(m)
-            link = chain.links[i]
-            if link.kind == "wrap" and link.sign:
-                m = -m
-        # resolve the closing link by rotating the run so it becomes interior
-        pieces = list(chain.pieces) + [chain.pieces[0]]
-        links = list(chain.links)
-        mults = mults + [mults[0]]
-        run = _offset_run(pieces, links, mults, epsilon)
-        closed = run[:-1]
-        closed[0] = ChainPiece(closed[0].chart, run[-1].start, closed[0].end)
-        return PushoffResult(tuple(closed), False, None)
-
-    # one-sided: anchor at the midpoint of the longest piece
-    lengths = [l1norm(vsub(p.end, p.start)) for p in chain.pieces]
-    k = max(range(n), key=lambda i: (lengths[i], -i))
-    anchor = chain.pieces[k]
-    w = vscale(rat(1, 2), vadd(anchor.start, anchor.end))
-    first = ChainPiece(anchor.chart, w, anchor.end)
-    last = ChainPiece(anchor.chart, anchor.start, w)
-    pieces = [first] + [chain.pieces[(k + i) % n] for i in range(1, n)] + [last]
-    links = [chain.links[(k + i) % n] for i in range(n)]
-    mults = []
-    m = base
-    for i in range(n + 1):
-        mults.append(m)
-        if i < n:
-            link = links[i]
-            if link.kind == "wrap" and link.sign:
-                m = -m
-    run = _offset_run(pieces, links, mults, epsilon)
-    jump = ChainPiece(anchor.chart, run[-1].end, run[0].start)
-    return PushoffResult(tuple(run), True, jump)
+    reconnected = _side_mults(1, chain.links)[-1] < 0
+    if reconnected:
+        # one-sided: anchor at the midpoint of the longest piece
+        lengths = [sum(map(abs, vsub(p.end, p.start))) for p in chain.pieces]
+        k = max(range(n), key=lambda i: (lengths[i], -i))
+        anchor = chain.pieces[k]
+        first = last = (anchor.start[0] + anchor.end[0], anchor.start[1] + anchor.end[1], 2)
+    else:
+        # two-sided: run once around and close the first piece on the last
+        k = 0
+        anchor = chain.pieces[0]
+        first, last = anchor.start + (1,), anchor.end + (1,)
+    pieces = [*chain.pieces[k:], *chain.pieces[:k], anchor]
+    links = [*chain.links[k:], *chain.links[:k]]
+    mults = _side_mults(1 if side == "left" else -1, links)
+    run = _offset_run(pieces, links, mults, chain.den, epsilon, first, last)
+    if reconnected:
+        jump = ChainPiece(anchor.chart, run[-1].end, run[0].start)
+        return PushoffResult(tuple(run), True, jump)
+    closed = [ChainPiece(anchor.chart, run[-1].start, run[0].end)] + run[1:-1]
+    return PushoffResult(tuple(closed), False, None)
 
 
 __all__ = [
@@ -849,7 +869,6 @@ __all__ = [
     "cross3",
     "dist2",
     "perp_left",
-    "l1norm",
     "common_denominator",
     "vlift",
     "DEGENERATE",

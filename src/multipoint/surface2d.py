@@ -21,10 +21,10 @@ EDGE_NAMES = tuple(SQUARE_EDGES)
 
 # edge frames: base point, tangent along the edge, outward normal
 _FRAMES = {
-    "E": ((ONE, ZERO), (ZERO, ONE), (ONE, ZERO)),
-    "W": ((ZERO, ZERO), (ZERO, ONE), (-ONE, ZERO)),
-    "N": ((ZERO, ONE), (ONE, ZERO), (ZERO, ONE)),
-    "S": ((ZERO, ZERO), (ONE, ZERO), (ZERO, -ONE)),
+    "E": ((1, 0), (0, 1), (1, 0)),
+    "W": ((0, 0), (0, 1), (-1, 0)),
+    "N": ((0, 1), (1, 0), (0, 1)),
+    "S": ((0, 0), (1, 0), (0, -1)),
 }
 
 # square corners indexed 0..3; each is met by two edges
@@ -54,6 +54,15 @@ def edge_transition(edge_a: str, edge_b: str, flip: bool) -> Transform2:
     e = bb[0] - (a * base_a[0] + b * base_a[1])
     f = bb[1] - (c * base_a[0] + d * base_a[1])
     return Transform2(rat(a), rat(b), rat(c), rat(d), rat(e), rat(f))
+
+
+# the 32 gluing maps, one per (edge_a, edge_b, flip), built once
+_TRANSITIONS = {
+    (edge_a, edge_b, flip): edge_transition(edge_a, edge_b, flip)
+    for edge_a in EDGE_NAMES
+    for edge_b in EDGE_NAMES
+    for flip in (False, True)
+}
 
 
 @dataclass(frozen=True)
@@ -144,11 +153,12 @@ class SquareComplex:
             if (g.square_a, g.edge_a) == (g.square_b, g.edge_b):
                 violations.append(f"self-glued-edge {g.square_a}.{g.edge_a}")
                 continue
-            t_ab = edge_transition(g.edge_a, g.edge_b, g.flip)
+            t_ab = _TRANSITIONS[(g.edge_a, g.edge_b, bool(g.flip))]
+            t_ba = _TRANSITIONS[(g.edge_b, g.edge_a, bool(g.flip))]  # the inverse of t_ab
             sign = 1 if t_ab.det() < 0 else 0
             for (sq, ed, osq, oed, tr) in (
                 (g.square_a, g.edge_a, g.square_b, g.edge_b, t_ab),
-                (g.square_b, g.edge_b, g.square_a, g.edge_a, t_ab.inverse()),
+                (g.square_b, g.edge_b, g.square_a, g.edge_a, t_ba),
             ):
                 if (sq, ed) in self._by_edge:
                     violations.append(f"duplicate-edge-slot {sq}.{ed}")

@@ -332,6 +332,121 @@ def plane_torus_h2(u, v):
 # library counts the same crossings on integer lifts.
 
 
+def _rational_chain(curve, comp_idx):
+    """A component's pieces ``(square, start, end)`` on its Fraction points
+    and its links: None for a corner, ``(edge, transform, sign)`` for the
+    wrap between the two pieces of a segment that crosses a gluing."""
+    comp = curve.components[comp_idx]
+    by_seg = {}
+    for pc in comp.pieces:
+        by_seg.setdefault(pc.seg, []).append(pc)
+    pieces, links = [], []
+    for seg, crossing in enumerate(comp.crossings):
+        first, *rest = by_seg[seg]
+        pieces.append((first.square, first.p0, first.p1))
+        if crossing is not None:
+            (second,) = rest
+            _, _, _, transform, sign = curve.complex.glued(first.square, crossing.edge)
+            links.append((crossing.edge, transform, sign))
+            pieces.append((second.square, second.p0, second.p1))
+        links.append(None)
+    return pieces, links
+
+
+_EDGE_AXIS = {"E": (0, 1), "W": (0, 0), "N": (1, 1), "S": (1, 0)}
+
+
+def _rational_offset_run(pieces, links, mults, epsilon):
+    """Offset pieces of an open run on Fraction points: piece i moves by
+    ``mults[i] * epsilon`` along the L1-normalized left perpendicular of its
+    direction, interior joints are mitered or wrapped, and the first
+    start and last end are moved unresolved."""
+    from multipoint.exactgeom import PushoffCollision, vadd
+
+    offs = []
+    for (_, a, b), m in zip(pieces, mults):
+        d = vsub(b, a)
+        norm = abs(d[0]) + abs(d[1])
+        if norm == 0:
+            raise PushoffCollision("zero-length piece")
+        s = m * epsilon / norm
+        offs.append((-s * d[1], s * d[0]))
+    starts = [None] * len(pieces)
+    ends = [None] * len(pieces)
+    starts[0] = vadd(pieces[0][1], offs[0])
+    ends[-1] = vadd(pieces[-1][2], offs[-1])
+    for i, link in enumerate(links):
+        (_, a1, b1), (_, a2, b2) = pieces[i], pieces[i + 1]
+        d1 = vsub(b1, a1)
+        p1 = vadd(a1, offs[i])
+        if link is None:
+            d2 = vsub(b2, a2)
+            den = cross2(d1, d2)
+            if den == 0:
+                if vdot(d1, d2) < 0:
+                    raise PushoffCollision("hairpin corner")
+                m = vadd(b1, offs[i])
+            else:
+                t = cross2(vsub(vadd(a2, offs[i + 1]), p1), d2) / den
+                m = (p1[0] + t * d1[0], p1[1] + t * d1[1])
+            if not (0 < m[0] < 1 and 0 < m[1] < 1):
+                raise PushoffCollision("miter left the chart")
+            ends[i] = starts[i + 1] = m
+        else:
+            edge, transform, _ = link
+            axis, value = _EDGE_AXIS[edge]
+            if d1[axis] == 0:
+                raise PushoffCollision("offset parallel to exit edge")
+            t = (value - p1[axis]) / d1[axis]
+            z = (p1[0] + t * d1[0], p1[1] + t * d1[1])
+            if not (0 < z[1 - axis] < 1):
+                raise PushoffCollision("exit point left the open edge")
+            ends[i] = z
+            starts[i + 1] = transform.apply(z)
+    out = []
+    for (square, a, b), s, e in zip(pieces, starts, ends):
+        if vdot(vsub(e, s), vsub(b, a)) <= 0:
+            raise PushoffCollision("offset piece reversed")
+        out.append((square, s, e))
+    return out
+
+
+def pushoff_all_reference(curve, epsilon):
+    """The left pushoff of every component at ``epsilon``, built on
+    Fraction chart points: the offset pieces ``(square, start, end)`` in
+    component order, each one-sided component followed by its closing
+    jump.  Raises ``PushoffCollision`` when a construction step fails.
+
+    A two-sided component is offset as one run around it, whose last
+    piece's start closes the first piece; a one-sided one as a run from
+    the midpoint of its longest piece (the first one on a tie) back to it,
+    closed by a jump across the curve."""
+    out = []
+    for ci in range(len(curve.components)):
+        pieces, links = _rational_chain(curve, ci)
+        one_sided = sum(1 for link in links if link is not None and link[2]) % 2 == 1
+        if not one_sided:
+            k, run_pieces = 0, pieces + pieces[:1]
+        else:
+            lengths = [sum(abs(c) for c in vsub(b, a)) for _, a, b in pieces]
+            k = max(range(len(pieces)), key=lambda i: (lengths[i], -i))
+            square, a, b = pieces[k]
+            mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+            run_pieces = [(square, mid, b)] + pieces[k + 1:] + pieces[:k] + [(square, a, mid)]
+        run_links = links[k:] + links[:k]
+        mults = [1]
+        for link in run_links:
+            mults.append(-mults[-1] if link is not None and link[2] else mults[-1])
+        run = _rational_offset_run(run_pieces, run_links, mults, epsilon)
+        if one_sided:
+            out.extend(run)
+            out.append((run[0][0], run[-1][2], run[0][1]))
+        else:
+            out.append((run[0][0], run[-1][1], run[0][2]))
+            out.extend(run[1:-1])
+    return out
+
+
 def pairing_mod2_reference(curve_a, comp_a, curve_b, retry_budget=16):
     """The pushoff pairing of one component of ``curve_a`` with ``curve_b``,
     counted on Fraction coordinates with every piece of the component
@@ -359,16 +474,16 @@ def pairing_mod2_reference(curve_a, comp_a, curve_b, retry_budget=16):
     epsilon = initial_epsilon(min(seps) if seps else None)
     for _ in range(retry_budget):
         try:
-            offsets = curve_b.pushoff(epsilon)
+            offsets = pushoff_all_reference(curve_b, epsilon)
         except PushoffCollision:
             epsilon = epsilon / 2
             continue
         count = 0
         for piece in curve_a.components[comp_a].pieces:
-            for off in offsets:
-                if off.chart != piece.square:
+            for square, start, end in offsets:
+                if square != piece.square:
                     continue
-                res = seg_intersect((piece.p0, piece.p1), (off.start, off.end))
+                res = seg_intersect((piece.p0, piece.p1), (start, end))
                 if res is None:
                     continue
                 if not strict_crossing(res):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multipoint.exactgeom import vscale
 from multipoint.rational import rat
 from multipoint.curves2d import (
     CurveBuildError,
@@ -339,11 +340,15 @@ def test_refining_a_segment_changes_nothing(raw, which):
 
 def test_chain_roundtrip_matches_pieces():
     c = curve_str(TORUS, FIG8)
+    # the chain holds the curve's lifts by its common denominator
     chain = component_chain(c, 0)
+    assert chain.den == 4
     assert [(p.start, p.end) for p in chain.pieces] == [
-        (p.p0, p.p1) for p in c.components[0].pieces
+        (vscale(4, p.p0), vscale(4, p.p1)) for p in c.components[0].pieces
     ]
     assert all(l.kind == "corner" for l in chain.links)
     h = curve_str(TORUS, HORIZ)
     chain_h = component_chain(h, 0)
     assert [l.kind for l in chain_h.links] == ["wrap", "corner"]
+    # the wrap acts on lifts: the exit (1, 1/2) lifts to (4, 2) and lands on (0, 2)
+    assert chain_h.den == 4 and chain_h.links[0].transform.apply((4, 2)) == (0, 2)

@@ -567,15 +567,6 @@ def test_predicates_on_big_integers_are_exact(fn):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.tuples(*[rationals() for _ in range(6)]), points2())
-def test_transform_inverse_roundtrip(coeffs, p):
-    t = Transform2(*coeffs)
-    if t.det() == 0:
-        return
-    assert t.inverse().apply(t.apply(p)) == p
-
-
-@settings(max_examples=100, deadline=None)
 @given(
     st.tuples(*[rationals(max_denominator=4) for _ in range(6)]),
     st.tuples(*[rationals(max_denominator=4) for _ in range(6)]),
@@ -587,25 +578,68 @@ def test_transform_compose_matches_application(c1, c2, p):
     assert t1.compose(t2).det() == t1.det() * t2.det()
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.tuples(*[st.integers(min_value=-2, max_value=2) for _ in range(6)]),
+    points2(max_denominator=4),
+    st.integers(min_value=1, max_value=12),
+)
+def test_transform_lift_acts_on_lifts(coeffs, p, den):
+    t = Transform2(*map(rat, coeffs))
+    lifted = t.lift(den)
+    assert {type(c) for c in dataclasses.astuple(lifted)} == {int}
+    assert lifted.apply(vscale(den, p)) == vscale(den, t.apply(p))
+    with pytest.raises(ValueError):
+        Transform2(rat(1, 2), ZERO, ZERO, ONE, ZERO, ZERO).lift(den)
+
+
 # ---------------------------------------------------------------------------
 # pushoff
+#
+# A chain is given by the integer lifts den * p of its chart points, and the
+# offset points come back as homogeneous int triples (X, Y, W) over the
+# lifts.  The expected values below are chart points (X / (W den), Y / (W den)).
+
+
+def lift(p, den):
+    q = vscale(den, p)
+    assert all(c.denominator == 1 for c in q)
+    return tuple(c.numerator for c in q)
+
+
+def lifted_chain(den, vertices):
+    """The closed corner chain through ``vertices``, on their lifts by den."""
+    v = [lift(p, den) for p in vertices]
+    pieces = tuple(ChainPiece("s", v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
+    return ClosedChain(pieces, tuple(ChainLink("corner") for _ in v), den)
+
+
+def chart_point(p, den):
+    x, y, w = p
+    assert {type(c) for c in p} == {int} and w > 0
+    return (rat(x, w * den), rat(y, w * den))
+
+
+def chart_pieces(res, den):
+    return [(chart_point(p.start, den), chart_point(p.end, den)) for p in res.pieces]
 
 
 def square_loop_chain():
-    v = [
-        (rat(1, 4), rat(1, 4)),
-        (rat(3, 4), rat(1, 4)),
-        (rat(3, 4), rat(3, 4)),
-        (rat(1, 4), rat(3, 4)),
-    ]
-    pieces = tuple(ChainPiece("s", v[i], v[(i + 1) % 4]) for i in range(4))
-    links = tuple(ChainLink("corner") for _ in range(4))
-    return ClosedChain(pieces, links)
+    return lifted_chain(
+        4,
+        [
+            (rat(1, 4), rat(1, 4)),
+            (rat(3, 4), rat(1, 4)),
+            (rat(3, 4), rat(3, 4)),
+            (rat(1, 4), rat(3, 4)),
+        ],
+    )
 
 
 def test_pushoff_square_loop_left_is_concentric():
     eps = rat(1, 100)
-    res = pushoff_polyline(square_loop_chain(), side="left", epsilon=eps)
+    chain = square_loop_chain()
+    res = pushoff_polyline(chain, side="left", epsilon=eps)
     assert not res.reconnected and res.jump is None
     lo, hi = rat(13, 50), rat(37, 50)
     expect = [
@@ -614,15 +648,15 @@ def test_pushoff_square_loop_left_is_concentric():
         ((hi, hi), (lo, hi)),
         ((lo, hi), (lo, lo)),
     ]
-    assert [(p.start, p.end) for p in res.pieces] == expect
+    assert chart_pieces(res, chain.den) == expect
 
 
 def test_pushoff_square_loop_right_is_outside():
     eps = rat(1, 100)
-    res = pushoff_polyline(square_loop_chain(), side="right", epsilon=eps)
+    chain = square_loop_chain()
+    res = pushoff_polyline(chain, side="right", epsilon=eps)
     lo, hi = rat(6, 25), rat(19, 25)  # 1/4 - 1/100 and 3/4 + 1/100
-    assert res.pieces[0].start == (lo, lo)
-    assert res.pieces[0].end == (hi, lo)
+    assert chart_pieces(res, chain.den)[0] == ((lo, lo), (hi, lo))
 
 
 def test_pushoff_oversized_epsilon_collides():
@@ -637,17 +671,18 @@ def test_pushoff_epsilon_precondition():
 
 
 def torus_horizontal_chain():
-    # single horizontal loop through the E~W gluing of a torus square
-    t = Transform2.translation(rat(-1), rat(0))
+    # single horizontal loop through the E~W gluing of a torus square,
+    # lifted by 2
+    t = Transform2.translation(rat(-1), rat(0)).lift(2)
     pieces = (
-        ChainPiece("s", (rat(1, 2), rat(1, 2)), (rat(1), rat(1, 2))),
-        ChainPiece("s", (rat(0), rat(1, 2)), (rat(1, 2), rat(1, 2))),
+        ChainPiece("s", (1, 1), (2, 1)),
+        ChainPiece("s", (0, 1), (1, 1)),
     )
     links = (
         ChainLink("wrap", transform=t, sign=0, out_edge="E"),
         ChainLink("corner"),
     )
-    return ClosedChain(pieces, links)
+    return ClosedChain(pieces, links, 2)
 
 
 def test_pushoff_torus_loop_two_sided():
@@ -655,24 +690,24 @@ def test_pushoff_torus_loop_two_sided():
     res = pushoff_polyline(torus_horizontal_chain(), side="left", epsilon=eps)
     assert not res.reconnected
     y = rat(1, 2) + eps
-    assert [(p.start, p.end) for p in res.pieces] == [
+    assert chart_pieces(res, 2) == [
         ((rat(1, 2), y), (rat(1), y)),
         ((rat(0), y), (rat(1, 2), y)),
     ]
 
 
 def klein_horizontal_chain():
-    # same loop but through an orientation-reversing E~W gluing
-    t = Transform2(rat(1), rat(0), rat(0), rat(-1), rat(-1), rat(1))
+    # same loop but through an orientation-reversing E~W gluing, lifted by 4
+    t = Transform2(rat(1), rat(0), rat(0), rat(-1), rat(-1), rat(1)).lift(4)
     pieces = (
-        ChainPiece("s", (rat(1, 4), rat(1, 2)), (rat(1), rat(1, 2))),
-        ChainPiece("s", (rat(0), rat(1, 2)), (rat(1, 4), rat(1, 2))),
+        ChainPiece("s", (1, 2), (4, 2)),
+        ChainPiece("s", (0, 2), (1, 2)),
     )
     links = (
         ChainLink("wrap", transform=t, sign=1, out_edge="E"),
         ChainLink("corner"),
     )
-    return ClosedChain(pieces, links)
+    return ClosedChain(pieces, links, 4)
 
 
 def test_pushoff_klein_loop_reconnects_with_jump():
@@ -680,22 +715,23 @@ def test_pushoff_klein_loop_reconnects_with_jump():
     res = pushoff_polyline(klein_horizontal_chain(), side="left", epsilon=eps)
     assert res.reconnected
     up, down = rat(51, 100), rat(49, 100)
-    assert [(p.start, p.end) for p in res.pieces] == [
+    assert chart_pieces(res, 4) == [
         ((rat(5, 8), up), (rat(1), up)),
         ((rat(0), down), (rat(1, 4), down)),
         ((rat(1, 4), down), (rat(5, 8), down)),
     ]
-    assert (res.jump.start, res.jump.end) == ((rat(5, 8), down), (rat(5, 8), up))
+    jump = (chart_point(res.jump.start, 4), chart_point(res.jump.end, 4))
+    assert jump == ((rat(5, 8), down), (rat(5, 8), up))
 
 
 def test_pushoff_rejects_discontinuous_chain():
     pieces = (
-        ChainPiece("s", (rat(1, 4), rat(1, 4)), (rat(3, 4), rat(1, 4))),
-        ChainPiece("s", (rat(1, 2), rat(3, 4)), (rat(1, 4), rat(1, 4))),
+        ChainPiece("s", (1, 1), (3, 1)),
+        ChainPiece("s", (2, 3), (1, 1)),
     )
     links = (ChainLink("corner"), ChainLink("corner"))
     with pytest.raises(ValueError):
-        pushoff_polyline(ClosedChain(pieces, links), side="left", epsilon=rat(1, 100))
+        pushoff_polyline(ClosedChain(pieces, links, 4), side="left", epsilon=rat(1, 100))
 
 
 @settings(max_examples=50, deadline=None)
@@ -717,11 +753,10 @@ def test_pushoff_square_loops_stay_at_distance_epsilon(cx, cy, side):
         vadd(center, (half, half)),
         vadd(center, (-half, half)),
     ]
-    pieces = tuple(ChainPiece("s", v[i], v[(i + 1) % 4]) for i in range(4))
-    chain = ClosedChain(pieces, tuple(ChainLink("corner") for _ in range(4)))
+    chain = lifted_chain(16, v)
     eps = rat(1, 64)
     res = pushoff_polyline(chain, side=side, epsilon=eps)
-    for orig, off in zip(chain.pieces, res.pieces):
-        mid_o = vscale(rat(1, 2), vadd(orig.start, orig.end))
-        mid_p = vscale(rat(1, 2), vadd(off.start, off.end))
+    for i, (start, end) in enumerate(chart_pieces(res, chain.den)):
+        mid_o = vscale(rat(1, 2), vadd(v[i], v[(i + 1) % 4]))
+        mid_p = vscale(rat(1, 2), vadd(start, end))
         assert dist2(mid_o, mid_p) == eps * eps

@@ -14,6 +14,7 @@ from multipoint.herbert import (
     verify_and_dump,
     write_reproducer,
 )
+from multipoint.generate import CURVE_AMBIENTS, GeneratorConfig, generate
 from multipoint.rational import rat
 from multipoint.surface2d import klein_complex, torus_complex
 from multipoint.surfaces3d import GeneralPositionError, Mesh3, coordinate_torus
@@ -117,6 +118,49 @@ def test_separation_scale_is_computed_on_first_pairing_only(monkeypatch):
     calls.clear()
     assert check_cartan(class_of_curve(curve(HORIZ)), class_of_curve(curve(VERT)), 2).ok
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# metamorphic checks on generated curves
+
+
+def _reversed_marks(complex_, comp):
+    """Marks that draw a component backwards: from vertex 0 through vertices
+    n-1, ..., 1 back to vertex 0.  A segment that crossed a gluing ends at
+    the image of its start vertex in the square it is now drawn from."""
+    sq0, p0 = comp.vertices[0]
+    marks = [(sq0, p0)]
+    current = sq0
+    for seg in reversed(range(len(comp.vertices))):
+        square, point = comp.vertices[seg]
+        crossing = comp.crossings[seg]
+        if crossing is not None:
+            point = complex_.glued(square, crossing.edge)[3].apply(point)
+        marks.append((current, point))
+        current = square
+    return marks
+
+
+@pytest.mark.parametrize("ambient", CURVE_AMBIENTS)
+def test_curve_rows_follow_component_swap_and_reversal(ambient):
+    # mod-2 classes do not see orientation: drawn backwards, each component
+    # is pushed off to its other side, and every row stays the same
+    for seed in range(20):
+        config = GeneratorConfig(ambient=ambient, seed=seed, components=(2, 2))
+        curve = generate(config).multicurve("c")
+        rows = verify(curve).rows
+        assert len(rows) == 2 and all(row.verdict == "PASS" for row in rows)
+        swapped = verify(MultiCurve(curve.complex, curve.components[::-1])).rows
+        assert [(r.lhs, r.mu, r.euler) for r in swapped] == [
+            (r.lhs, r.mu, r.euler) for r in rows[::-1]
+        ]
+        backwards = MultiCurve.build(
+            curve.complex, [_reversed_marks(curve.complex, comp) for comp in curve.components]
+        )
+        assert [len(c.pieces) for c in backwards.components] == [
+            len(c.pieces) for c in curve.components
+        ]
+        assert verify(backwards).rows == rows
 
 
 def test_curve_budget_exhaustion_is_error_row(monkeypatch):

@@ -8,6 +8,7 @@ call receive only ints.
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,9 +16,9 @@ import pytest
 import oracles
 from multipoint import curves2d, herbert, surfaces3d
 from multipoint.curves2d import MultiCurve, initial_epsilon, pairing_mod2
-from multipoint.exactgeom import DEGENERATE, GenericityError, vscale, vsub
+from multipoint.exactgeom import DEGENERATE, GenericityError, PushoffCollision, vscale, vsub
 from multipoint.generate import CURVE_AMBIENTS, TORI_AMBIENT, GeneratorConfig, generate
-from multipoint.rational import rat
+from multipoint.rational import GMPY2, rat
 from multipoint.scene import parse_scene
 from multipoint.surface2d import torus_complex
 from multipoint.surfaces3d import crossings_mod2_with_generic_translate, mesh_segment_hits
@@ -46,6 +47,68 @@ def test_pairing_matches_rational_reference_on_generated_scenes(ambient):
             for i in range(len(a.components)):
                 bit, _ = oracles.pairing_mod2_reference(a, i, curve_b)
                 assert pairing_mod2(a, i, curve_b) == bit
+
+
+def _chart_pieces(curve, epsilon):
+    """Every component's offset pieces at ``epsilon``, jumps included, as
+    ``(square, start, end)`` on chart points read back from the homogeneous
+    triples: ``X / (W * D)``."""
+    out = []
+    for ci in range(len(curve.components)):
+        chain = curves2d.component_chain(curve, ci)
+        res = curves2d.pushoff_polyline(chain, epsilon=epsilon)
+        for off in res.pieces + ((res.jump,) if res.jump else ()):
+            start, end = (
+                (rat(x, w * chain.den), rat(y, w * chain.den)) for x, y, w in (off.start, off.end)
+            )
+            out.append((off.chart, start, end))
+    return out
+
+
+@pytest.mark.parametrize("ambient", CURVE_AMBIENTS)
+def test_pushoff_matches_rational_reference_at_every_epsilon_tried(monkeypatch, ambient):
+    tried = []
+    real = curves2d.pushoff_all
+
+    def recorded(curve, epsilon):
+        tried.append((curve, epsilon))
+        return real(curve, epsilon)
+
+    monkeypatch.setattr(curves2d, "pushoff_all", recorded)
+    curves = [
+        _generated_curve(ambient, seed, components)
+        for seed in range(12)
+        for components in ((1, 1), (2, 2))
+    ]
+    for a, b in zip(curves, curves[1:] + curves[:1]):
+        for curve_b in (a, b):
+            for i in range(len(a.components)):
+                pairing_mod2(a, i, curve_b)
+    assert len(tried) >= len(curves)
+    collisions = 0
+    for curve, epsilon in tried:
+        try:
+            want = oracles.pushoff_all_reference(curve, epsilon)
+        except PushoffCollision:
+            collisions += 1
+            with pytest.raises(PushoffCollision):
+                _chart_pieces(curve, epsilon)
+            with pytest.raises(PushoffCollision):
+                real(curve, epsilon)
+            continue
+        assert _chart_pieces(curve, epsilon) == want
+        # the memo form: the lifts by D' grouped by square, in the same order
+        den, by_square = real(curve, epsilon)
+        assert den % curve.lift()[0] == 0
+        grouped = {}
+        for square, start, end in want:
+            grouped.setdefault(square, []).append((start, end))
+        assert {
+            square: [tuple((rat(x, den), rat(y, den)) for x, y in off) for off in offs]
+            for square, offs in by_square.items()
+        } == grouped
+    # the scenes push off at more than one epsilon, so both outcomes are met
+    assert collisions
 
 
 def test_pairing_matches_rational_reference_after_a_pushoff_retry():
@@ -213,3 +276,41 @@ def test_lhs_predicates_receive_only_integers(monkeypatch):
     for name, coords in coordinates.items():
         assert coords, name
         assert {type(c) for c in coords} == {int}, name
+
+
+@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
+def test_pushoff_construction_creates_no_fraction(monkeypatch):
+    curve = _generated_curve("klein", 3, (2, 2))
+    epsilon = initial_epsilon(curve.min_sep_sq)  # certifies and lifts the curve
+    created = []
+    counting = [False]
+    original_new = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        if counting[0]:
+            created.append(args)
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", new)
+    if "_from_coprime_ints" in vars(Fraction):  # Python 3.12+ arithmetic
+        original_coprime = Fraction._from_coprime_ints
+
+        def from_coprime_ints(cls, numerator, denominator):
+            if counting[0]:
+                created.append((numerator, denominator))
+            return original_coprime(numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(from_coprime_ints))
+
+    def count(build):
+        created.clear()
+        counting[0] = True
+        try:
+            build(curve, epsilon)
+        finally:
+            counting[0] = False
+        return len(created)
+
+    # the counter sees the rational construction of the same pushoff
+    assert count(oracles.pushoff_all_reference) > 0
+    assert count(curves2d.pushoff_all) == 0
