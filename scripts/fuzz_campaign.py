@@ -11,6 +11,7 @@ Examples:
     python3 scripts/fuzz_campaign.py --universe tori --count 50 --seed 7
     python3 scripts/fuzz_campaign.py --universe both --count 100 --histogram
     python3 scripts/fuzz_campaign.py --universe tori --count 100 --machine > tori.tsv
+    python3 scripts/fuzz_campaign.py --components 2 2 --count 500 --machine > c22.tsv
 """
 
 import argparse
@@ -27,8 +28,10 @@ from multipoint.generate import (
 )
 
 
-def curve_config(seed):
-    return GeneratorConfig(ambient=CURVE_AMBIENTS[seed % 3], seed=seed)
+def curve_config(seed, components=(1, 2)):
+    return GeneratorConfig(
+        ambient=CURVE_AMBIENTS[seed % 3], seed=seed, components=components
+    )
 
 
 def tori_config(seed):
@@ -58,9 +61,12 @@ def run_one(cfg):
     return report, features
 
 
-def campaign(universe, count, seed0, histogram, machine):
-    makers = {"curves": [curve_config], "tori": [tori_config]}.get(
-        universe, [curve_config, tori_config]
+def campaign(universe, count, seed0, histogram, machine, components=(1, 2)):
+    def curves(seed):
+        return curve_config(seed, components)
+
+    makers = {"curves": [curves], "tori": [tori_config]}.get(
+        universe, [curves, tori_config]
     )
     out = sys.stderr if machine else sys.stdout
     failures = 0
@@ -106,6 +112,14 @@ def main(argv=None):
     parser.add_argument("--count", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
+        "--components",
+        nargs=2,
+        type=int,
+        default=(1, 2),
+        metavar=("LO", "HI"),
+        help="range of the number of components of a generated curve (default 1 2)",
+    )
+    parser.add_argument(
         "--histogram", action="store_true", help="print a feature-count histogram"
     )
     parser.add_argument(
@@ -114,7 +128,14 @@ def main(argv=None):
         help="print every scene's TSV report; the summary goes to stderr",
     )
     args = parser.parse_args(argv)
-    failures = campaign(args.universe, args.count, args.seed, args.histogram, args.machine)
+    failures = campaign(
+        args.universe,
+        args.count,
+        args.seed,
+        args.histogram,
+        args.machine,
+        tuple(args.components),
+    )
     return 1 if failures else 0
 
 

@@ -32,9 +32,10 @@ from .exactgeom import (
     PushoffCollision,
     collinear_overlap,
     common_denominator,
-    dist2_point_seg,
+    dist2_point_seg_parts,
     pushoff_polyline,
     require_general_position,
+    seg_crossing,
     seg_intersect,
     strict_crossing,
     vadd,
@@ -301,35 +302,35 @@ def _adjacent(comp: Component, pa: Piece, pb: Piece) -> bool:
 def degeneracy_scale_sq(segments):
     """Squared distance of a segment family from its nearest degeneracy.
 
-    Pairs sharing an endpoint are skipped.  A pair that crosses
-    transversally contributes the smallest distance from either segment's
-    endpoints to the other segment (how far the crossing is from becoming
-    an endpoint contact); any other pair contributes its plain distance.
+    Pairs sharing an endpoint are skipped.  Every other pair contributes
+    the smallest distance from either segment's endpoints to the other
+    segment: for a transverse crossing, how far it is from becoming an
+    endpoint contact; for disjoint segments, their distance; a collinear
+    or endpoint contact has an endpoint on the other segment and gives 0.
     Returns None when every pair shares an endpoint; returns 0 exactly for
-    non-generic contact.
+    non-generic contact.  The distances are compared as ``(num, den)`` by
+    cross-multiplication, and only the least is divided.
     """
-    best = None
+    best_num, best_den = None, 1
     for i in range(len(segments)):
         a = segments[i]
+        a0, a1 = a
         for j in range(i + 1, len(segments)):
             b = segments[j]
-            if set(a) & set(b):
+            b0, b1 = b
+            if a0 == b0 or a0 == b1 or a1 == b0 or a1 == b1:
                 continue
-            res = seg_intersect(a, b)
-            if res is DEGENERATE:
-                d = ZERO
-            else:
-                d = min(
-                    dist2_point_seg(a[0], b),
-                    dist2_point_seg(a[1], b),
-                    dist2_point_seg(b[0], a),
-                    dist2_point_seg(b[1], a),
-                )
-            if best is None or d < best:
-                best = d
-                if best == 0:
-                    return best
-    return best
+            for num, den in (
+                dist2_point_seg_parts(a0, b),
+                dist2_point_seg_parts(a1, b),
+                dist2_point_seg_parts(b0, a),
+                dist2_point_seg_parts(b1, a),
+            ):
+                if best_num is None or num * best_den < best_num * den:
+                    best_num, best_den = num, den
+                    if num == 0:
+                        return ZERO
+    return None if best_num is None else rat(best_num, best_den)
 
 
 def _certify(curve: MultiCurve) -> GeneralPositionCert2:
@@ -515,10 +516,10 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
                     continue
                 seg = ((p0[0] * ka, p0[1] * ka), (p1[0] * ka, p1[1] * ka))
                 for off in offs:
-                    res = seg_intersect(seg, off)
-                    if res is None:
+                    crossing = seg_crossing(seg, off)
+                    if crossing is None:
                         continue
-                    if not strict_crossing(res):
+                    if not crossing:
                         raise PushoffCollision(
                             "pushoff-collision: non-transverse contact while counting"
                         )

@@ -97,12 +97,6 @@ def cross3(p, q):
     )
 
 
-def dist2(p, q):
-    """Squared distance between two points of equal dimension."""
-    d = vsub(p, q)
-    return vdot(d, d)
-
-
 def perp_left(d):
     """Rotate a 2D vector a quarter turn counterclockwise."""
     return (-d[1], d[0])
@@ -183,6 +177,33 @@ def collinear_overlap(a, b):
     return ends[lo], ends[hi]
 
 
+def _meeting_params(a, b):
+    """The parameter step of :func:`seg_intersect` and :func:`seg_crossing`.
+
+    Returns None when the closed 2D segments ``a`` and ``b`` are disjoint,
+    ``DEGENERATE`` when they are collinear and meet, and otherwise
+    ``(tn, un, den)`` with ``den > 0``: they meet in the single point
+    ``a(tn / den) = b(un / den)``, with ``0 <= tn, un <= den``.
+    """
+    (px, py), (p1x, p1y) = a
+    (qx, qy), (q1x, q1y) = b
+    rx, ry = p1x - px, p1y - py
+    sx, sy = q1x - qx, q1y - qy
+    wx, wy = qx - px, qy - py
+    den = rx * sy - ry * sx
+    tn = wx * sy - wy * sx
+    un = wx * ry - wy * rx
+    if den == 0:
+        if tn != 0 or un != 0:
+            return None  # parallel, distinct supporting lines
+        return None if collinear_overlap(a, b) is None else DEGENERATE
+    if den < 0:
+        den, tn, un = -den, -tn, -un
+    if 0 <= tn <= den and 0 <= un <= den:
+        return tn, un, den
+    return None
+
+
 def seg_intersect(a, b):
     """Intersect closed 2D segments ``a = (p0, p1)`` and ``b = (q0, q1)``.
 
@@ -192,29 +213,33 @@ def seg_intersect(a, b):
     Endpoint-to-interior contacts are reported as ordinary hits with a
     parameter of 0 or 1; callers classify them.
     """
-    p, p1 = a
-    q, q1 = b
-    r = vsub(p1, p)
-    s = vsub(q1, q)
-    qp = vsub(q, p)
-    den = cross2(r, s)
-    if den == 0:
-        if cross2(qp, r) != 0 or cross2(qp, s) != 0:
-            return None  # parallel, distinct supporting lines
-        return None if collinear_overlap(a, b) is None else DEGENERATE
-    tn = cross2(qp, s)
-    un = cross2(qp, r)
-    if den < 0:
-        den, tn, un = -den, -tn, -un
-    if 0 <= tn <= den and 0 <= un <= den:
-        t = rat(tn, den)
-        return SegmentHit(vadd(p, vscale(t, r)), t, rat(un, den))
-    return None
+    res = _meeting_params(a, b)
+    if res is None or res is DEGENERATE:
+        return res
+    tn, un, den = res
+    p = a[0]
+    t = rat(tn, den)
+    return SegmentHit(vadd(p, vscale(t, vsub(a[1], p))), t, rat(un, den))
 
 
 def strict_crossing(h):
     """Whether a :func:`seg_intersect` hit is interior to both segments."""
     return h is not DEGENERATE and 0 < h.ta < 1 and 0 < h.tb < 1
+
+
+def seg_crossing(a, b):
+    """How closed 2D segments meet, without building the hit: None when
+    they are disjoint, True for a single crossing interior to both, False
+    for any other contact (an end point on the other segment, or collinear
+    contact).  Equals ``strict_crossing(seg_intersect(a, b))`` whenever
+    they meet, and makes no rational."""
+    res = _meeting_params(a, b)
+    if res is None:
+        return None
+    if res is DEGENERATE:
+        return False
+    tn, un, den = res
+    return 0 < tn < den and 0 < un < den
 
 
 def contact_only_at(a, b, w):
@@ -251,19 +276,33 @@ def segments_touch(a, b):
 # point-segment distance
 
 
-def dist2_point_seg(p, seg):
-    """Squared distance from a point to a closed segment (any dimension)."""
-    a, b = seg
-    d = vsub(b, a)
-    w = vsub(p, a)
-    t = vdot(w, d)
+def dist2_point_seg_parts(p, seg):
+    """Squared distance from a 2D point to a closed 2D segment as
+    ``(num, den)`` with ``den > 0``: ints for int points, and no division.
+
+    With ``d`` the segment's direction and ``w`` the point less its start,
+    a foot interior to the segment gives ``cross(w, d)^2 / |d|^2``, which
+    is ``|w|^2 - (w.d)^2 / |d|^2`` by Lagrange's identity.
+    """
+    (ax, ay), (bx, by) = seg
+    px, py = p
+    dx, dy = bx - ax, by - ay
+    wx, wy = px - ax, py - ay
+    t = wx * dx + wy * dy
     if t <= 0:
-        return vdot(w, w)
-    dd = vdot(d, d)
+        return wx * wx + wy * wy, 1
+    dd = dx * dx + dy * dy
     if t >= dd:
-        return dist2(p, b)
-    # |w|^2 - t^2 / dd, the distance to the foot a + (t / dd) d
-    return rat(vdot(w, w) * dd - t * t, dd)
+        ex, ey = px - bx, py - by
+        return ex * ex + ey * ey, 1
+    c = wx * dy - wy * dx
+    return c * c, dd
+
+
+def dist2_point_seg(p, seg):
+    """Squared distance from a 2D point to a closed 2D segment."""
+    num, den = dist2_point_seg_parts(p, seg)
+    return num if den == 1 else rat(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +906,6 @@ __all__ = [
     "vdot",
     "cross2",
     "cross3",
-    "dist2",
     "perp_left",
     "common_denominator",
     "vlift",
@@ -876,9 +914,11 @@ __all__ = [
     "collinear_overlap",
     "seg_intersect",
     "strict_crossing",
+    "seg_crossing",
     "contact_only_at",
     "segments_touch",
     "dist2_point_seg",
+    "dist2_point_seg_parts",
     "floor_vec",
     "frac_vec",
     "bbox",

@@ -285,7 +285,7 @@ def generate(config):
             _accept(scene, config)
             return scene
         except _REJECTIONS as exc:
-            last_error = exc
+            last_error = str(exc)  # not exc, whose traceback holds this frame
     raise GenerationError(
         f"generation retry budget exhausted ({config.retry_budget} candidates); "
         f"last failure: {last_error}"

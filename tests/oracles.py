@@ -10,7 +10,13 @@ instead of pushoffs.  Tests compare library output against these.
 from fractions import Fraction
 
 from multipoint.rational import rat, ZERO
-from multipoint.exactgeom import DEGENERATE, seg_intersect, vsub, vdot, cross2, cross3, dist2
+from multipoint.exactgeom import DEGENERATE, seg_intersect, vsub, vdot, cross2, cross3
+
+
+def dist2(p, q):
+    """Squared distance between two points of equal dimension."""
+    d = vsub(p, q)
+    return vdot(d, d)
 
 
 def orient(p, q, r):
@@ -447,6 +453,41 @@ def pushoff_all_reference(curve, epsilon):
     return out
 
 
+def dist2_point_seg_reference(p, seg):
+    """Squared distance from a point to a closed segment, through the
+    rational foot parameter clamped to [0, 1]."""
+    a, b = seg
+    d = vsub(b, a)
+    dd = vdot(d, d)
+    t = ZERO if dd == 0 else min(max(rat(vdot(vsub(p, a), d), dd), ZERO), rat(1))
+    return dist2(p, tuple(a[k] + t * d[k] for k in range(len(a))))
+
+
+def degeneracy_scale_sq_reference(segments):
+    """The separation scale of a 2D segment family, on rationals: over the
+    pairs that share no end point, the least distance from an end point of
+    one to the other, or 0 for a pair that the orientation oracle finds
+    collinear and meeting.  None when every pair shares an end point."""
+    best = None
+    for i in range(len(segments)):
+        a = segments[i]
+        for b in segments[i + 1:]:
+            if set(a) & set(b):
+                continue
+            if seg_relation_oracle(a, b) in ("overlap", "collinear-point"):
+                d = ZERO
+            else:
+                d = min(
+                    dist2_point_seg_reference(a[0], b),
+                    dist2_point_seg_reference(a[1], b),
+                    dist2_point_seg_reference(b[0], a),
+                    dist2_point_seg_reference(b[1], a),
+                )
+            if best is None or d < best:
+                best = d
+    return best
+
+
 def pairing_mod2_reference(curve_a, comp_a, curve_b, retry_budget=16):
     """The pushoff pairing of one component of ``curve_a`` with ``curve_b``,
     counted on Fraction coordinates with every piece of the component
@@ -455,7 +496,7 @@ def pairing_mod2_reference(curve_a, comp_a, curve_b, retry_budget=16):
     Returns ``(bit, epsilon)``, the epsilon being the one at which every
     contact was a strict crossing.
     """
-    from multipoint.curves2d import degeneracy_scale_sq, initial_epsilon
+    from multipoint.curves2d import initial_epsilon
     from multipoint.exactgeom import (
         GenericityError,
         PushoffCollision,
@@ -467,7 +508,7 @@ def pairing_mod2_reference(curve_a, comp_a, curve_b, retry_budget=16):
     require_general_position(curve_b)
     # the separation scale of curve_b, on its rational pieces
     seps = [
-        degeneracy_scale_sq([(pc.p0, pc.p1) for _, _, pc in entries])
+        degeneracy_scale_sq_reference([(pc.p0, pc.p1) for _, _, pc in entries])
         for entries in curve_b.pieces_by_square().values()
     ]
     seps = [s for s in seps if s is not None]

@@ -25,10 +25,11 @@ from multipoint.exactgeom import (
     contact_only_at,
     coplanar,
     coplanar_tri_relation,
-    dist2,
     dist2_point_seg,
+    dist2_point_seg_parts,
     lattice_translates,
     pushoff_polyline,
+    seg_crossing,
     seg_intersect,
     segment_triangle_hit,
     segments_touch,
@@ -178,6 +179,49 @@ def test_strict_crossing():
     assert not strict_crossing(seg_intersect(a, (_pt(1, 1), _pt(2, 2))))
 
 
+# small integer grids, where end points on the other segment, shared ends
+# and collinear contacts are frequent
+int_points2 = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+int_segments2 = st.tuples(int_points2, int_points2)
+
+
+def _crossing_of_hit(h):
+    """What :func:`seg_crossing` must answer, read from the hit."""
+    return None if h is None else strict_crossing(h)
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_segments2, int_segments2)
+def test_seg_crossing_matches_seg_intersect(a, b):
+    assert seg_crossing(a, b) == _crossing_of_hit(seg_intersect(a, b))
+
+
+# a is (2, 0)-(2, 3) or its reverse, b is (0, 0)-(4, 0) or its reverse:
+# the contact (2, 0) sits at one end of the first segment, in the interior
+# of the second, so a(tn / den) = b(un / den) has tn or un at 0 or den
+SEG_CROSSING_CASES = {
+    "tn == 0": ((((2, 0), (2, 3)), ((0, 0), (4, 0))), False),
+    "tn == den": ((((2, 3), (2, 0)), ((0, 0), (4, 0))), False),
+    "un == 0": ((((0, 0), (4, 0)), ((2, 0), (2, 3))), False),
+    "un == den": ((((0, 0), (4, 0)), ((2, 3), (2, 0))), False),
+    "collinear single-point touch": ((((0, 0), (2, 0)), ((2, 0), (4, 0))), False),
+    "collinear overlap": ((((0, 0), (2, 0)), ((1, 0), (4, 0))), False),
+    "parallel disjoint": ((((0, 0), (2, 0)), ((0, 1), (2, 1))), None),
+    "lines cross beyond an end": ((((0, 0), (1, 0)), ((2, -1), (2, 1))), None),
+    "interior crossing": ((((0, 0), (2, 2)), ((0, 2), (2, 0))), True),
+}
+
+
+@pytest.mark.parametrize("name", SEG_CROSSING_CASES)
+def test_seg_crossing_boundary_cases(name):
+    (a, b), want = SEG_CROSSING_CASES[name]
+    assert seg_crossing(a, b) is want
+    assert seg_crossing(b, a) is want
+    # strict_crossing reads the same boundary from the hit's parameters
+    assert _crossing_of_hit(seg_intersect(a, b)) is want
+    assert _crossing_of_hit(seg_intersect(b, a)) is want
+
+
 def test_contact_only_at():
     w = _pt(1, 1)
     a = (_pt(0, 0), w)
@@ -273,6 +317,63 @@ def test_degeneracy_scale_bounded_by_sampled_distances(feats):
     # the true minimum can only be smaller than any sampled distance, and
     # endpoint parameters are always sampled so equality is reachable
     assert scale is not None and 0 < scale <= sampled
+
+
+@settings(max_examples=200, deadline=None)
+@given(points2(max_denominator=4), segments2(max_denominator=4))
+def test_dist2_point_seg_parts_matches_reference(p, seg):
+    num, den = dist2_point_seg_parts(p, seg)
+    assert den > 0
+    assert rat(num, den) == dist2_point_seg(p, seg) == oracles.dist2_point_seg_reference(p, seg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_points2, int_segments2)
+def test_dist2_point_seg_parts_stays_on_ints(p, seg):
+    num, den = dist2_point_seg_parts(p, seg)
+    assert type(num) is int and type(den) is int and den > 0
+    assert rat(num, den) == oracles.dist2_point_seg_reference(p, seg)
+
+
+# families on small grids: shared ends, collinear overlaps, single-point
+# touches, T-contacts and zero-length pieces all occur
+int_families = st.lists(int_segments2, min_size=2, max_size=5)
+rational_families = st.lists(
+    segments2(min_value=-1, max_value=1, max_denominator=2), min_size=2, max_size=5
+)
+
+SCALE_FAMILIES = {
+    "shared end": [((0, 0), (2, 0)), ((2, 0), (2, 2))],
+    "collinear overlap": [((0, 0), (2, 0)), ((1, 0), (3, 0))],
+    "collinear single-point touch": [((0, 0), (2, 0)), ((2, 0), (3, 0)), ((0, 3), (1, 3))],
+    "t-contact": [((0, 0), (4, 0)), ((2, 0), (2, 3))],
+    "zero-length piece on a segment": [((0, 0), (4, 0)), ((1, 0), (1, 0))],
+    "zero-length piece off a segment": [((0, 0), (4, 0)), ((1, 1), (1, 1))],
+    "crossing": [((0, 0), (4, 4)), ((0, 3), (3, 0))],
+    "disjoint": [((0, 0), (4, 1)), ((0, 3), (3, 5))],
+}
+
+
+@pytest.mark.parametrize("name", SCALE_FAMILIES)
+def test_degeneracy_scale_matches_reference_on_hand_families(name):
+    feats = SCALE_FAMILIES[name]
+    assert degeneracy_scale_sq(feats) == oracles.degeneracy_scale_sq_reference(feats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_families)
+def test_degeneracy_scale_matches_reference_on_int_families(feats):
+    scale = degeneracy_scale_sq(feats)
+    assert scale == oracles.degeneracy_scale_sq_reference(feats)
+    # the same family lifted by 6 has the scale times 36
+    lifted = [tuple(vscale(6, p) for p in seg) for seg in feats]
+    assert degeneracy_scale_sq(lifted) == (None if scale is None else 36 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_families)
+def test_degeneracy_scale_matches_reference_on_rational_families(feats):
+    assert degeneracy_scale_sq(feats) == oracles.degeneracy_scale_sq_reference(feats)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +616,10 @@ BIG_CASES = {
     collinear_overlap: (
         ((_pt(0, 0), _pt(2, 1)), (_pt(4, 2), _pt(1, rat(1, 2)))),
         lambda r: tuple(_down(p) for p in r),
+    ),
+    seg_crossing: (
+        ((_pt(0, 0), _pt(rat(2, 3), 1)), (_pt(0, rat(1, 2)), _pt(1, rat(1, 2)))),
+        lambda r: r,
     ),
     contact_only_at: (((_pt(0, 0), W), (W, _pt(2, rat(1, 3))), W), lambda r: r),
     dist2_point_seg: (
@@ -759,4 +864,4 @@ def test_pushoff_square_loops_stay_at_distance_epsilon(cx, cy, side):
     for i, (start, end) in enumerate(chart_pieces(res, chain.den)):
         mid_o = vscale(rat(1, 2), vadd(v[i], v[(i + 1) % 4]))
         mid_p = vscale(rat(1, 2), vadd(start, end))
-        assert dist2(mid_o, mid_p) == eps * eps
+        assert oracles.dist2(mid_o, mid_p) == eps * eps

@@ -1,10 +1,13 @@
 """Determinism, catalog coverage, and rejection behavior of the generator."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipoint import curves2d, herbert
+from multipoint import generate as generate_mod
 from multipoint.generate import (
     GenerationError,
     GeneratorConfig,
@@ -189,6 +192,35 @@ def test_budget_message_reports_last_failure():
     cfg = GeneratorConfig(segments=(2, 2), retry_budget=1, seed=0)
     with pytest.raises(GenerationError, match="general position"):
         generate(cfg)
+
+
+def test_rejected_candidates_are_freed_without_a_cyclic_collection(monkeypatch):
+    # the first candidate of this seed is rejected; keeping the rejection
+    # itself (not its message) would tie the candidate scene to the
+    # generator's frame through the traceback until a cyclic collection
+    rejected = []
+    real = generate_mod._accept
+
+    def accept(scene, config):
+        try:
+            return real(scene, config)
+        except generate_mod._REJECTIONS as exc:
+            rejected.append(type(exc))
+            raise
+
+    monkeypatch.setattr(generate_mod, "_accept", accept)
+    cfg = GeneratorConfig(ambient="torus", components=(2, 2), seed=210)
+    generate(cfg)  # warm the caches the first generation fills
+    rejected.clear()
+    gc.collect()
+    gc.disable()
+    try:
+        generate(cfg)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert rejected
+    assert garbage == 0
 
 
 @settings(max_examples=20, deadline=None)

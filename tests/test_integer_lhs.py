@@ -249,24 +249,37 @@ def test_mesh_segment_hits_match_rational_reference(tori_cases, name):
 # the predicates of both counts see only ints
 
 
+def _scalars(x):
+    """The coordinates inside nested tuples and lists of points."""
+    if isinstance(x, (tuple, list)):
+        return [c for y in x for c in _scalars(y)]
+    return [x]
+
+
 def test_lhs_predicates_receive_only_integers(monkeypatch):
-    coordinates = {"seg_intersect": [], "segment_triangle_hit": []}
+    # curves2d.seg_intersect is certification's, seg_crossing the pushoff
+    # count's and degeneracy_scale_sq the separation scale's
+    spied = (
+        (curves2d, "seg_intersect"),
+        (curves2d, "seg_crossing"),
+        (curves2d, "degeneracy_scale_sq"),
+        (surfaces3d, "segment_triangle_hit"),
+    )
+    coordinates = {name: [] for _, name in spied}
 
     def spy(module, name):
         original = getattr(module, name)
 
         def wrapper(*args):
-            for x in args:
-                points = (x,) if not isinstance(x[0], tuple) else x
-                coordinates[name].extend(c for p in points for c in p)
+            coordinates[name].extend(_scalars(args))
             return original(*args)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    spy(curves2d, "seg_intersect")
-    spy(surfaces3d, "segment_triangle_hit")
+    for module, name in spied:
+        spy(module, name)
 
-    curve = _generated_curve("klein", 3, (2, 2))
+    curve = _generated_curve("klein", 3, (2, 2))  # certified by the generator
     assert herbert.verify(curve, scene_id="c").all_pass
     scene = parse_scene((ROOT / "docs" / "two-tori-cycle.scene").read_text(encoding="utf-8"))
     mesh = scene.mesh("f")
@@ -278,10 +291,9 @@ def test_lhs_predicates_receive_only_integers(monkeypatch):
         assert {type(c) for c in coords} == {int}, name
 
 
-@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
-def test_pushoff_construction_creates_no_fraction(monkeypatch):
-    curve = _generated_curve("klein", 3, (2, 2))
-    epsilon = initial_epsilon(curve.min_sep_sq)  # certifies and lifts the curve
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """``count(fn, *args)``: the number of Fractions made while fn runs."""
     created = []
     counting = [False]
     original_new = Fraction.__new__
@@ -302,15 +314,59 @@ def test_pushoff_construction_creates_no_fraction(monkeypatch):
 
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(from_coprime_ints))
 
-    def count(build):
+    def count(fn, *args):
         created.clear()
         counting[0] = True
         try:
-            build(curve, epsilon)
+            fn(*args)
         finally:
             counting[0] = False
         return len(created)
 
+    return count
+
+
+@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
+def test_pushoff_construction_creates_no_fraction(fraction_count):
+    curve = _generated_curve("klein", 3, (2, 2))
+    epsilon = initial_epsilon(curve.min_sep_sq)  # certifies and lifts the curve
     # the counter sees the rational construction of the same pushoff
-    assert count(oracles.pushoff_all_reference) > 0
-    assert count(curves2d.pushoff_all) == 0
+    assert fraction_count(oracles.pushoff_all_reference, curve, epsilon) > 0
+    assert fraction_count(curves2d.pushoff_all, curve, epsilon) == 0
+
+
+@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
+def test_separation_scale_and_crossing_count_create_no_fraction_per_pair(fraction_count):
+    curve = _generated_curve("klein", 3, (2, 2))  # certified and lifted
+    _, _, lifts, _ = curve.lift()
+    assert len(lifts) == 1 and len(next(iter(lifts.values()))) > 2
+    # the Fraction references make one or more per pair of pieces
+    pieces = [
+        [(pc.p0, pc.p1) for _, _, pc in entries]
+        for entries in curve.pieces_by_square().values()
+    ]
+    assert fraction_count(lambda: [oracles.degeneracy_scale_sq_reference(f) for f in pieces]) > 10
+    # min_sep_sq divides twice: the least distance of the square, in the
+    # lifted frame, and the returned value, that one over D^2
+    assert fraction_count(lambda: curve.min_sep_sq) == 2
+    assert curve.min_sep_sq == min(map(oracles.degeneracy_scale_sq_reference, pieces))
+
+    # the first pairing builds the pushoff at the first epsilon and counts
+    # there; a second pairing makes only the epsilon
+    assert pairing_mod2(curve, 0, curve) == oracles.pairing_mod2_reference(curve, 0, curve)[0]
+    assert len(curve._pushoffs) == 1
+    epsilon_only = fraction_count(initial_epsilon, curve.min_sep_sq)
+    assert epsilon_only > 0
+    assert fraction_count(pairing_mod2, curve, 0, curve) == epsilon_only
+
+
+@pytest.mark.parametrize("ambient", CURVE_AMBIENTS)
+def test_separation_scale_matches_rational_reference_on_generated_curves(ambient):
+    for seed in range(12):
+        curve = _generated_curve(ambient, seed, (2, 2))
+        scales = [
+            oracles.degeneracy_scale_sq_reference([(pc.p0, pc.p1) for _, _, pc in entries])
+            for entries in curve.pieces_by_square().values()
+        ]
+        scales = [s for s in scales if s is not None]
+        assert curve.min_sep_sq == (min(scales) if scales else None)
