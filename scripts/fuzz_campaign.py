@@ -6,12 +6,21 @@ format of ``verify --machine``, byte-identical across runs) and the
 summary goes to stderr, so two checkouts can be compared with diff, as
 ``scripts/verify_corpus.py --machine`` does for docs/.
 
+``--universe laws`` runs the bordism law checks instead, on generated
+classes of the shapes that the law checks of criterion 3 draw: per seed, a
+1|2-sheet and a 2|3-sheet tori mesh (naturality, Cartan r=2 and r=3,
+mu-tower on each) and a curve pair on one complex (Cartan r=2).  With
+--machine it prints every check's report in full (verdict, detail, both
+sides and the Cartan pieces, rationals as p/q), one line per check, or the
+exception that refused it with its message.
+
 Examples:
     python3 scripts/fuzz_campaign.py --count 200
     python3 scripts/fuzz_campaign.py --universe tori --count 50 --seed 7
     python3 scripts/fuzz_campaign.py --universe both --count 100 --histogram
     python3 scripts/fuzz_campaign.py --universe tori --count 100 --machine > tori.tsv
     python3 scripts/fuzz_campaign.py --components 2 2 --count 500 --machine > c22.tsv
+    python3 scripts/fuzz_campaign.py --universe laws --count 100 --machine > laws.tsv
 """
 
 import argparse
@@ -19,13 +28,15 @@ import sys
 import time
 from collections import Counter
 
-from multipoint import herbert
+from multipoint import bordism, curves2d, herbert, surfaces3d
 from multipoint.generate import (
     CURVE_AMBIENTS,
+    TORI_AMBIENT,
     GenerationError,
     GeneratorConfig,
     generate,
 )
+from multipoint.rational import Rat, format_rational
 
 
 def curve_config(seed, components=(1, 2)):
@@ -104,10 +115,105 @@ def campaign(universe, count, seed0, histogram, machine, components=(1, 2)):
     return failures
 
 
+# the package's refusals of a law check's union: not generic, or two
+# generated sheets that coincide so that an edge is shared by four triangles
+LAW_REFUSALS = (
+    curves2d.GeneralPositionError,
+    surfaces3d.GeneralPositionError,
+    surfaces3d.MeshBuildError,
+)
+
+
+def _text(x):
+    """A value of a law report as text: tuples in order, sets sorted, and
+    rationals as p/q."""
+    if isinstance(x, Rat):
+        return format_rational(x)
+    if isinstance(x, (tuple, list)):
+        return "(" + ", ".join(_text(y) for y in x) + ")"
+    if isinstance(x, (set, frozenset)):
+        return "{" + ", ".join(sorted(_text(y) for y in x)) + "}"
+    return repr(x)
+
+
+def law_classes(seed):
+    """The generated classes of one seed: two meshes and a curve pair."""
+
+    def mesh(sheets, k):
+        config = GeneratorConfig(
+            universe="tori",
+            ambient=TORI_AMBIENT,
+            components=(sheets, sheets),
+            seed=2 * seed + k,
+        )
+        return bordism.class_of_mesh(generate(config).mesh("f"))
+
+    def curve(comps, k):
+        config = GeneratorConfig(
+            ambient=CURVE_AMBIENTS[seed % 3],
+            components=(comps, comps),
+            segments=(3 + seed % 4, 3 + seed % 4),
+            seed=2 * seed + k,
+        )
+        return generate(config).multicurve("c")
+
+    small, large = mesh(1 + seed % 2, 0), mesh(2 + seed % 2, 1)
+    f_curve = curve(1 + seed % 2, 0)
+    g_curve = curves2d.MultiCurve(f_curve.complex, curve(1 + (seed // 2) % 2, 1).components)
+    return small, large, bordism.class_of_curve(f_curve), bordism.class_of_curve(g_curve)
+
+
+def law_campaign(count, seed0, machine):
+    """Run the law checks on ``count`` seeds; returns the number of checks
+    that did not hold and of seeds that could not be generated."""
+    out = sys.stderr if machine else sys.stdout
+    verdicts = Counter()
+    failures = 0
+    t0 = time.perf_counter()
+    for seed in range(seed0, seed0 + count):
+        try:
+            small, large, f_curve, g_curve = law_classes(seed)
+        except (GenerationError, *LAW_REFUSALS) as exc:
+            print(f"seed {seed}: generation failed: {exc}", file=out)
+            failures += 1
+            continue
+        checks = (
+            ("naturality", bordism.check_naturality, (small, large)),
+            ("cartan2", bordism.check_cartan, (small, large, 2)),
+            ("cartan3", bordism.check_cartan, (small, large, 3)),
+            ("mu-tower", bordism.check_mu_tower, (small,)),
+            ("mu-tower", bordism.check_mu_tower, (large,)),
+            ("cartan2-curves", bordism.check_cartan, (f_curve, g_curve, 2)),
+        )
+        for kind, check, args in checks:
+            try:
+                report = check(*args)
+            except LAW_REFUSALS as exc:
+                verdicts["refused"] += 1
+                if machine:
+                    sys.stdout.write(f"{seed}\t{kind}\trefused\t{type(exc).__name__}: {exc}\n")
+                continue
+            verdicts[report.ok] += 1
+            if machine:
+                sys.stdout.write(
+                    f"{seed}\t{kind}\t{report.ok}\t{report.detail}\t"
+                    f"{_text(report.lhs)}\t{_text(report.rhs)}\n"
+                )
+            if not report.ok:
+                print(f"seed {seed} ({kind}): law does not hold", file=out)
+                failures += 1
+    print(
+        f"{verdicts[True]} checks held, {verdicts[False]} did not, "
+        f"{verdicts['refused']} refused, {time.perf_counter() - t0:.2f}s",
+        file=out,
+    )
+    return failures
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--universe", choices=["curves", "tori", "both"], default="curves"
+        "--universe", choices=["curves", "tori", "both", "laws"], default="curves"
     )
     parser.add_argument("--count", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
@@ -128,6 +234,8 @@ def main(argv=None):
         help="print every scene's TSV report; the summary goes to stderr",
     )
     args = parser.parse_args(argv)
+    if args.universe == "laws":
+        return 1 if law_campaign(args.count, args.seed, args.machine) else 0
     failures = campaign(
         args.universe,
         args.count,

@@ -16,6 +16,7 @@ from .curves2d import MultiCurve, double_points
 from .exactgeom import (
     InputError,
     bbox,
+    common_denominator,
     frac_vec,
     lattice_translates,
     require_general_position,
@@ -23,9 +24,9 @@ from .exactgeom import (
     segments_touch,
     strict_crossing,
     vadd,
-    vscale,
-    vsub,
+    vlift,
 )
+from .rational import rat
 from .surfaces3d import Mesh3, mesh_segment_hits
 
 # universe tags
@@ -549,25 +550,29 @@ def _arc_crossings_on_source(mesh, records):
 
     ``records`` are ``(arcs, w1, doubled)`` circle payloads.  Consecutive
     arcs of one circle share an endpoint by construction and are skipped.
-    The mesh is certified, and its certificate refuses every other
-    non-transverse contact of double arcs, so one here is an internal
-    fault and raises ``AssertionError``.
+    The arcs hosted by one triangle meet in its chart, lifted to integers
+    by the common denominator of their end points, and only a crossing's
+    point is built as a rational.  The mesh is certified, and its
+    certificate refuses every other non-transverse contact of double arcs,
+    so one here is an internal fault and raises ``AssertionError``.
     """
     by_tri = {}
     for ci, (arcs, _, _) in enumerate(records):
         n = len(arcs)
         for ai, (tri, p, q) in enumerate(arcs):
-            by_tri.setdefault(tri, []).append((tri, p, q, ci, ai, n))
+            by_tri.setdefault(tri, []).append((p, q, ci, ai, n))
     crossings = set()
     for tri, here in by_tri.items():
         chart = mesh.chart(tri)
-        flat = [chart.points((p, q)) for _, p, q, _, _, _ in here]
+        den = common_denominator(e for p, q, _, _, _ in here for e in (p, q))
+        ends = [(vlift(p, den), vlift(q, den)) for p, q, _, _, _ in here]
+        flat = [chart.points(pq) for pq in ends]
         for i in range(len(here)):
+            _, _, c1, a1, n1 = here[i]
+            ends_i = set(ends[i])
             for j in range(i + 1, len(here)):
-                _, p1, q1, c1, a1, n1 = here[i]
-                _, p2, q2, c2, a2, n2 = here[j]
-                shared = ({p1, q1} & {p2, q2})
-                if shared:
+                _, _, c2, a2, _ = here[j]
+                if not ends_i.isdisjoint(ends[j]):
                     if c1 == c2 and (a1 - a2) % n1 in (1, n1 - 1):
                         continue
                     raise AssertionError("preimage arcs touch at an endpoint")
@@ -576,7 +581,9 @@ def _arc_crossings_on_source(mesh, records):
                     continue
                 if not strict_crossing(hit):
                     raise AssertionError("preimage arcs meet non-transversally")
-                point = vadd(p1, vscale(hit.ta, vsub(q1, p1)))
+                tn, td = hit.ta.numerator, hit.ta.denominator
+                a, b = ends[i]
+                point = tuple(rat(td * x + tn * (y - x), td * den) for x, y in zip(a, b))
                 crossings.add((tri, point))
     return crossings
 

@@ -12,6 +12,17 @@ many times cheaper than rational arithmetic.  Since ``int / int`` is a
 float, nothing here divides one int by another: a predicate tests a
 parameter ``t = n / d`` by comparing ``n`` with ``d`` (``d`` made positive
 first) and builds a rational with :func:`rat` only for a value it returns.
+
+The points that certification constructs and keeps are homogeneous, not
+rational: a tuple of ints ``(X, Y, Z, W)``, or ``(X, Y, W)`` in a chart,
+with ``W > 0`` and gcd 1, naming the point ``(X / W, Y / W, Z / W)`` of
+the coordinates the predicate was given.  :func:`tri_tri_intersect`
+returns the ends of its arc this way, and the pushoff builds its points
+this way.  Lowest terms make the form unique, so two such points are equal
+exactly when their tuples are, and the point reduced into the unit cube is
+``(X % W, Y % W, Z % W, W)``.  :func:`lowest_terms` puts a tuple in this
+form, and :func:`from_homogeneous` builds the rational point for a reader
+that needs one.
 """
 
 from __future__ import annotations
@@ -115,6 +126,24 @@ def vlift(p, den):
     return tuple(c.numerator * (den // c.denominator) for c in p)
 
 
+def lowest_terms(*xs):
+    """The ints in the ratio of ``xs`` (ints or rationals, the last one
+    positive) with gcd 1: a homogeneous point, or a ``(num, den)`` pair."""
+    try:
+        g = math.gcd(*xs)
+    except TypeError:  # rationals: clear their denominators first
+        m = math.lcm(*[x.denominator for x in xs])
+        xs = [x.numerator * (m // x.denominator) for x in xs]
+        g = math.gcd(*xs)
+    return tuple(x // g for x in xs)
+
+
+def from_homogeneous(h):
+    """The rational point of a homogeneous point ``(..., W)``."""
+    w = h[-1]
+    return tuple(rat(x, w) for x in h[:-1])
+
+
 # ---------------------------------------------------------------------------
 # degeneracy sentinel
 
@@ -177,7 +206,7 @@ def collinear_overlap(a, b):
     return ends[lo], ends[hi]
 
 
-def _meeting_params(a, b):
+def seg_meeting(a, b):
     """The parameter step of :func:`seg_intersect` and :func:`seg_crossing`.
 
     Returns None when the closed 2D segments ``a`` and ``b`` are disjoint,
@@ -213,7 +242,7 @@ def seg_intersect(a, b):
     Endpoint-to-interior contacts are reported as ordinary hits with a
     parameter of 0 or 1; callers classify them.
     """
-    res = _meeting_params(a, b)
+    res = seg_meeting(a, b)
     if res is None or res is DEGENERATE:
         return res
     tn, un, den = res
@@ -233,7 +262,7 @@ def seg_crossing(a, b):
     for any other contact (an end point on the other segment, or collinear
     contact).  Equals ``strict_crossing(seg_intersect(a, b))`` whenever
     they meet, and makes no rational."""
-    res = _meeting_params(a, b)
+    res = seg_meeting(a, b)
     if res is None:
         return None
     if res is DEGENERATE:
@@ -244,12 +273,14 @@ def seg_crossing(a, b):
 
 def contact_only_at(a, b, w):
     """True when closed 2D segments meet in at most the single point w."""
-    h = seg_intersect(a, b)
-    if h is None:
+    res = seg_meeting(a, b)
+    if res is None:
         return True
-    if h is DEGENERATE:
+    if res is DEGENERATE:
         return collinear_overlap(a, b) == (w, w)
-    return h.point == w
+    tn, _, den = res  # the meeting point is p + (tn / den) (q - p)
+    (px, py), (qx, qy) = a
+    return den * (w[0] - px) == tn * (qx - px) and den * (w[1] - py) == tn * (qy - py)
 
 
 def segments_touch(a, b):
@@ -387,18 +418,15 @@ class PlaneChart:
     def points(self, ps):
         return tuple(self.point(p) for p in ps)
 
-    def intersect(self, a, b):
-        """:func:`seg_intersect` of the 3-space segments a and b in this chart."""
-        return seg_intersect(self.points(a), self.points(b))
 
-
-def coplanar_tri_relation(a, b):
+def coplanar_tri_relation(a, b, n=None):
     """Relation of two coplanar triangles: 'disjoint', 'touch' or 'overlap'.
 
     'touch' means the closed triangles meet but their interiors do not;
-    'overlap' means the interiors intersect.
+    'overlap' means the interiors intersect.  ``n`` is the normal of ``a``,
+    computed when not given.
     """
-    chart = PlaneChart.of(tri_normal(a))
+    chart = PlaneChart.of(tri_normal(a) if n is None else n)
     pa, pb = chart.points(a), chart.points(b)
     touched = False
     for poly in (pa, pb):
@@ -445,9 +473,10 @@ def _inward_edge_normals(tri, n):
 class TriTriHit:
     """Open intersection arc of two triangles, with tagged endpoints.
 
-    ``p`` and ``q`` are the segment endpoints in lexicographic order; each
-    tag is ``(owner, edge_index)`` naming the triangle edge on which that
-    endpoint lies (owner 'a' or 'b', edges ``(v_i, v_{i+1})``).
+    ``p`` and ``q`` are the segment endpoints as homogeneous points (see
+    the module docstring), in lexicographic order of the points they name;
+    each tag is ``(owner, edge_index)`` naming the triangle edge on which
+    that endpoint lies (owner 'a' or 'b', edges ``(v_i, v_{i+1})``).
     """
 
     p: tuple
@@ -456,21 +485,32 @@ class TriTriHit:
     tag_q: tuple
 
 
-def clip_line_to_tri(p0, u, tri, owner, w=1):
+def clip_line_to_tri(p0, u, tri, owner, w=1, n=None):
     """Clip the line ``p0 / w + t u`` (lying in the triangle's plane) to a
     triangle; ``w > 0`` lets a caller pass a rational base point as an
-    integer vector and its denominator.
+    integer vector and its denominator, and ``n`` is the triangle's normal,
+    computed when not given.
 
     Returns ('miss',), ('degenerate', why), or
-    ('interval', lo, lo_tag, lo_tie, hi, hi_tag, hi_tie).
+    ('interval', lo, lo_tag, lo_tie, hi, hi_tag, hi_tie), where the bounds
+    of ``t`` are int pairs ``(num, den)``, ``den > 0``, in lowest terms.
     """
     # the parameters lo and hi are kept as (numerator, denominator > 0)
     lo = hi = None
     lo_tag = hi_tag = None
     lo_tie = hi_tie = False
-    for i, vi, m in _inward_edge_normals(tri, tri_normal(tri)):
-        c0 = vdot(m, p0) - w * vdot(m, vi)  # w times m . (p0 / w - vi)
-        c1 = w * vdot(m, u)
+    nx, ny, nz = tri_normal(tri) if n is None else n
+    px, py, pz = p0
+    ux, uy, uz = u
+    for i in range(3):
+        # the inward edge normal m = n x (v_{i+1} - v_i) of
+        # _inward_edge_normals, and c0 = w m . (p0 / w - v_i), c1 = w m . u
+        vx, vy, vz = tri[i]
+        wx, wy, wz = tri[(i + 1) % 3]
+        ex, ey, ez = wx - vx, wy - vy, wz - vz
+        mx, my, mz = ny * ez - nz * ey, nz * ex - nx * ez, nx * ey - ny * ex
+        c0 = mx * (px - w * vx) + my * (py - w * vy) + mz * (pz - w * vz)
+        c1 = w * (mx * ux + my * uy + mz * uz)
         if c1 == 0:
             if c0 < 0:
                 return ("miss",)
@@ -491,28 +531,44 @@ def clip_line_to_tri(p0, u, tri, owner, w=1):
         return ("miss",)
     if lo[0] * hi[1] > hi[0] * lo[1]:
         return ("miss",)
-    return ("interval", rat(*lo), lo_tag, lo_tie, rat(*hi), hi_tag, hi_tie)
+    return ("interval", lowest_terms(*lo), lo_tag, lo_tie, lowest_terms(*hi), hi_tag, hi_tie)
 
 
-def tri_tri_intersect(a, b):
+def _plane_sides(tri, v, n):
+    """``n . (p - v)`` for each vertex p of a triangle: the sides of the
+    plane through v with normal n on which the vertices lie."""
+    nx, ny, nz = n
+    vx, vy, vz = v
+    return [nx * (x - vx) + ny * (y - vy) + nz * (z - vz) for x, y, z in tri]
+
+
+def _before(s, t):
+    """Whether the parameter ``s = (num, den)`` is less than ``t``."""
+    return s[0] * t[1] < t[0] * s[1]
+
+
+def tri_tri_intersect(a, b, na=None, nb=None):
     """Intersect two triangles in 3-space.
 
     Returns None (disjoint), a :class:`TriTriHit` (a transverse crossing
     along an open arc), or ``DEGENERATE`` for every non-generic contact:
     coplanar touch or overlap, single-point contact, an arc endpoint at a
     triangle vertex, an arc along an edge, or an arc endpoint on the
-    boundary of both triangles at once.
+    boundary of both triangles at once.  ``na`` and ``nb`` are the
+    triangles' normals, computed when not given.
     """
-    na = tri_normal(a)
-    nb = tri_normal(b)
-    db = [vdot(nb, vsub(p, b[0])) for p in a]
-    if all(d > 0 for d in db) or all(d < 0 for d in db):
+    if na is None:
+        na = tri_normal(a)
+    if nb is None:
+        nb = tri_normal(b)
+    db = _plane_sides(a, b[0], nb)
+    if min(db) > 0 or max(db) < 0:
         return None
-    da = [vdot(na, vsub(p, a[0])) for p in b]
-    if all(d > 0 for d in da) or all(d < 0 for d in da):
+    da = _plane_sides(b, a[0], na)
+    if min(da) > 0 or max(da) < 0:
         return None
-    if all(d == 0 for d in db):
-        rel = coplanar_tri_relation(a, b)
+    if not any(db):
+        rel = coplanar_tri_relation(a, b, na)
         return None if rel == "disjoint" else DEGENERATE
     u = cross3(na, nb)
     # non-coplanar with both sign tests inconclusive: planes meet in a line
@@ -524,8 +580,8 @@ def tri_tri_intersect(a, b):
     den = naa * nbb - nab * nab  # == |u|^2 > 0
     # den times the point of the line in the span of na and nb
     p0 = vadd(vscale(wa * nbb - wb * nab, na), vscale(wb * naa - wa * nab, nb))
-    ra = clip_line_to_tri(p0, u, a, "a", den)
-    rb = clip_line_to_tri(p0, u, b, "b", den)
+    ra = clip_line_to_tri(p0, u, a, "a", den, na)
+    rb = clip_line_to_tri(p0, u, b, "b", den, nb)
     for r in (ra, rb):
         if r[0] == "miss":
             return None
@@ -533,26 +589,30 @@ def tri_tri_intersect(a, b):
             return DEGENERATE
     _, lo_a, lo_tag_a, lo_tie_a, hi_a, hi_tag_a, hi_tie_a = ra
     _, lo_b, lo_tag_b, lo_tie_b, hi_b, hi_tag_b, hi_tie_b = rb
+    # the bounds are in lowest terms, so equal parameters are equal pairs
     if lo_a == lo_b or hi_a == hi_b:
         return DEGENERATE  # arc endpoint on the boundary of both triangles
-    if lo_a > lo_b:
+    if _before(lo_b, lo_a):
         flo, flo_tag, flo_tie = lo_a, lo_tag_a, lo_tie_a
     else:
         flo, flo_tag, flo_tie = lo_b, lo_tag_b, lo_tie_b
-    if hi_a < hi_b:
+    if _before(hi_a, hi_b):
         fhi, fhi_tag, fhi_tie = hi_a, hi_tag_a, hi_tie_a
     else:
         fhi, fhi_tag, fhi_tie = hi_b, hi_tag_b, hi_tie_b
-    if flo > fhi:
+    if _before(fhi, flo):
         return None
     if flo == fhi:
         return DEGENERATE
     if flo_tie or fhi_tie:
         return DEGENERATE  # arc endpoint at a triangle vertex
-    base = vscale(rat(1, den), p0)
-    p = vadd(base, vscale(flo, u))
-    q = vadd(base, vscale(fhi, u))
-    if p <= q:
+    # the point p0 / den + (tn / td) u, over den * td
+    p, q = (
+        lowest_terms(*[td * c + den * tn * d for c, d in zip(p0, u)], den * td)
+        for tn, td in (flo, fhi)
+    )
+    # q - p is a positive multiple of u, so p comes first when u does
+    if u > (0, 0, 0):
         return TriTriHit(p, q, flo_tag, fhi_tag)
     return TriTriHit(q, p, fhi_tag, flo_tag)
 
@@ -909,9 +969,12 @@ __all__ = [
     "perp_left",
     "common_denominator",
     "vlift",
+    "lowest_terms",
+    "from_homogeneous",
     "DEGENERATE",
     "SegmentHit",
     "collinear_overlap",
+    "seg_meeting",
     "seg_intersect",
     "strict_crossing",
     "seg_crossing",

@@ -51,6 +51,7 @@ and of the degree-1 identity along a cycle C drawn on the source surface:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,12 +72,13 @@ from .exactgeom import (
     cross2,
     cross3,
     dist2_point_seg,
-    floor_vec,
-    frac_vec,
+    from_homogeneous,
     lattice_translates,
+    lowest_terms,
     point_in_tri_2d,
     require_general_position,
     seg_intersect,
+    seg_meeting,
     segment_triangle_hit,
     strict_crossing,
     tri_normal,
@@ -113,6 +115,31 @@ def _point3(p):
 
 def _shift_tri(tri, v):
     return (vadd(tri[0], v), vadd(tri[1], v), vadd(tri[2], v))
+
+
+def _shift_homogeneous(h, v):
+    """The homogeneous point h moved by the integer vector v; it stays in
+    lowest terms."""
+    x, y, z, w = h
+    return (x + v[0] * w, y + v[1] * w, z + v[2] * w, w)
+
+
+def _mod_lattice(h):
+    """The homogeneous point h reduced into the unit cube [0, 1)^3."""
+    x, y, z, w = h
+    return (x % w, y % w, z % w, w)
+
+
+def _scaled_homogeneous(h, scale):
+    """``scale`` times the homogeneous point h, as ints; W divides scale."""
+    x, y, z, w = h
+    k = scale // w
+    return (x * k, y * k, z * k)
+
+
+def _floor_homogeneous(h):
+    x, y, z, w = h
+    return (x // w, y // w, z // w)
 
 
 class _UnionFind:
@@ -158,18 +185,28 @@ class DoubleSegment:
     """A straight piece of the double locus.
 
     Coordinates live in the frame of triangle ``tri_a``; the second sheet
-    is the lift of ``tri_b`` translated by ``shift``.  ``p < q``
-    lexicographically, and each tag ``("a"|"b", edge)`` names the triangle
-    edge on which that endpoint lies.
+    is the lift of ``tri_b`` translated by ``shift``.  The ends ``hp`` and
+    ``hq`` are homogeneous int points ``(X, Y, Z, W)`` (see
+    :mod:`exactgeom`) of the rational points ``p < q`` (lexicographically),
+    which are built on first read.  Each tag ``("a"|"b", edge)`` names the
+    triangle edge on which that endpoint lies.
     """
 
     tri_a: int
     tri_b: int
     shift: tuple
-    p: tuple
-    q: tuple
+    hp: tuple
+    hq: tuple
     tag_p: tuple
     tag_q: tuple
+
+    @functools.cached_property
+    def p(self):
+        return from_homogeneous(self.hp)
+
+    @functools.cached_property
+    def q(self):
+        return from_homogeneous(self.hq)
 
 
 @dataclass(frozen=True)
@@ -246,15 +283,31 @@ def _canon_segment(p, q, den=1):
     return (vsub(p, s), vsub(q, s)) if p <= q else (vsub(q, s), vsub(p, s))
 
 
-def vertex_adjacent_contact(ta, tb, w):
+def _pair(i, j, v):
+    """The detail of a violation of the pair of lifts i and j + v."""
+    return f"triangles {i} and {j} + {v}"
+
+
+def _report(name, found, violations):
+    """Add the violations ``found`` at keyed points, as ``(key, text)``
+    pairs, in the order of their points, each text ending in its point."""
+    points = sorted((from_homogeneous(key), text) for key, text in found)
+    violations.extend((name, f"{text} {point}") for point, text in points)
+
+
+def vertex_adjacent_contact(ta, tb, w, na=None, nb=None):
     """Classify the contact of two triangle lifts sharing the source vertex w.
 
     Returns None when they meet exactly in the point ``w``, otherwise the
     violation name (``"coplanar-overlap"`` or ``"vertex-contact"``).
+    ``na`` and ``nb`` are the triangles' normals, computed when not given.
     """
-    na, nb = tri_normal(ta), tri_normal(tb)
+    if na is None:
+        na = tri_normal(ta)
+    if nb is None:
+        nb = tri_normal(tb)
     if coplanar(ta, na, tb, nb):
-        if coplanar_tri_relation(ta, tb) == "overlap":
+        if coplanar_tri_relation(ta, tb, na) == "overlap":
             return "coplanar-overlap"
         chart = PlaneChart.of(na)
         w2 = chart.point(w)
@@ -267,12 +320,15 @@ def vertex_adjacent_contact(ta, tb, w):
                     return "vertex-contact"
         return None
     u = cross3(na, nb)
-    ra = clip_line_to_tri(w, u, ta, "a")
-    rb = clip_line_to_tri(w, u, tb, "b")
+    ra = clip_line_to_tri(w, u, ta, "a", 1, na)
+    rb = clip_line_to_tri(w, u, tb, "b", 1, nb)
     if ra[0] != "interval" or rb[0] != "interval":
         return "vertex-contact"
-    lo = max(ra[1], rb[1])
-    hi = min(ra[4], rb[4])
+    # the larger lower and the smaller upper bound, as (num, den) pairs in
+    # lowest terms, so that equal bounds are equal pairs
+    (la, lb), (ha, hb) = (ra[1], rb[1]), (ra[4], rb[4])
+    lo = la if la[0] * lb[1] >= lb[0] * la[1] else lb
+    hi = ha if ha[0] * hb[1] <= hb[0] * ha[1] else hb
     if lo != hi:
         return "vertex-contact"
     return None
@@ -310,6 +366,7 @@ class Mesh3:
         self._cert = None
         self._segments = None
         self._end_links = None
+        self._end_keys = None
         self._witnesses = None
         self._curves = None
         self._triples = None
@@ -470,9 +527,11 @@ class Mesh3:
     def union(self, other):
         """The disjoint union of this mesh and ``other``.
 
-        When the union is certified, the pairs of triangles inside a part
-        that holds an ok certificate take their double segments from that
-        part; only the other pairs run the predicates.
+        When the union is certified, a part that holds an ok certificate
+        gives it the double segments of the pairs of triangles inside that
+        part, with their end links and triple-point witnesses; only the
+        other pairs run the predicates, only the ends of their segments are
+        matched, and only the pairs of arcs where one is theirs are crossed.
         """
         mesh = Mesh3(self.triangles + other.triangles)
         mesh._parts = (self, other)
@@ -484,87 +543,93 @@ class Mesh3:
         """The :class:`PlaneChart` of triangle t's plane."""
         return PlaneChart.of(self._normals[t])
 
-    def _certified_pairs(self):
-        """The pairs of triangles inside a part with an ok certificate.
+    def _certified_parts(self):
+        """The parts that hold an ok certificate, each with the index of its
+        first triangle in this mesh.
 
-        Returns the index of that part for each triangle (None outside such
-        a part) and the part's double segments per pair, renumbered into
-        this mesh.  Inside one part the edge and vertex adjacency are the
-        part's own, since an edge shared across parts fails the edge
-        matching, and the exact predicates do not depend on ``D``.
+        Inside one part the edge and vertex adjacency are the part's own,
+        since an edge shared across parts fails the edge matching, and the
+        exact predicates do not depend on ``D``: what the part certified
+        holds here, renumbered by the part's offset.
         """
-        home = [None] * len(self.triangles)
-        known = {}
+        parts = []
         offset = 0
-        for k, part in enumerate(self._parts):
-            size = len(part.triangles)
+        for part in self._parts:
             if part._cert is not None and part._cert.ok:
-                home[offset : offset + size] = [k] * size
-                for s in part._segments:
-                    ij = (s.tri_a + offset, s.tri_b + offset)
-                    known.setdefault(ij, []).append(
-                        DoubleSegment(*ij, s.shift, s.p, s.q, s.tag_p, s.tag_q)
-                    )
-            offset += size
-        return home, known
+                parts.append((part, offset))
+            offset += len(part.triangles)
+        return parts
 
-    def _enumerate_pairs(self):
-        # The predicates run on the integer lifts D * t of the triangles;
-        # a lattice shift v becomes D * v, and a hit is divided by D once.
-        # A pair inside a certified part takes that part's segments instead.
+    def _enumerate_pairs(self, parts):
+        """Certify every pair of triangle lifts.
+
+        Returns the violations, the double segments, the indices of the
+        segments found here, and per certified part the index here of each
+        of its segments: a pair inside such a part takes that part's
+        segments, in the order a full enumeration would list them.
+        """
+        # The predicates run on the integer lifts D * t of the triangles; a
+        # lattice shift v becomes D * v, and an arc's ends are put over D.
         den, lifts, normals = self.den, self._lifts, self._normals
         boxes = [bbox(t) for t in lifts]
-        unlift = rat(1, den)
-        home, known = self._certified_pairs()
+        n = len(self.triangles)
+        home = [None] * n
+        known = {}
+        for k, (part, offset) in enumerate(parts):
+            home[offset : offset + len(part.triangles)] = [k] * len(part.triangles)
+            for si, s in enumerate(part._segments):
+                ij = (s.tri_a + offset, s.tri_b + offset)
+                seg = DoubleSegment(*ij, s.shift, s.hp, s.hq, s.tag_p, s.tag_q)
+                known.setdefault(ij, []).append((k, si, seg))
+        placed = [[None] * len(part._segments) for part, _ in parts]
         violations = []
         segments = []
-        n = len(self.triangles)
+        fresh = []
         for i in range(n):
             ta, na = lifts[i], normals[i]
             for j in range(i, n):
                 if home[i] is not None and home[i] == home[j]:
-                    segments.extend(known.get((i, j), ()))
+                    for k, si, seg in known.get((i, j), ()):
+                        placed[k][si] = len(segments)
+                        segments.append(seg)
                     continue
                 nb = normals[j]
                 for v in lattice_translates(*boxes[i], *boxes[j], den):
                     if i == j and v <= (0, 0, 0):
                         continue
-                    detail = f"triangles {i} and {j} + {v}"
                     tb = _shift_tri(lifts[j], vscale(den, v))
                     if self._edge_adj.get((i, j), {}).get(v):
                         if coplanar(ta, na, tb, nb):
-                            if coplanar_tri_relation(ta, tb) == "overlap":
-                                violations.append(("coplanar-overlap", detail))
+                            if coplanar_tri_relation(ta, tb, na) == "overlap":
+                                violations.append(("coplanar-overlap", _pair(i, j, v)))
                         continue
                     shared = self._vertex_adj.get((i, j), {}).get(v)
                     if shared:
                         if len(shared) != 1:
-                            violations.append(("vertex-contact", detail))
+                            violations.append(("vertex-contact", _pair(i, j, v)))
                             continue
-                        verdict = vertex_adjacent_contact(ta, tb, ta[shared[0][0]])
+                        verdict = vertex_adjacent_contact(ta, tb, ta[shared[0][0]], na, nb)
                         if verdict is not None:
-                            violations.append((verdict, detail))
+                            violations.append((verdict, _pair(i, j, v)))
                         continue
                     if coplanar(ta, na, tb, nb):
-                        rel = coplanar_tri_relation(ta, tb)
+                        rel = coplanar_tri_relation(ta, tb, na)
                         if rel == "overlap":
-                            violations.append(("coplanar-overlap", detail))
+                            violations.append(("coplanar-overlap", _pair(i, j, v)))
                         elif rel == "touch":
-                            violations.append(("tangency", detail))
+                            violations.append(("tangency", _pair(i, j, v)))
                         continue
-                    res = tri_tri_intersect(ta, tb)
+                    res = tri_tri_intersect(ta, tb, na, nb)
                     if res is None:
                         continue
                     if res is DEGENERATE:
-                        violations.append(("tangency", detail))
+                        violations.append(("tangency", _pair(i, j, v)))
                         continue
-                    p, q = vscale(unlift, res.p), vscale(unlift, res.q)
+                    # the ends are homogeneous over the lifts: put them over D
+                    p, q = (lowest_terms(x, y, z, w * den) for x, y, z, w in (res.p, res.q))
+                    fresh.append(len(segments))
                     segments.append(DoubleSegment(i, j, v, p, q, res.tag_p, res.tag_q))
-        return violations, segments
-
-    @staticmethod
-    def _end_point(seg, end):
-        return seg.p if end == 0 else seg.q
+        return violations, segments, fresh, placed
 
     @staticmethod
     def _end_tag(seg, end):
@@ -573,100 +638,132 @@ class Mesh3:
     @staticmethod
     def _sheets_at(seg, end):
         """Canonical local sheets at a segment end: label -> (triangle, translate)."""
-        u = floor_vec(Mesh3._end_point(seg, end))
+        u = _floor_homogeneous(seg.hp if end == 0 else seg.hq)
         return {
             "a": (seg.tri_a, vscale(-1, u)),
             "b": (seg.tri_b, vsub(seg.shift, u)),
         }
 
-    def _match_ends(self, segments, violations):
-        groups = {}
-        for si, seg in enumerate(segments):
-            for end in (0, 1):
-                key = frac_vec(self._end_point(seg, end))
-                groups.setdefault(key, []).append((si, end))
+    def _match_ends(self, segments, fresh, parts, placed, violations):
+        """Link the segment ends that meet in the 3-torus two by two.
+
+        A certified part's links are renumbered, and the ends of the other
+        segments are matched among themselves.  Every point where ends meet
+        is keyed by its homogeneous form mod the lattice.  A part's keys
+        each hold two of its ends, so a key that a part shares with another
+        part or with a matched end holds more than two.  Returns the links
+        and the keys.
+        """
         links = {}
-        for key, g in sorted(groups.items()):
+        for (part, _), index in zip(parts, placed):
+            for (s1, e1), (s2, e2) in part._end_links.items():
+                links[(index[s1], e1)] = (index[s2], e2)
+        groups = {}
+        for si in fresh:
+            seg = segments[si]
+            groups.setdefault(_mod_lattice(seg.hp), []).append((si, 0))
+            groups.setdefault(_mod_lattice(seg.hq), []).append((si, 1))
+        part_keys = [part._end_keys for part, _ in parts]
+        crowded = set()
+        for k, keys in enumerate(part_keys):
+            crowded.update(keys.intersection(groups))
+            for other in part_keys[k + 1 :]:
+                crowded.update(keys & other)
+        found = []
+        for key in crowded:
+            count = len(groups.get(key, ())) + 2 * sum(key in keys for keys in part_keys)
+            found.append((key, f"{count} arc ends meet at"))
+        for key, g in groups.items():
+            if key in crowded:
+                continue
             if len(g) != 2:
-                violations.append(
-                    (
-                        "double-curve-branching",
-                        f"{len(g)} arc ends meet at {key}",
-                    )
-                )
+                found.append((key, f"{len(g)} arc ends meet at"))
                 continue
             (s1, e1), (s2, e2) = g
             sh1 = set(self._sheets_at(segments[s1], e1).values())
             sh2 = set(self._sheets_at(segments[s2], e2).values())
             if len(sh1 & sh2) != 1:
-                violations.append(
-                    (
-                        "double-curve-branching",
-                        f"sheet mismatch where arcs meet at {key}",
-                    )
-                )
+                found.append((key, "sheet mismatch where arcs meet at"))
                 continue
             links[(s1, e1)] = (s2, e2)
             links[(s2, e2)] = (s1, e1)
-        return links
+        _report("double-curve-branching", found, violations)
+        return links, frozenset(groups).union(*part_keys)
 
-    def _collect_witnesses(self, segments, links, violations):
+    def _collect_witnesses(self, segments, links, fresh, parts, violations):
+        """The triple-point witnesses: a crossing of two double arcs hosted
+        by one triangle, keyed by its point mod the lattice.
+
+        A certified part's witnesses are renumbered, and only the pairs of
+        arcs where at least one is a segment found here are crossed.
+        """
+        is_fresh = [False] * len(segments)
+        busy = set()
+        for si in fresh:
+            is_fresh[si] = True
+            busy.update((segments[si].tri_a, segments[si].tri_b))
         hosts = {}
         for si, seg in enumerate(segments):
-            hosts.setdefault(seg.tri_a, []).append(
-                (seg.p, seg.q, (seg.tri_b, seg.shift), si)
-            )
-            hosts.setdefault(seg.tri_b, []).append(
-                (
-                    vsub(seg.p, seg.shift),
-                    vsub(seg.q, seg.shift),
-                    (seg.tri_a, vscale(-1, seg.shift)),
-                    si,
+            if seg.tri_a in busy:
+                hosts.setdefault(seg.tri_a, []).append(
+                    (seg.hp, seg.hq, (seg.tri_b, seg.shift), si)
                 )
-            )
+            if seg.tri_b in busy:
+                back = vscale(-1, seg.shift)
+                hosts.setdefault(seg.tri_b, []).append(
+                    (
+                        _shift_homogeneous(seg.hp, back),
+                        _shift_homogeneous(seg.hq, back),
+                        (seg.tri_a, back),
+                        si,
+                    )
+                )
         witnesses = {}
         for t, entries in sorted(hosts.items()):
-            # the arcs meet in their chart, lifted to integers by the
-            # common denominator of their chart end points
+            # the arcs meet in their chart, on one integer scale: the least
+            # common multiple of their ends' weights
             chart = self.chart(t)
-            flat = [chart.points((p, q)) for p, q, _, _ in entries]
-            den = common_denominator(e for arc in flat for e in arc)
-            flat = [(vlift(a, den), vlift(b, den)) for a, b in flat]
+            scale = math.lcm(*[e[3] for p, q, _, _ in entries for e in (p, q)])
+            ends = [
+                (_scaled_homogeneous(p, scale), _scaled_homogeneous(q, scale))
+                for p, q, _, _ in entries
+            ]
+            flat = [chart.points(pq) for pq in ends]
             detail = f"double arcs in triangle {t}"
             for x in range(len(entries)):
+                px, qx, ox, sx = entries[x]
                 for y in range(x + 1, len(entries)):
-                    px, qx, ox, sx = entries[x]
                     py, qy, oy, sy = entries[y]
-                    if ox == oy:
-                        continue
-                    h = seg_intersect(flat[x], flat[y])
-                    if h is None:
+                    if ox == oy or not (is_fresh[sx] or is_fresh[sy]):
                         continue
                     # consecutive pieces of one double curve share an end
                     # inside this chart when the other sheet crosses its
                     # own chart boundary there; that contact is legitimate
                     shared = [e for e in (px, qx) if e in (py, qy)]
                     if len(shared) == 1:
-                        s3 = shared[0]
-                        ea = 0 if px == s3 else 1
-                        eb = 0 if py == s3 else 1
+                        ea = 0 if px == shared[0] else 1
+                        eb = 0 if py == shared[0] else 1
                         if links.get((sx, ea)) == (sy, eb):
-                            w = vlift(chart.point(s3), den)
-                            if not contact_only_at(flat[x], flat[y], w):
+                            if not contact_only_at(flat[x], flat[y], flat[x][ea]):
                                 violations.append(
                                     ("tangency", detail + " double back")
                                 )
                             continue
-                    if h is DEGENERATE:
+                    res = seg_meeting(flat[x], flat[y])
+                    if res is None:
+                        continue
+                    if res is DEGENERATE:
                         violations.append(("tangency", detail + " overlap"))
                         continue
-                    if not strict_crossing(h):
+                    tn, un, d = res
+                    if not (0 < tn < d and 0 < un < d):
                         violations.append(
                             ("tangency", detail + " meet at a chart boundary")
                         )
                         continue
-                    y3 = vadd(px, vscale(h.ta, vsub(qx, px)))
-                    u = floor_vec(y3)
+                    a, b = ends[x]
+                    y3 = lowest_terms(*[d * c + tn * (e - c) for c, e in zip(a, b)], d * scale)
+                    u = _floor_homogeneous(y3)
                     sheets = frozenset(
                         {
                             (t, vscale(-1, u)),
@@ -674,32 +771,46 @@ class Mesh3:
                             (oy[0], vsub(oy[1], u)),
                         }
                     )
-                    witnesses.setdefault(frac_vec(y3), []).append((t, y3, sheets))
-        for key, ws in sorted(witnesses.items()):
-            if len(ws) != 3 or len({sh for _, _, sh in ws}) != 1:
-                violations.append(
-                    (
-                        "quadruple-point",
-                        f"{len(ws)} crossing witnesses at {key}",
-                    )
+                    witnesses.setdefault(_mod_lattice(y3), []).append((t, y3, sheets))
+        merged = {}
+        for part, offset in parts:
+            for key, ws in part._witnesses.items():
+                merged.setdefault(key, []).extend(
+                    (t + offset, y3, frozenset((s + offset, v) for s, v in sheets))
+                    for t, y3, sheets in ws
                 )
-        return witnesses
+        for key, ws in witnesses.items():
+            merged.setdefault(key, []).extend(ws)
+        found = [
+            (key, f"{len(ws)} crossing witnesses at")
+            for key, ws in merged.items()
+            if len(ws) != 3 or len({sh for _, _, sh in ws}) != 1
+        ]
+        _report("quadruple-point", found, violations)
+        return dict(sorted(merged.items()))
 
     def certify(self):
         if self._cert is not None:
             return self._cert
-        violations, segments = self._enumerate_pairs()
+        parts = self._certified_parts()
+        violations, segments, fresh, placed = self._enumerate_pairs(parts)
+        if not violations:
+            links, keys = self._match_ends(segments, fresh, parts, placed, violations)
+            if violations and parts:
+                # The union is refused, and where its ends do not pair up a
+                # part's links no longer hold.  Match and cross every end
+                # and arc, as the whole mesh does, to list its violations.
+                violations.clear()
+                parts, fresh = [], range(len(segments))
+                links, keys = self._match_ends(segments, fresh, parts, [], violations)
+            witnesses = self._collect_witnesses(segments, links, fresh, parts, violations)
         self._parts = ()  # no longer needed; do not keep the parts alive
-        if violations:
-            self._cert = GeneralPositionCert3(False, tuple(violations), len(segments))
-            return self._cert
-        links = self._match_ends(segments, violations)
-        witnesses = self._collect_witnesses(segments, links, violations)
         ok = not violations
         self._cert = GeneralPositionCert3(ok, tuple(violations), len(segments))
         if ok:
             self._segments = tuple(segments)
             self._end_links = links
+            self._end_keys = keys
             self._witnesses = witnesses
         return self._cert
 
@@ -816,9 +927,10 @@ class Mesh3:
         if self._triples is not None:
             return self._triples
         points = []
-        for key, ws in sorted(self._witnesses.items()):
-            preimages = tuple(sorted((t, y) for t, y, _ in ws))
-            points.append(TriplePoint(key, preimages, ws[0][2]))
+        for key, ws in self._witnesses.items():
+            preimages = tuple(sorted((t, from_homogeneous(y)) for t, y, _ in ws))
+            points.append(TriplePoint(from_homogeneous(key), preimages, ws[0][2]))
+        points.sort(key=lambda tp: tp.target)
         self._triples = TriplePointSet(tuple(points))
         return self._triples
 
@@ -1092,7 +1204,9 @@ class MeshCycle:
             tri = self.mesh.triangles[t]
             chart = self.mesh.chart(t)
             for i in range(3):
-                h = chart.intersect((p, q), (tri[i], tri[(i + 1) % 3]))
+                h = seg_intersect(
+                    chart.points((p, q)), chart.points((tri[i], tri[(i + 1) % 3]))
+                )
                 if h is None:
                     continue
                 if h is DEGENERATE:
@@ -1128,7 +1242,7 @@ def herbert_rhs_r1_cycle_parts(mesh, cycle):
                 for (at, ap, aq) in pc.arcs:
                     if at != t:
                         continue
-                    h = chart.intersect((p, q), (ap, aq))
+                    h = seg_intersect(chart.points((p, q)), chart.points((ap, aq)))
                     if h is None:
                         continue
                     if not strict_crossing(h):

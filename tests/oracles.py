@@ -617,3 +617,90 @@ def mesh_tables_reference(mesh):
                 vertex_adj.setdefault((t1, t2), {}).setdefault(v, []).append((c1, c2))
     axes = [PlaneChart.of(tri_normal(tri)).axis for tri in tris]
     return tuple(matches), edge_adj, vertex_adj, axes
+
+
+# --- the rational triangle-triangle intersection ---------------------------
+#
+# exactgeom.tri_tri_intersect compares its clip parameters as int pairs by
+# cross-multiplication and returns homogeneous ends.  This is the same clip
+# on Fraction parameters, returning rational ends.
+
+
+def _clip_line_to_tri_reference(p0, u, tri, owner, w):
+    """The clip of the line ``p0 / w + t u`` to a triangle in its plane,
+    with the bounds of t as Fractions."""
+    from multipoint.exactgeom import tri_normal
+
+    n = tri_normal(tri)
+    lo = hi = None
+    lo_tag = hi_tag = None
+    lo_tie = hi_tie = False
+    for i in range(3):
+        vi = tri[i]
+        m = cross3(n, vsub(tri[(i + 1) % 3], vi))
+        c0 = vdot(m, p0) - w * vdot(m, vi)
+        c1 = w * vdot(m, u)
+        if c1 == 0:
+            if c0 < 0:
+                return ("miss",)
+            if c0 == 0:
+                return ("degenerate",)
+            continue
+        t = Fraction(-c0) / c1
+        if c1 > 0:
+            if lo is None or t > lo:
+                lo, lo_tag, lo_tie = t, (owner, i), False
+            elif t == lo:
+                lo_tie = True
+        else:
+            if hi is None or t < hi:
+                hi, hi_tag, hi_tie = t, (owner, i), False
+            elif t == hi:
+                hi_tie = True
+    if lo is None or hi is None or lo > hi:
+        return ("miss",)
+    return ("interval", lo, lo_tag, lo_tie, hi, hi_tag, hi_tie)
+
+
+def tri_tri_intersect_reference(a, b):
+    """``tri_tri_intersect`` on Fraction parameters: None, DEGENERATE, or
+    a ``TriTriHit`` whose ends are rational points."""
+    from multipoint.exactgeom import TriTriHit, coplanar_tri_relation, tri_normal, vadd, vscale
+
+    na, nb = tri_normal(a), tri_normal(b)
+    db = [vdot(nb, vsub(p, b[0])) for p in a]
+    if all(d > 0 for d in db) or all(d < 0 for d in db):
+        return None
+    da = [vdot(na, vsub(p, a[0])) for p in b]
+    if all(d > 0 for d in da) or all(d < 0 for d in da):
+        return None
+    if all(d == 0 for d in db):
+        return None if coplanar_tri_relation(a, b) == "disjoint" else DEGENERATE
+    u = cross3(na, nb)
+    naa, nbb, nab = vdot(na, na), vdot(nb, nb), vdot(na, nb)
+    wa, wb = vdot(na, a[0]), vdot(nb, b[0])
+    den = naa * nbb - nab * nab
+    p0 = vadd(vscale(wa * nbb - wb * nab, na), vscale(wb * naa - wa * nab, nb))
+    ra = _clip_line_to_tri_reference(p0, u, a, "a", den)
+    rb = _clip_line_to_tri_reference(p0, u, b, "b", den)
+    for r in (ra, rb):
+        if r[0] == "miss":
+            return None
+        if r[0] == "degenerate":
+            return DEGENERATE
+    _, lo_a, lo_tag_a, lo_tie_a, hi_a, hi_tag_a, hi_tie_a = ra
+    _, lo_b, lo_tag_b, lo_tie_b, hi_b, hi_tag_b, hi_tie_b = rb
+    if lo_a == lo_b or hi_a == hi_b:
+        return DEGENERATE
+    flo, flo_tag, flo_tie = (lo_a, lo_tag_a, lo_tie_a) if lo_a > lo_b else (lo_b, lo_tag_b, lo_tie_b)
+    fhi, fhi_tag, fhi_tie = (hi_a, hi_tag_a, hi_tie_a) if hi_a < hi_b else (hi_b, hi_tag_b, hi_tie_b)
+    if flo > fhi:
+        return None
+    if flo == fhi or flo_tie or fhi_tie:
+        return DEGENERATE
+    base = vscale(Fraction(1, den), p0)
+    p = vadd(base, vscale(flo, u))
+    q = vadd(base, vscale(fhi, u))
+    if p <= q:
+        return TriTriHit(p, q, flo_tag, fhi_tag)
+    return TriTriHit(q, p, fhi_tag, flo_tag)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -25,9 +26,11 @@ from multipoint.exactgeom import (
     contact_only_at,
     coplanar,
     coplanar_tri_relation,
+    cross3,
     dist2_point_seg,
     dist2_point_seg_parts,
     lattice_translates,
+    lowest_terms,
     pushoff_polyline,
     seg_crossing,
     seg_intersect,
@@ -37,6 +40,7 @@ from multipoint.exactgeom import (
     tri_normal,
     tri_tri_intersect,
     vadd,
+    vlift,
     vscale,
     vsub,
 )
@@ -254,7 +258,7 @@ def test_coplanar_and_plane_chart():
     assert not coplanar(ta, na, td, tri_normal(td))  # planes through one point
     chart = PlaneChart.of(na)
     assert chart.axis == 2 and chart.point(_pt(4, 5, 6)) == _pt(4, 5)
-    hit = chart.intersect((ta[0], _pt(2, 2, 2)), (ta[1], ta[2]))
+    hit = seg_intersect(chart.points((ta[0], _pt(2, 2, 2))), chart.points((ta[1], ta[2])))
     assert (hit.point, hit.ta, hit.tb) == (_pt(1, 1), rat(1, 2), rat(1, 2))
     assert strict_crossing(hit)
 
@@ -384,20 +388,27 @@ TRI_A = ((rat(0), rat(0), rat(0)), (rat(4), rat(0), rat(0)), (rat(0), rat(4), ra
 TRI_B = ((rat(1), rat(-1), rat(-2)), (rat(1), rat(3), rat(-1)), (rat(1), rat(0), rat(2)))
 
 
+def _hit_ends(hit, den=1):
+    """The ends of a TriTriHit as rational points, for triangles lifted by
+    ``den``: a homogeneous end ``(X, Y, Z, W)`` is ``(X, Y, Z) / (W den)``."""
+    return tuple(tuple(rat(c, e[3] * den) for c in e[:3]) for e in (hit.p, hit.q))
+
+
 def test_tri_tri_transverse_arc():
     hit = tri_tri_intersect(TRI_A, TRI_B)
     assert isinstance(hit, TriTriHit)
-    assert hit.p == (rat(1), rat(0), rat(0))
-    assert hit.q == (rat(1), rat(2), rat(0))
+    p, q = _hit_ends(hit)
+    assert p == (rat(1), rat(0), rat(0))
+    assert q == (rat(1), rat(2), rat(0))
     assert hit.tag_p == ("a", 0)
     assert hit.tag_q == ("b", 1)
     # oracle: endpoints on both planes and inside both closed triangles,
     # midpoint strictly inside both
-    for x in (hit.p, hit.q):
+    for x in (p, q):
         assert oracles.on_plane(x, TRI_A) and oracles.on_plane(x, TRI_B)
         assert oracles.point_in_triangle(x, TRI_A)
         assert oracles.point_in_triangle(x, TRI_B)
-    mid = vscale(rat(1, 2), vadd(hit.p, hit.q))
+    mid = vscale(rat(1, 2), vadd(p, q))
     assert oracles.point_in_triangle(mid, TRI_A, strict=True)
     assert oracles.point_in_triangle(mid, TRI_B, strict=True)
 
@@ -439,15 +450,16 @@ def test_tri_tri_symmetry_and_back_substitution(a, b):
         assert r_ba is r_ab
         return
     assert isinstance(r_ba, TriTriHit)
-    assert (r_ba.p, r_ba.q) == (r_ab.p, r_ab.q)
+    p, q = _hit_ends(r_ab)
+    assert _hit_ends(r_ba) == (p, q)
     swap = {"a": "b", "b": "a"}
     assert r_ba.tag_p == (swap[r_ab.tag_p[0]], r_ab.tag_p[1])
     assert r_ba.tag_q == (swap[r_ab.tag_q[0]], r_ab.tag_q[1])
-    for x in (r_ab.p, r_ab.q):
+    for x in (p, q):
         assert oracles.on_plane(x, a) and oracles.on_plane(x, b)
         assert oracles.point_in_triangle(x, a)
         assert oracles.point_in_triangle(x, b)
-    mid = vscale(rat(1, 2), vadd(r_ab.p, r_ab.q))
+    mid = vscale(rat(1, 2), vadd(p, q))
     assert oracles.point_in_triangle(mid, a, strict=True)
     assert oracles.point_in_triangle(mid, b, strict=True)
 
@@ -465,7 +477,79 @@ def test_tri_tri_translation_invariance(a, b, v):
     if r is None or r is DEGENERATE:
         assert rs is r
     else:
-        assert rs.p == vadd(r.p, v) and rs.q == vadd(r.q, v)
+        assert _hit_ends(rs) == tuple(vadd(e, v) for e in _hit_ends(r))
+
+
+# triangles on a small integer grid, where shared vertices, coplanar pairs
+# and tied clip parameters are frequent
+int_points3 = st.tuples(*[st.integers(-4, 4)] * 3)
+
+
+def _nondegenerate(t):
+    return any(cross3(vsub(t[1], t[0]), vsub(t[2], t[0])))
+
+
+int_triangles3 = st.tuples(int_points3, int_points3, int_points3).filter(_nondegenerate)
+
+
+def _special_partner(a):
+    """Triangles drawn to meet ``a`` at its special places: each vertex is
+    a grid point, a vertex of ``a`` or a point of its plane at half-integer
+    weights (on an edge line when a weight is 0).  Two plane points give an
+    edge in a's plane, three a coplanar triangle."""
+    a0, a1, a2 = a
+    weight = st.sampled_from([rat(k, 2) for k in range(-2, 5)])
+    in_plane = st.tuples(weight, weight).map(
+        lambda w: vadd(a0, vadd(vscale(w[0], vsub(a1, a0)), vscale(w[1], vsub(a2, a0))))
+    )
+    vertex = st.one_of(int_points3, st.sampled_from(a), in_plane)
+    return st.tuples(vertex, vertex, vertex).filter(_nondegenerate)
+
+
+def _matches_reference(a, b):
+    ref = oracles.tri_tri_intersect_reference(a, b)
+    den = math.lcm(*[c.denominator for p in a + b for c in p])
+    lifted = [tuple(vlift(p, den) for p in t) for t in (a, b)]
+    for got, scale in ((tri_tri_intersect(a, b), 1), (tri_tri_intersect(*lifted), den)):
+        if ref is None or ref is DEGENERATE:
+            assert got is ref
+        else:
+            assert _hit_ends(got, scale) == (ref.p, ref.q)
+            assert (got.tag_p, got.tag_q) == (ref.tag_p, ref.tag_q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_triangles3.flatmap(lambda a: st.tuples(st.just(a), _special_partner(a))), int_triangles3)
+def test_tri_tri_matches_rational_reference(pair, free):
+    a, b = pair
+    _matches_reference(a, b)
+    _matches_reference(a, free)
+
+
+@pytest.mark.parametrize(
+    "b, want",
+    [
+        # a shared vertex, the other two off the plane on opposite sides
+        (((0, 0, 0), (1, 1, 1), (1, 2, -1)), DEGENERATE),
+        # an edge lying in a's plane, crossing a's interior
+        (((1, -1, 0), (1, 3, 0), (1, 0, 2)), DEGENERATE),
+        # coplanar overlap, and coplanar touch along an edge
+        (((1, 1, 0), (5, 1, 0), (1, 5, 0)), DEGENERATE),
+        (((0, 0, 0), (0, 4, 0), (-4, 0, 0)), DEGENERATE),
+        # the lines of the two clips meet where both boundaries do: one point
+        (((2, -1, -1), (2, 2, 2), (2, -1, 2)), DEGENERATE),
+        # a transverse arc
+        (((1, -1, -2), (1, 3, -1), (1, 0, 2)), "hit"),
+    ],
+)
+def test_tri_tri_special_cases_match_rational_reference(b, want):
+    b = tuple(_pt(*p) for p in b)
+    ref = oracles.tri_tri_intersect_reference(TRI_A, b)
+    got = tri_tri_intersect(TRI_A, b)
+    if want == "hit":
+        assert _hit_ends(got) == (ref.p, ref.q)
+    else:
+        assert got is ref is want
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +714,10 @@ BIG_CASES = {
         (_pt(rat(1, 3), rat(1, 2), 0), _pt(1, rat(2, 3), 0), TRI_A, "a"),
         lambda r: r,
     ),
+    # the ends scaled back, written homogeneous again
     tri_tri_intersect: (
         (TRI_A, SHIFTED_B),
-        lambda h: TriTriHit(_down(h.p), _down(h.q), h.tag_p, h.tag_q),
+        lambda h: TriTriHit(*(lowest_terms(*e, 1) for e in _hit_ends(h, BIG)), h.tag_p, h.tag_q),
     ),
     coplanar_tri_relation: (
         (TRI_A, (_pt(1, 1, 0), _pt(5, 1, 0), _pt(1, 3, 0))),

@@ -370,3 +370,44 @@ def test_separation_scale_matches_rational_reference_on_generated_curves(ambient
         ]
         scales = [s for s in scales if s is not None]
         assert curve.min_sep_sq == (min(scales) if scales else None)
+
+
+# ---------------------------------------------------------------------------
+# the mesh path: certification and the arrangement of preimage arcs
+
+
+def _generated_mesh(sheets, seed):
+    config = GeneratorConfig(
+        universe="tori", ambient=TORI_AMBIENT, components=(sheets, sheets), seed=seed
+    )
+    return generate(config).mesh("f")  # certified by the generator
+
+
+@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
+def test_mesh_certification_creates_no_fraction(fraction_count):
+    fresh = surfaces3d.Mesh3(_generated_mesh(3, 1).triangles)
+    assert fraction_count(fresh.certify) == 0
+    assert fresh.certify().ok and fresh._witnesses
+    # a union of two certified meshes, with triple points inside a part and
+    # across the parts
+    a, b = _generated_mesh(2, 1), _generated_mesh(3, 4)
+    union = a.union(b)
+    assert fraction_count(union.certify) == 0
+    assert union.certify().ok
+    assert b._witnesses and len(union._witnesses) > len(a._witnesses) + len(b._witnesses)
+
+
+@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
+def test_arc_crossings_build_only_the_returned_points(fraction_count):
+    from multipoint import bordism
+    from multipoint.exactgeom import seg_intersect
+
+    mesh = _generated_mesh(3, 1)
+    records = bordism.mu_r(bordism.class_of_mesh(mesh), 2).payload
+    crossings = bordism._arc_crossings_on_source(mesh, records)
+    assert crossings
+    # each crossing is one seg_intersect hit on ints and its point's three
+    # coordinates; a miss or a skipped pair makes none
+    per_hit = fraction_count(seg_intersect, ((0, 0), (2, 2)), ((0, 2), (2, 0)))
+    count = fraction_count(bordism._arc_crossings_on_source, mesh, records)
+    assert count == (per_hit + 3) * len(crossings)

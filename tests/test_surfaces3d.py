@@ -626,7 +626,16 @@ def _certified_state(mesh):
     cert = mesh.certify()
     if not cert.ok:
         return cert, mesh._segments
-    return cert, mesh._segments, mesh.double_curves(), mesh.triple_points()
+    # the witnesses as a list, so that their order is compared too
+    witnesses = list(mesh._witnesses.items())
+    return (
+        cert,
+        mesh._segments,
+        mesh._end_links,
+        witnesses,
+        mesh.double_curves(),
+        mesh.triple_points(),
+    )
 
 
 def test_union_certifies_like_the_concatenated_mesh(generated_meshes):
@@ -698,6 +707,65 @@ def test_union_tests_the_pairs_of_a_rejected_part(generated_meshes):
         assert not union.certify().ok
         return
     pytest.fail("no closed union with the rejected part")
+
+
+def _union_of_certified_parts(a, b):
+    """The union of fresh, certified meshes on the triangles a and b, and
+    the whole mesh on a + b."""
+    part_a, part_b = Mesh3(a), Mesh3(b)
+    assert part_a.certify().ok and part_b.certify().ok
+    return part_a.union(part_b), Mesh3(a + b)
+
+
+def test_union_refuses_a_cross_end_on_an_end_of_a_part():
+    # the double line y = z = 1/4 of the two tori crosses the diagonal of
+    # the z-torus at (3/4, 1/4, 1/4), an end of two of their segments; the
+    # x-torus at level 3/4 crosses the z-torus along a line through that
+    # point, and its segments end there too
+    union, full = _union_of_certified_parts(
+        TWO_TORI.triangles, coordinate_torus(0, rat(3, 4), rat(3, 16))
+    )
+    cert = union.certify()
+    assert not cert.ok
+    assert "double-curve-branching" in cert.violation_names
+    assert ("double-curve-branching", f"4 arc ends meet at {(rat(3, 4), Q, Q)}") in cert.violations
+    assert _certified_state(union) == _certified_state(full)
+
+
+def test_union_refuses_a_cross_witness_at_a_triple_point_of_a_part():
+    # the slanted sheet of test_quadruple_point_detected, as the second part
+    u, v = (1, -1, 0), (3, 0, -1)
+    p0 = vsub(vsub((Q, Q, Q), vscale(rat(3, 7), u)), vscale(rat(2, 7), v))
+    union, full = _union_of_certified_parts(THREE_TORI.triangles, parallelogram_torus(p0, u, v))
+    cert = union.certify()
+    assert cert.violation_names == ["quadruple-point"]
+    assert len(cert.violations) == 1
+    assert "12 crossing witnesses" in cert.violations[0][1]
+    assert _certified_state(union) == _certified_state(full)
+
+
+def test_certify_computes_no_normal(monkeypatch):
+    # Mesh3 computes its triangles' normals when it is built, and every
+    # predicate of certification takes them from it
+    from multipoint import exactgeom, generate
+    import multipoint.surfaces3d as s3
+
+    config = generate.GeneratorConfig(
+        universe="tori", ambient=generate.TORI_AMBIENT, components=(3, 3), seed=3
+    )
+    mesh = Mesh3(generate.generate(config).mesh("f").triangles)
+    calls = []
+    real = exactgeom.tri_normal
+
+    def counted(tri):
+        calls.append(tri)
+        return real(tri)
+
+    for module in (exactgeom, s3):
+        monkeypatch.setattr(module, "tri_normal", counted)
+    assert mesh.certify().ok
+    assert mesh.double_segments()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
