@@ -145,18 +145,10 @@ def class_of_curve(curve):
     return RepresentedClass(CURVES_IN_SURFACE, curve.complex, curve, structure)
 
 
-def curve_class(complex_, raw_components):
-    return class_of_curve(MultiCurve.build(complex_, raw_components))
-
-
 def class_of_mesh(mesh):
     """Wrap a certified closed triangulated surface in the 3-torus."""
     require_general_position(mesh)
     return RepresentedClass(SURFACES_IN_3TORUS, AMBIENT_T3, mesh)
-
-
-def mesh_class(triangles):
-    return class_of_mesh(Mesh3(triangles))
 
 
 def empty_class(ambient=None, note=""):
@@ -628,11 +620,9 @@ __all__ = [
     "check_naturality",
     "class_of_curve",
     "class_of_mesh",
-    "curve_class",
     "empty_class",
     "identity_class",
     "internal_product",
-    "mesh_class",
     "mu_r",
     "psi_r",
     "pullback_class",

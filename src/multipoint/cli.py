@@ -112,6 +112,8 @@ def _fuzz_config(universe, seed, index):
 
 
 def _cmd_fuzz(args):
+    if args.count < 1:
+        raise InputError("--count must be at least 1")
     seed = args.seed
     failures = 0
     for i in range(args.count):

@@ -415,16 +415,6 @@ def double_points(curve: MultiCurve):
     return require_general_position(curve).double_points
 
 
-def ordered_preimages(curve: MultiCurve):
-    """Both orderings of each double point's branch pair (closed under swap)."""
-    out = []
-    for dp in double_points(curve):
-        b0, b1 = dp.branches
-        out.append((dp, (b0, b1)))
-        out.append((dp, (b1, b0)))
-    return tuple(out)
-
-
 def component_chain(curve: MultiCurve, comp_idx: int) -> ClosedChain:
     """The component as a closed chain of its lifted chart pieces, for
     pushoffs: a segment's pieces are joined by a wrap, segments by corners."""
@@ -559,11 +549,6 @@ def herbert_rhs_r1_parts(curve: MultiCurve, comp_idx: int):
     return mu_bit, euler_bit
 
 
-def herbert_rhs_r1(curve: MultiCurve, comp_idx: int) -> int:
-    mu_bit, euler_bit = herbert_rhs_r1_parts(curve, comp_idx)
-    return mu_bit ^ euler_bit
-
-
 __all__ = [
     "CurveBuildError",
     "GeneralPositionError",
@@ -576,7 +561,6 @@ __all__ = [
     "degeneracy_scale_sq",
     "require_general_position",
     "double_points",
-    "ordered_preimages",
     "component_chain",
     "initial_epsilon",
     "pushoff_all",
@@ -584,5 +568,4 @@ __all__ = [
     "mu_count_r1",
     "herbert_lhs_r1",
     "herbert_rhs_r1_parts",
-    "herbert_rhs_r1",
 ]

@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .rational import rat, rfloor, ZERO, ONE
+from .rational import rat, rfloor
 
 
 # ---------------------------------------------------------------------------
@@ -663,21 +663,9 @@ class Transform2:
     e: object
     f: object
 
-    @classmethod
-    def identity(cls):
-        return cls(ONE, ZERO, ZERO, ONE, ZERO, ZERO)
-
-    @classmethod
-    def translation(cls, tx, ty):
-        return cls(ONE, ZERO, ZERO, ONE, tx, ty)
-
     def apply(self, p):
         x, y = p
         return (self.a * x + self.b * y + self.e, self.c * x + self.d * y + self.f)
-
-    def linear(self, v):
-        x, y = v
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -691,17 +679,6 @@ class Transform2:
             raise ValueError("only a map with integer coefficients lifts")
         a, b, c, d, e, f = (x.numerator for x in coeffs)
         return Transform2(a, b, c, d, den * e, den * f)
-
-    def compose(self, other):
-        """self after other: (self.compose(other)).apply(p) == self.apply(other.apply(p))."""
-        return Transform2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.a * other.e + self.b * other.f + self.e,
-            self.c * other.e + self.d * other.f + self.f,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .curves2d import CurveBuildError
 from .exactgeom import GeneralPositionError, InputError, require_general_position
 from .rational import format_rational, rat
-from .scene import parse_scene, print_scene
+from .scene import parse_scene
 from .surfaces3d import (
     CycleError,
     MeshBuildError,
@@ -292,15 +292,10 @@ def generate(config):
     )
 
 
-def generate_text(config):
-    return print_scene(generate(config))
-
-
 __all__ = [
     "CURVE_AMBIENTS",
     "GenerationError",
     "GeneratorConfig",
     "TORI_AMBIENT",
     "generate",
-    "generate_text",
 ]

@@ -224,31 +224,10 @@ def explain(report, scene=None):
     return "\n".join(lines) + "\n"
 
 
-def write_reproducer(report, scene, path):
-    """Dump the exact geometry and the failing report to a file."""
-    with open(path, "w") as fh:
-        fh.write(f"# reproducer for scene {report.scene}\n")
-        fh.write(report.to_tsv())
-        for line in _geometry_lines(scene):
-            fh.write(line + "\n")
-    return path
-
-
-def verify_and_dump(scene, targets=None, scene_id="scene", reproducer_dir="."):
-    """Like :func:`verify`, writing a reproducer file on any FAIL row."""
-    report = verify(scene, targets, scene_id)
-    if any(row.verdict == "FAIL" for row in report.rows):
-        path = f"{reproducer_dir}/herbert-fail-{scene_id}.txt"
-        write_reproducer(report, scene, path)
-    return report
-
-
 __all__ = [
     "HerbertReport",
     "HerbertRow",
     "TSV_COLUMNS",
     "explain",
     "verify",
-    "verify_and_dump",
-    "write_reproducer",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .rational import rat, ZERO, ONE
+from .rational import rat
 from .exactgeom import SQUARE_EDGES, InputError, Transform2
 
 EDGE_NAMES = tuple(SQUARE_EDGES)
@@ -28,7 +28,6 @@ _FRAMES = {
 }
 
 # square corners indexed 0..3; each is met by two edges
-_CORNER_POINTS = {0: (ZERO, ZERO), 1: (ONE, ZERO), 2: (ONE, ONE), 3: (ZERO, ONE)}
 _CORNER_OF_EDGE_END = {
     ("E", 0): 1, ("E", 1): 2,
     ("W", 0): 0, ("W", 1): 3,
@@ -82,28 +81,12 @@ class Gluing:
 
 
 @dataclass(frozen=True)
-class EdgeCrossing:
-    """Directed passage through a glued edge, as seen from the exit side."""
-
-    square: int
-    edge: str
-
-
-@dataclass(frozen=True)
 class ComplexReport:
     ok: bool
     violations: tuple
     connected: bool
     vertex_count: int
     euler: Optional[int]
-
-
-@dataclass(frozen=True)
-class SurfaceType:
-    orientable: bool
-    euler: int
-    genus: Optional[int] = None
-    crosscaps: Optional[int] = None
 
 
 class _UnionFind:
@@ -171,9 +154,6 @@ class SquareComplex:
     def glued(self, square: int, edge: str):
         """(other_square, other_edge, flip, transform, sign) across a slot."""
         return self._by_edge[(square, edge)]
-
-    def crossing_sign(self, square: int, edge: str) -> int:
-        return self._by_edge[(square, edge)][4]
 
     # -- validation ----------------------------------------------------------
 
@@ -249,48 +229,6 @@ class SquareComplex:
             cycles += 1
         return cycles
 
-    # -- classification ------------------------------------------------------
-
-    def orientable(self) -> bool:
-        report = self.validate()
-        if not report.ok:
-            raise ValueError(f"invalid complex: {report.violations}")
-        colors = {0: 0}
-        stack = [0]
-        adj = {}
-        for (sq, ed), (osq, oed, _, _, sign) in self._by_edge.items():
-            adj.setdefault(sq, []).append((osq, sign))
-        while stack:
-            sq = stack.pop()
-            for osq, sign in adj.get(sq, ()):
-                want = colors[sq] ^ sign
-                if osq not in colors:
-                    colors[osq] = want
-                    stack.append(osq)
-                elif colors[osq] != want:
-                    return False
-        return True
-
-    def classify(self) -> SurfaceType:
-        report = self.validate()
-        if not report.ok:
-            raise ValueError(f"invalid complex: {report.violations}")
-        euler = report.euler
-        if self.orientable():
-            if euler % 2 != 0 or euler > 2:
-                raise AssertionError(f"impossible euler characteristic {euler}")
-            return SurfaceType(True, euler, genus=(2 - euler) // 2)
-        return SurfaceType(False, euler, crosscaps=2 - euler)
-
-    def orientation_character(self, crossings) -> int:
-        """Parity of orientation reversal along a loop crossing the given
-        edge slots (each an :class:`EdgeCrossing` or (square, edge) pair)."""
-        bit = 0
-        for c in crossings:
-            sq, ed = (c.square, c.edge) if isinstance(c, EdgeCrossing) else c
-            bit ^= self.crossing_sign(sq, ed)
-        return bit
-
     # -- equality ------------------------------------------------------------
 
     def _key(self):
@@ -306,87 +244,10 @@ class SquareComplex:
         return f"SquareComplex({self.num_squares}, {list(self.gluings)})"
 
 
-@dataclass(frozen=True)
-class AmbientLoop:
-    """A loop recorded by the squares it visits and the edges it exits.
-
-    ``steps[i]`` is (square, exit_edge); the gluing must carry each exit
-    into the square of the following step.
-    """
-
-    steps: tuple
-
-    def character(self, complex_: SquareComplex) -> int:
-        prev_target = None
-        for square, edge in self.steps:
-            if prev_target is not None and square != prev_target:
-                raise ValueError("loop steps do not chain across gluings")
-            prev_target = complex_.glued(square, edge)[0]
-        if prev_target != self.steps[0][0]:
-            raise ValueError("loop does not close up")
-        return complex_.orientation_character(self.steps)
-
-
-# -- presets ---------------------------------------------------------------
-
-
-def torus_complex() -> SquareComplex:
-    return SquareComplex(1, [(0, "E", 0, "W", False), (0, "N", 0, "S", False)])
-
-
-def klein_complex() -> SquareComplex:
-    return SquareComplex(1, [(0, "E", 0, "W", True), (0, "N", 0, "S", False)])
-
-
-def projective_plane_complex() -> SquareComplex:
-    return SquareComplex(1, [(0, "E", 0, "W", True), (0, "N", 0, "S", True)])
-
-
-def genus2_complex() -> SquareComplex:
-    """Four squares: 0,1,2 in a horizontal cycle, 3 stacked with 0.
-
-    Squares 1 and 2 close vertically onto themselves; square 3 sits above
-    square 0 and the pair closes vertically through each other, producing
-    a genus-2 surface (Euler characteristic -2).
-    """
-    return SquareComplex(
-        4,
-        [
-            (0, "E", 1, "W", False),
-            (1, "E", 2, "W", False),
-            (2, "E", 0, "W", False),
-            (3, "E", 3, "W", False),
-            (0, "N", 3, "S", False),
-            (3, "N", 0, "S", False),
-            (1, "N", 1, "S", False),
-            (2, "N", 2, "S", False),
-        ],
-    )
-
-
-def preset_complex(name: str) -> SquareComplex:
-    presets = {
-        "torus": torus_complex,
-        "klein": klein_complex,
-        "genus2": genus2_complex,
-    }
-    if name not in presets:
-        raise ValueError(f"unknown surface preset {name!r}")
-    return presets[name]()
-
-
 __all__ = [
     "EDGE_NAMES",
     "edge_transition",
     "Gluing",
-    "EdgeCrossing",
     "ComplexReport",
-    "SurfaceType",
     "SquareComplex",
-    "AmbientLoop",
-    "torus_complex",
-    "klein_complex",
-    "projective_plane_complex",
-    "genus2_complex",
-    "preset_complex",
 ]

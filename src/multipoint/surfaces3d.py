@@ -56,7 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .rational import ONE, ZERO, parse_rational, rat, rfloor
+from .rational import ONE, ZERO, rat, rfloor
 from .exactgeom import (
     DEGENERATE,
     GeneralPositionError,
@@ -102,15 +102,9 @@ class CycleError(InputError):
 # small exact-vector helpers
 
 
-def _as_rat(x):
-    if isinstance(x, str):
-        return parse_rational(x)
-    return rat(x)
-
-
 def _point3(p):
     x, y, z = p
-    return (_as_rat(x), _as_rat(y), _as_rat(z))
+    return (rat(x), rat(y), rat(z))
 
 
 def _shift_tri(tri, v):
@@ -1103,11 +1097,6 @@ def herbert_rhs_r2_parts(mesh):
     return (len(triples) % 2, w1_sum % 2)
 
 
-def herbert_rhs_r2(mesh):
-    mu, eul = herbert_rhs_r2_parts(mesh)
-    return (mu + eul) % 2
-
-
 # ---------------------------------------------------------------------------
 # cycles on the source surface and the degree-1 identity along them
 
@@ -1130,7 +1119,7 @@ class MeshCycle:
             raise CycleError("a cycle needs at least one mark")
         self.mesh = mesh
         self.marks = tuple(
-            (int(t), _as_rat(a), _as_rat(b)) for t, a, b in marks
+            (int(t), rat(a), rat(b)) for t, a, b in marks
         )
         for t, a, b in self.marks:
             if not 0 <= t < len(mesh.triangles):
@@ -1254,11 +1243,6 @@ def herbert_rhs_r1_cycle_parts(mesh, cycle):
     return (count % 2, cycle.transport_bit())
 
 
-def herbert_rhs_r1_cycle(mesh, cycle):
-    mu, eul = herbert_rhs_r1_cycle_parts(mesh, cycle)
-    return (mu + eul) % 2
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -1278,9 +1262,8 @@ def coordinate_torus(axis, level, offset=0):
     """The flat torus of all points with coordinate ``axis`` equal to
     ``level``, triangulated over a unit square starting at ``offset`` in
     both remaining coordinates."""
-    axis = {"x": 0, "y": 1, "z": 2}.get(axis, axis)
-    level = _as_rat(level)
-    o = _as_rat(offset)
+    level = rat(level)
+    o = rat(offset)
     if axis == 2:
         p0, u, v = (o, o, level), (1, 0, 0), (0, 1, 0)
     elif axis == 1:
@@ -1290,19 +1273,6 @@ def coordinate_torus(axis, level, offset=0):
     else:
         raise ValueError(f"axis must be 0, 1 or 2, not {axis!r}")
     return parallelogram_torus(p0, u, v)
-
-
-def subdivide_mesh(mesh):
-    """Midpoint quadrisection of every triangle; the result maps to the
-    same surface of the 3-torus."""
-    half = rat(1, 2)
-    out = []
-    for (a, b, c) in mesh.triangles:
-        ab = vscale(half, vadd(a, b))
-        bc = vscale(half, vadd(b, c))
-        ca = vscale(half, vadd(c, a))
-        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return Mesh3(out)
 
 
 __all__ = [
@@ -1325,12 +1295,9 @@ __all__ = [
     "mesh_segment_hits",
     "herbert_lhs_r2",
     "herbert_rhs_r2_parts",
-    "herbert_rhs_r2",
     "MeshCycle",
     "herbert_lhs_r1_cycle",
     "herbert_rhs_r1_cycle_parts",
-    "herbert_rhs_r1_cycle",
     "parallelogram_torus",
     "coordinate_torus",
-    "subdivide_mesh",
 ]

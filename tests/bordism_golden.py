@@ -25,7 +25,7 @@ from multipoint.bordism import CheckReport, RepresentedClass
 from multipoint.curves2d import MultiCurve
 from multipoint.exactgeom import GenericityError
 from multipoint.rational import Rat
-from multipoint.scene import parse_scene
+from multipoint.scene import parse_scene, print_scene
 
 GOLDEN = Path(__file__).with_name("data") / "bordism_golden.json"
 
@@ -145,7 +145,7 @@ def _generated_text(configs):
     """The scene text of the first config in ``configs`` that generates."""
     for config in configs:
         try:
-            return generate.generate_text(config)
+            return print_scene(generate.generate(config))
         except generate.GenerationError:
             continue
     raise RuntimeError("no config generated a scene")
@@ -173,14 +173,13 @@ def _curve_inputs(k):
 
 
 def _mesh_text(sheets, seed):
-    return generate.generate_text(
-        generate.GeneratorConfig(
-            universe="tori",
-            ambient=generate.TORI_AMBIENT,
-            components=(sheets, sheets),
-            seed=seed,
-        )
+    config = generate.GeneratorConfig(
+        universe="tori",
+        ambient=generate.TORI_AMBIENT,
+        components=(sheets, sheets),
+        seed=seed,
     )
+    return print_scene(generate.generate(config))
 
 
 def _mesh_cases():

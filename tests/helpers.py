@@ -4,7 +4,11 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from multipoint.curves2d import double_points
+from multipoint.exactgeom import vadd, vscale
 from multipoint.rational import rat
+from multipoint.surface2d import SquareComplex
+from multipoint.surfaces3d import Mesh3
 
 
 def to_rat(f: Fraction):
@@ -35,3 +39,59 @@ def nondegenerate_triangle3(**kw):
         st.tuples(points3(**kw), points3(**kw), points3(**kw))
         .filter(lambda t: cross3(vsub(t[1], t[0]), vsub(t[2], t[0])) != (0, 0, 0))
     )
+
+
+# -- fixtures --------------------------------------------------------------
+
+
+def torus_complex():
+    return SquareComplex(1, [(0, "E", 0, "W", False), (0, "N", 0, "S", False)])
+
+
+def klein_complex():
+    return SquareComplex(1, [(0, "E", 0, "W", True), (0, "N", 0, "S", False)])
+
+
+def genus2_complex():
+    """Four squares: 0,1,2 in a horizontal cycle, 3 stacked with 0.
+
+    Squares 1 and 2 close vertically onto themselves; square 3 sits above
+    square 0 and the pair closes vertically through each other, producing
+    a genus-2 surface (Euler characteristic -2).
+    """
+    return SquareComplex(
+        4,
+        [
+            (0, "E", 1, "W", False),
+            (1, "E", 2, "W", False),
+            (2, "E", 0, "W", False),
+            (3, "E", 3, "W", False),
+            (0, "N", 3, "S", False),
+            (3, "N", 0, "S", False),
+            (1, "N", 1, "S", False),
+            (2, "N", 2, "S", False),
+        ],
+    )
+
+
+def ordered_preimages(curve):
+    """Both orderings of each double point's branch pair (closed under swap)."""
+    out = []
+    for dp in double_points(curve):
+        b0, b1 = dp.branches
+        out.append((dp, (b0, b1)))
+        out.append((dp, (b1, b0)))
+    return tuple(out)
+
+
+def subdivide_mesh(mesh):
+    """Midpoint quadrisection of every triangle; the result maps to the
+    same surface of the 3-torus."""
+    half = rat(1, 2)
+    out = []
+    for (a, b, c) in mesh.triangles:
+        ab = vscale(half, vadd(a, b))
+        bc = vscale(half, vadd(b, c))
+        ca = vscale(half, vadd(c, a))
+        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return Mesh3(out)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import oracles
+from helpers import ordered_preimages
 from multipoint import herbert
 from multipoint.bordism import (
     check_cartan,
@@ -28,11 +29,10 @@ from multipoint.curves2d import (
     GeneralPositionError as CurveGeneralPositionError,
     MultiCurve,
     double_points,
-    ordered_preimages,
     pairing_mod2,
 )
-from multipoint.generate import GeneratorConfig, generate, generate_text
-from multipoint.scene import parse_scene
+from multipoint.generate import GeneratorConfig, generate
+from multipoint.scene import parse_scene, print_scene
 from multipoint.surfaces3d import GeneralPositionError as MeshGeneralPositionError
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -281,7 +281,7 @@ def test_criterion_7_determinism(tmp_path):
     corpus = sorted(DOCS.glob("*.scene"))
     assert corpus, "anchor corpus missing"
     generated = tmp_path / "generated.scene"
-    generated.write_text(generate_text(GeneratorConfig(seed=13, components=(2, 2))))
+    generated.write_text(print_scene(generate(GeneratorConfig(seed=13, components=(2, 2)))))
     ok = True
     for path in list(corpus) + [generated]:
         runs = []

@@ -23,19 +23,20 @@ from multipoint.bordism import (
     check_cartan,
     check_mu_tower,
     check_naturality,
+    class_of_curve,
     class_of_mesh,
-    curve_class,
     empty_class,
     identity_class,
     internal_product,
-    mesh_class,
     mu_r,
     psi_r,
     pullback_class,
 )
+from multipoint.curves2d import MultiCurve
 from multipoint.rational import rat
-from multipoint.surface2d import klein_complex, torus_complex
 from multipoint.surfaces3d import Mesh3, coordinate_torus
+
+from helpers import klein_complex, torus_complex
 
 TORUS = torus_complex()
 KLEIN = klein_complex()
@@ -52,7 +53,8 @@ VERT = [(0, rat(1, 2), rat(1, 4)), (0, rat(1, 2), rat(5, 4))]
 
 
 def mk(cx, *comps):
-    return curve_class(cx, [[(sq, (x, y)) for sq, x, y in c] for c in comps])
+    raw = [[(sq, (x, y)) for sq, x, y in c] for c in comps]
+    return class_of_curve(MultiCurve.build(cx, raw))
 
 
 def z_torus(offset=0):
@@ -79,10 +81,10 @@ def test_curve_class_certifies():
 
 
 def test_mesh_class_certifies():
-    m = mesh_class(z_torus())
+    m = class_of_mesh(Mesh3(z_torus()))
     assert m.universe == "surfaces-in-3-torus"
     with pytest.raises(surfaces3d.GeneralPositionError):
-        mesh_class(z_torus() + z_torus(rat(-1, 8)))
+        class_of_mesh(Mesh3(z_torus() + z_torus(rat(-1, 8))))
 
 
 def test_add_empty_is_identity():
@@ -105,17 +107,17 @@ def test_add_curves_commutes():
 
 
 def test_add_meshes():
-    s = add(mesh_class(z_torus()), mesh_class(y_torus()))
+    s = add(class_of_mesh(Mesh3(z_torus())), class_of_mesh(Mesh3(y_torus())))
     assert len(s.payload.triangles) == 4
     assert s.payload.certify().ok
     with pytest.raises(surfaces3d.GeneralPositionError):
-        add(mesh_class(z_torus()), mesh_class(z_torus(rat(-1, 8))))
+        add(class_of_mesh(Mesh3(z_torus())), class_of_mesh(Mesh3(z_torus(rat(-1, 8)))))
 
 
 def test_add_universe_and_ambient_mismatch():
     f = mk(TORUS, FIG8)
     with pytest.raises(ValueError, match="universe"):
-        add(f, mesh_class(z_torus()))
+        add(f, class_of_mesh(Mesh3(z_torus())))
     with pytest.raises(ValueError, match="ambient"):
         add(f, mk(KLEIN, FIG8))
 
@@ -145,12 +147,13 @@ def test_add_points_keeps_each_points_bits():
 def test_add_circles_in_3torus():
     # circle (t, 1/4, 1/4) and circle (1/4, t, 3/8) are disjoint;
     # circle (1/4, t, 1/4) meets the first at the point (1/4, 1/4, 1/4)
-    a = internal_product(mesh_class(z_torus()), mesh_class(y_torus()))
+    z, y, x = (class_of_mesh(Mesh3(t())) for t in (z_torus, y_torus, x_torus))
+    a = internal_product(z, y)
     b = internal_product(
-        mesh_class(coordinate_torus(2, rat(3, 8), rat(-1, 16))),
-        mesh_class(x_torus()),
+        class_of_mesh(Mesh3(coordinate_torus(2, rat(3, 8), rat(-1, 16)))),
+        x,
     )
-    touching = internal_product(mesh_class(z_torus()), mesh_class(x_torus()))
+    touching = internal_product(z, x)
     merged = add(a, b)
     assert merged.universe == CURVES_IN_3TORUS
     assert len(merged.payload) == 2
@@ -185,14 +188,14 @@ def test_psi_2_of_embedding_is_computed_empty():
 def test_psi_out_of_range_is_generically_empty():
     f = mk(TORUS, FIG8)
     assert psi_r(f, 3).note == GENERICALLY_EMPTY
-    m = mesh_class(z_torus() + y_torus() + x_torus())
+    m = class_of_mesh(Mesh3(z_torus() + y_torus() + x_torus()))
     assert psi_r(m, 4).note == GENERICALLY_EMPTY
     circles = psi_r(m, 2)
     assert psi_r(circles, 2).note == GENERICALLY_EMPTY
 
 
 def test_psi_on_three_tori():
-    m = mesh_class(z_torus() + y_torus() + x_torus())
+    m = class_of_mesh(Mesh3(z_torus() + y_torus() + x_torus()))
     circles = psi_r(m, 2)
     assert circles.universe == CURVES_IN_3TORUS
     assert sorted(h1 for _, h1 in circles.payload) == [
@@ -224,7 +227,7 @@ def test_mu_of_embedding_and_out_of_range():
 
 
 def test_mu_on_three_tori():
-    m = mesh_class(z_torus() + y_torus() + x_torus())
+    m = class_of_mesh(Mesh3(z_torus() + y_torus() + x_torus()))
     circles = mu_r(m, 2)
     assert circles.universe == CURVES_ON_SOURCE_MESH
     assert len(circles.payload) == 6
@@ -239,7 +242,7 @@ def test_mu_on_three_tori():
 def test_mu_2_takes_a_doubled_preimage_circle_once(monkeypatch):
     # a preimage circle that covers its double circle twice is both of the
     # circle's sheets, and mu_2 marks it once
-    m = mesh_class(z_torus() + y_torus())
+    m = class_of_mesh(Mesh3(z_torus() + y_torus()))
     real = Mesh3.double_curves
 
     def doubled(mesh):
@@ -277,7 +280,7 @@ def test_product_of_disjoint_loops_is_empty():
 
 
 def test_product_of_two_tori_is_one_circle():
-    p = internal_product(mesh_class(z_torus()), mesh_class(y_torus()))
+    p = internal_product(class_of_mesh(Mesh3(z_torus())), class_of_mesh(Mesh3(y_torus())))
     assert p.universe == CURVES_IN_3TORUS
     assert len(p.payload) == 1
     canonical, h1 = p.payload[0]
@@ -287,12 +290,13 @@ def test_product_of_two_tori_is_one_circle():
 
 
 def test_product_of_circles_with_mesh():
-    f = mesh_class(x_torus() + y_torus())
+    f = class_of_mesh(Mesh3(x_torus() + y_torus()))
     circles = psi_r(f, 2)
-    pts = internal_product(circles, mesh_class(z_torus()))
+    z = class_of_mesh(Mesh3(z_torus()))
+    pts = internal_product(circles, z)
     assert pts.universe == POINTS_IN_3TORUS
     assert pts.payload == ((Q, Q, Q),)
-    assert internal_product(mesh_class(z_torus()), circles).payload == pts.payload
+    assert internal_product(z, circles).payload == pts.payload
 
 
 def test_product_negative_dimension_is_empty():
@@ -305,7 +309,7 @@ def test_product_ambient_mismatch():
     with pytest.raises(ValueError):
         internal_product(mk(TORUS, FIG8), mk(KLEIN, HORIZ))
     with pytest.raises(ValueError):
-        internal_product(mk(TORUS, FIG8), mesh_class(z_torus()))
+        internal_product(mk(TORUS, FIG8), class_of_mesh(Mesh3(z_torus())))
 
 
 # --- pullback -------------------------------------------------------------------
@@ -321,8 +325,8 @@ def test_pullback_of_crossing_loops():
 
 
 def test_pullback_of_torus_along_torus():
-    g = mesh_class(z_torus())
-    f = mesh_class(y_torus())
+    g = class_of_mesh(Mesh3(z_torus()))
+    f = class_of_mesh(Mesh3(y_torus()))
     pb = pullback_class(g, f)
     assert pb.universe == CURVES_ON_SOURCE_MESH
     assert len(pb.payload) == 1
@@ -334,8 +338,8 @@ def test_pullback_of_torus_along_torus():
 
 
 def test_pullback_of_circles_along_mesh():
-    g = mesh_class(z_torus())
-    circles = psi_r(mesh_class(x_torus() + y_torus()), 2)
+    g = class_of_mesh(Mesh3(z_torus()))
+    circles = psi_r(class_of_mesh(Mesh3(x_torus() + y_torus())), 2)
     pb = pullback_class(g, circles)
     assert pb.universe == POINTS_ON_SOURCE_MESH
     assert pb.payload == ((0, (Q, Q, Q)),)
@@ -352,18 +356,18 @@ def test_pullback_of_empty_and_along_empty():
 
 
 def test_naturality_anchor():
-    g = mesh_class(z_torus())
-    f = mesh_class(x_torus() + y_torus())
+    g = class_of_mesh(Mesh3(z_torus()))
+    f = class_of_mesh(Mesh3(x_torus() + y_torus()))
     rep = check_naturality(g, f)
     assert rep.ok
     assert rep.lhs == rep.rhs == ((0, (Q, Q, Q)),)
 
 
 def test_naturality_with_embedded_f():
-    g = mesh_class(z_torus())
-    rep = check_naturality(g, mesh_class(x_torus()))
+    g = class_of_mesh(Mesh3(z_torus()))
+    rep = check_naturality(g, class_of_mesh(Mesh3(x_torus())))
     assert rep.ok and rep.lhs == () and rep.rhs == ()
-    rep2 = check_naturality(g, mesh_class(coordinate_torus(2, rat(3, 4))))
+    rep2 = check_naturality(g, class_of_mesh(Mesh3(coordinate_torus(2, rat(3, 4)))))
     assert rep2.ok and rep2.lhs == ()
 
 
@@ -398,8 +402,8 @@ def test_cartan_disjoint_embeddings():
 
 
 def test_cartan_meshes_r2():
-    f = mesh_class(z_torus() + y_torus())
-    g = mesh_class(x_torus())
+    f = class_of_mesh(Mesh3(z_torus() + y_torus()))
+    g = class_of_mesh(Mesh3(x_torus()))
     rep = check_cartan(f, g, 2)
     assert rep.ok
     pieces = dict(rep.rhs)
@@ -410,8 +414,8 @@ def test_cartan_meshes_r2():
 
 
 def test_cartan_meshes_r3():
-    f = mesh_class(z_torus() + y_torus())
-    g = mesh_class(x_torus())
+    f = class_of_mesh(Mesh3(z_torus() + y_torus()))
+    g = class_of_mesh(Mesh3(x_torus()))
     rep = check_cartan(f, g, 3)
     assert rep.ok
     pieces = dict(rep.rhs)
@@ -442,8 +446,8 @@ def test_cartan_r2_certifies_one_union_of_curves(monkeypatch):
 
 
 def test_cartan_r2_certifies_one_union_of_meshes(monkeypatch):
-    f = mesh_class(z_torus() + y_torus())
-    g = mesh_class(x_torus())
+    f = class_of_mesh(Mesh3(z_torus() + y_torus()))
+    g = class_of_mesh(Mesh3(x_torus()))
     calls = _counted(monkeypatch, Mesh3, "_enumerate_pairs")
     assert check_cartan(f, g, 2).ok
     assert len(calls) == 1
@@ -452,7 +456,7 @@ def test_cartan_r2_certifies_one_union_of_meshes(monkeypatch):
 def test_cartan_rejects_unsupported_r(monkeypatch):
     # refused before any union is built or certified
     curves = (mk(TORUS, FIG8), mk(TORUS, SMALL8))
-    meshes = (mesh_class(z_torus() + y_torus()), mesh_class(x_torus()))
+    meshes = (class_of_mesh(Mesh3(z_torus() + y_torus())), class_of_mesh(Mesh3(x_torus())))
     counted = [
         _counted(monkeypatch, Mesh3, "union"),
         _counted(monkeypatch, curves2d.MultiCurve, "union"),
@@ -468,8 +472,8 @@ def test_cartan_rejects_unsupported_r(monkeypatch):
 def test_cartan_keeps_a_doubled_preimage_circle_on_its_part(monkeypatch):
     # one preimage circle covering its double circle twice is both of that
     # circle's sheets, so the circle belongs wholly to the part it lies on
-    f = mesh_class(z_torus() + y_torus())
-    g = mesh_class(x_torus())
+    f = class_of_mesh(Mesh3(z_torus() + y_torus()))
+    g = class_of_mesh(Mesh3(x_torus()))
     n_f = len(f.payload.triangles)
     real = Mesh3.double_curves
 
@@ -498,7 +502,7 @@ def test_cartan_keeps_a_doubled_preimage_circle_on_its_part(monkeypatch):
 
 
 def test_mu_tower_three_tori():
-    m = mesh_class(z_torus() + y_torus() + x_torus())
+    m = class_of_mesh(Mesh3(z_torus() + y_torus() + x_torus()))
     rep = check_mu_tower(m)
     assert rep.ok
     assert rep.lhs == rep.rhs == (
@@ -507,7 +511,7 @@ def test_mu_tower_three_tori():
 
 
 def test_mu_tower_embedded():
-    rep = check_mu_tower(mesh_class(z_torus()))
+    rep = check_mu_tower(class_of_mesh(Mesh3(z_torus())))
     assert rep.ok and rep.lhs == () and rep.rhs == ()
 
 
@@ -538,8 +542,8 @@ def test_preimage_arc_contact_is_an_internal_fault():
     st.integers(-8, 8), st.integers(-8, 8),
 )
 def test_product_is_symmetric_on_tori(za, zb, ya, yb):
-    g = mesh_class(coordinate_torus(2, Q + rat(za, 64), rat(zb, 64)))
-    h = mesh_class(coordinate_torus(1, Q + rat(ya, 64), rat(yb, 64)))
+    g = class_of_mesh(Mesh3(coordinate_torus(2, Q + rat(za, 64), rat(zb, 64))))
+    h = class_of_mesh(Mesh3(coordinate_torus(1, Q + rat(ya, 64), rat(yb, 64))))
     try:
         ab = internal_product(g, h)
     except surfaces3d.GeneralPositionError:

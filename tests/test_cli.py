@@ -187,6 +187,14 @@ def test_fuzz_tori(capsys):
     assert "4/4 scenes passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_fuzz_nonpositive_count_exit_two(count, capsys):
+    assert main(["fuzz", "--count", count]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "--count" in captured.err
+    assert "scenes passed" not in captured.out
+
+
 def test_module_entry_point(fig8_file):
     proc = subprocess.run(
         [sys.executable, "-m", "multipoint", "verify", fig8_file],

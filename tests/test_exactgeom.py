@@ -756,18 +756,6 @@ def test_predicates_on_big_integers_are_exact(fn):
 # affine charts
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.tuples(*[rationals(max_denominator=4) for _ in range(6)]),
-    st.tuples(*[rationals(max_denominator=4) for _ in range(6)]),
-    points2(max_denominator=4),
-)
-def test_transform_compose_matches_application(c1, c2, p):
-    t1, t2 = Transform2(*c1), Transform2(*c2)
-    assert t1.compose(t2).apply(p) == t1.apply(t2.apply(p))
-    assert t1.compose(t2).det() == t1.det() * t2.det()
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     st.tuples(*[st.integers(min_value=-2, max_value=2) for _ in range(6)]),
@@ -854,6 +842,21 @@ def test_pushoff_oversized_epsilon_collides():
         pushoff_polyline(square_loop_chain(), side="left", epsilon=rat(1, 3))
 
 
+def test_pushoff_miter_on_the_chart_edge_collides():
+    # the clockwise triangle (1/8, 1/2), (1/2, 3/4), (1/2, 1/4), lifted by 8;
+    # its left offset lies outside it, and the miter at the lifted vertex
+    # (1, 4) moves toward the W edge as epsilon grows
+    v = [(1, 4), (4, 6), (4, 2)]
+    pieces = tuple(ChainPiece(0, v[i], v[(i + 1) % 3]) for i in range(3))
+    chain = ClosedChain(pieces, tuple(ChainLink("corner") for _ in v), 8)
+    # at 5/52 the miter at (1, 4) is the lifted point (0, 4): on the W edge
+    with pytest.raises(PushoffCollision, match="miter left the chart"):
+        pushoff_polyline(chain, side="left", epsilon=rat(5, 52))
+    # a hair smaller, it is (1/1000, 4), just inside
+    res = pushoff_polyline(chain, side="left", epsilon=rat(999, 10400))
+    assert res.pieces[0].start == (1, 4000, 1000)
+
+
 def test_pushoff_epsilon_precondition():
     for epsilon in (ZERO, rat(-1, 10)):
         with pytest.raises(ValueError, match="positive"):
@@ -863,7 +866,7 @@ def test_pushoff_epsilon_precondition():
 def torus_horizontal_chain():
     # single horizontal loop through the E~W gluing of a torus square,
     # lifted by 2
-    t = Transform2.translation(rat(-1), rat(0)).lift(2)
+    t = Transform2(ONE, ZERO, ZERO, ONE, rat(-1), ZERO).lift(2)
     pieces = (
         ChainPiece("s", (1, 1), (2, 1)),
         ChainPiece("s", (0, 1), (1, 1)),

@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 
 from multipoint import curves2d, herbert
 from multipoint import generate as generate_mod
-from multipoint.generate import (
-    GenerationError,
-    GeneratorConfig,
-    generate,
-    generate_text,
-)
+from multipoint.generate import GenerationError, GeneratorConfig, generate
+from multipoint.scene import print_scene
 
 
 # --- config validation --------------------------------------------------------
@@ -60,12 +56,13 @@ def test_config_defaults_are_valid():
     ],
 )
 def test_same_seed_same_scene(cfg):
-    assert generate_text(cfg) == generate_text(cfg)
+    assert print_scene(generate(cfg)) == print_scene(generate(cfg))
 
 
 def test_different_seeds_differ_somewhere():
     texts = {
-        generate_text(GeneratorConfig(seed=s, components=(2, 2))) for s in range(8)
+        print_scene(generate(GeneratorConfig(seed=s, components=(2, 2))))
+        for s in range(8)
     }
     assert len(texts) > 1
 

@@ -1,4 +1,4 @@
-"""The identity verifier: reports, TSV format, explanations, reproducers."""
+"""The identity verifier: reports, TSV format, explanations."""
 
 from functools import partial
 
@@ -6,19 +6,13 @@ import pytest
 
 from multipoint import curves2d, herbert
 from multipoint.curves2d import MultiCurve
-from multipoint.herbert import (
-    HerbertReport,
-    HerbertRow,
-    explain,
-    verify,
-    verify_and_dump,
-    write_reproducer,
-)
+from multipoint.herbert import HerbertReport, HerbertRow, explain, verify
 from multipoint.generate import CURVE_AMBIENTS, GeneratorConfig, generate
 from multipoint.rational import rat
-from multipoint.surface2d import klein_complex, torus_complex
 from multipoint.surfaces3d import GeneralPositionError, Mesh3, coordinate_torus
-from multipoint.bordism import check_cartan, class_of_curve, mesh_class
+from multipoint.bordism import check_cartan, class_of_curve, class_of_mesh
+
+from helpers import klein_complex, torus_complex
 
 TORUS = torus_complex()
 KLEIN = klein_complex()
@@ -90,7 +84,7 @@ def test_three_tori_report_with_cycle():
 
 
 def test_verify_accepts_represented_classes():
-    rep = verify(mesh_class(coordinate_torus(2, Q)), scene_id="embedded")
+    rep = verify(class_of_mesh(Mesh3(coordinate_torus(2, Q))), scene_id="embedded")
     assert rep.all_pass
     (row,) = rep.rows
     assert (row.lhs, row.mu, row.euler) == (0, 0, 0)
@@ -231,19 +225,14 @@ def test_explain_highlights_injected_failure():
     assert "NOT ALL ROWS PASS" in text
 
 
-def test_reproducer_file(tmp_path):
+def test_explain_lists_mesh_geometry():
     scene = three_tori()
     fake = HerbertReport(
         "synthetic",
         (HerbertRow("[M]", 2, 1, 0, 0, "FAIL"),),
         3, 1, 0.0,
     )
-    path = write_reproducer(fake, scene, str(tmp_path / "repro.txt"))
-    body = open(path).read()
-    assert "FAIL" in body
-    assert "t0:" in body
-    assert "triple point (1/4, 1/4, 1/4)" in body
-
-    # verify_and_dump writes nothing when everything passes
-    verify_and_dump(scene, scene_id="tori3", reproducer_dir=str(tmp_path))
-    assert not (tmp_path / "herbert-fail-tori3.txt").exists()
+    text = explain(fake, scene)
+    assert "MISMATCH" in text
+    assert "t0:" in text
+    assert "triple point (1/4, 1/4, 1/4)" in text

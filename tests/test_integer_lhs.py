@@ -14,13 +14,13 @@ from pathlib import Path
 import pytest
 
 import oracles
+from helpers import torus_complex
 from multipoint import curves2d, herbert, surfaces3d
 from multipoint.curves2d import MultiCurve, initial_epsilon, pairing_mod2
 from multipoint.exactgeom import DEGENERATE, GenericityError, PushoffCollision, vscale, vsub
 from multipoint.generate import CURVE_AMBIENTS, TORI_AMBIENT, GeneratorConfig, generate
 from multipoint.rational import GMPY2, rat
 from multipoint.scene import parse_scene
-from multipoint.surface2d import torus_complex
 from multipoint.surfaces3d import crossings_mod2_with_generic_translate, mesh_segment_hits
 
 ROOT = Path(__file__).resolve().parent.parent

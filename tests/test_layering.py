@@ -6,6 +6,7 @@ defines it.  Geometry shared between modules lives, public, in
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multipoint"
@@ -105,3 +106,134 @@ def test_bordism_builds_classes_only_in_its_constructors():
     path = SRC / "bordism.py"
     found = list(_represented_class_calls(path.read_text(encoding="utf-8"), path.name))
     assert found == []
+
+
+# -- every definition has a reader in the program ------------------------------
+#
+# A top-level name of the package, or a method of one of its classes, that
+# only tests read is dead code with a test around it.  Reads are counted in
+# src/, bench/ and scripts/, never in tests/, as ``Name`` and ``Attribute``
+# nodes; a name's own body and ``__all__`` do not count.  Dunder names are
+# read by the language and its tools, so they are not checked.
+
+ROOT = SRC.parent.parent
+PROGRAM_DIRS = ("src", "bench", "scripts")
+
+# the paper's operations, kept for callers outside the program
+API = {
+    "add": "the monoid sum of represented classes",
+    "pullback_class": "pullback of an immersion along another, the f* of f*(n_r)",
+    "check_naturality": "the naturality law f*(psi_2 g) = psi_2(f* g)",
+    "check_cartan": "the Cartan law for psi_r of a disjoint union",
+    "check_mu_tower": "the law relating mu_3 to the double points of mu_2",
+    "ambient_class_h2": "the surface's class in H_2 of the 3-torus, for the second LHS",
+}
+
+
+def _definitions(source, filename):
+    """(line, name) of each top-level definition and class method."""
+    tree = ast.parse(source, filename=filename)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield item.lineno, f"{node.name}.{item.name}"
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield node.lineno, name.id
+
+
+def _reads(source, filename):
+    """Names read in ``source``, outside ``__all__`` and outside the body of
+    a definition of the same name."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in inside:
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source, filename=filename), frozenset())
+    return found
+
+
+def _unread(modules, readers, api):
+    """``file:line name`` for each definition in ``modules`` (filename to
+    source) that no source in ``readers`` reads and ``api`` does not hold."""
+    read = set().union(*(_reads(src, "reader.py") for src in readers))
+    for filename, source in modules.items():
+        for line, name in _definitions(source, filename):
+            short = name.rpartition(".")[2]
+            if short.startswith("__") or short in read or name in api:
+                continue
+            yield f"{filename}:{line} {name}"
+
+
+def _program_sources():
+    return [
+        path.read_text(encoding="utf-8")
+        for d in PROGRAM_DIRS
+        for path in sorted((ROOT / d).rglob("*.py"))
+    ]
+
+
+def test_unread_definition_is_detected():
+    module = (
+        "__all__ = ['used', 'dead']\n"
+        "def used():\n"
+        "    return 1\n"
+        "def dead(n):\n"
+        "    return dead(n - 1)\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.size = used()\n"
+        "    def gone(self):\n"
+        "        return self.size\n"
+        "def kept():\n"
+        "    return 2\n"
+    )
+    reader = "from sample import Box\nBox()\n"
+    found = list(_unread({"sample.py": module}, [module, reader], {"kept": ""}))
+    assert found == ["sample.py:4 dead", "sample.py:9 Box.gone"]
+
+
+def test_every_definition_has_a_reader_outside_tests():
+    modules = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
+    }
+    assert list(_unread(modules, _program_sources(), API)) == []
+
+
+def test_api_names_are_defined():
+    defined = {
+        name
+        for path in SRC.glob("*.py")
+        for _, name in _definitions(path.read_text(encoding="utf-8"), path.name)
+    }
+    assert set(API) <= defined
+
+
+def test_every_exported_name_exists():
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"multipoint.{path.stem}")
+        missing += [
+            f"{path.stem}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert missing == []
