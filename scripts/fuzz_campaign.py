@@ -9,10 +9,15 @@ summary goes to stderr, so two checkouts can be compared with diff, as
 ``--universe laws`` runs the bordism law checks instead, on generated
 classes of the shapes that the law checks of criterion 3 draw: per seed, a
 1|2-sheet and a 2|3-sheet tori mesh (naturality, Cartan r=2 and r=3,
-mu-tower on each) and a curve pair on one complex (Cartan r=2).  With
---machine it prints every check's report in full (verdict, detail, both
-sides and the Cartan pieces, rationals as p/q), one line per check, or the
-exception that refused it with its message.
+mu-tower on each) and a curve pair on one complex (Cartan r=2 in both
+orders).  It also runs every other operation that builds a union, on the
+mesh pair and on the curve pair: ``add``, ``internal_product`` and
+``pullback_class``.  With --machine it prints every check's report in full
+(verdict, detail, both sides and the Cartan pieces, rationals as p/q) and
+every class in full (universe, note, payload and structure; a curve or mesh
+payload as the double points, double curves and triple points of its
+certificate), one line per operation, or the exception that refused it
+with its message.
 
 Examples:
     python3 scripts/fuzz_campaign.py --count 200
@@ -136,6 +141,21 @@ def _text(x):
     return repr(x)
 
 
+def _class_text(cls):
+    """A represented class as text: universe, note, payload and structure."""
+    payload = cls.payload
+    if isinstance(payload, curves2d.MultiCurve):
+        payload = [(dp.square, dp.point, dp.branches) for dp in curves2d.double_points(payload)]
+    elif isinstance(payload, surfaces3d.Mesh3):
+        curves = [
+            (dc.canonical, dc.h1, [(pc.arcs, pc.w1, pc.doubled) for pc in dc.preimages])
+            for dc in payload.double_curves()
+        ]
+        triples = [(tp.target, tp.preimages) for tp in payload.triple_points().points]
+        payload = (curves, triples)
+    return f"{cls.universe}\t{cls.note}\t{_text(payload)}\t{_text(cls.structure)}"
+
+
 def law_classes(seed):
     """The generated classes of one seed: two meshes and a curve pair."""
 
@@ -184,6 +204,13 @@ def law_campaign(count, seed0, machine):
             ("mu-tower", bordism.check_mu_tower, (small,)),
             ("mu-tower", bordism.check_mu_tower, (large,)),
             ("cartan2-curves", bordism.check_cartan, (f_curve, g_curve, 2)),
+            ("cartan2-curves-gf", bordism.check_cartan, (g_curve, f_curve, 2)),
+            ("add", bordism.add, (small, large)),
+            ("add-curves", bordism.add, (f_curve, g_curve)),
+            ("internal_product", bordism.internal_product, (small, large)),
+            ("internal_product-curves", bordism.internal_product, (f_curve, g_curve)),
+            ("pullback_class", bordism.pullback_class, (small, large)),
+            ("pullback_class-curves", bordism.pullback_class, (f_curve, g_curve)),
         )
         for kind, check, args in checks:
             try:
@@ -192,6 +219,11 @@ def law_campaign(count, seed0, machine):
                 verdicts["refused"] += 1
                 if machine:
                     sys.stdout.write(f"{seed}\t{kind}\trefused\t{type(exc).__name__}: {exc}\n")
+                continue
+            if isinstance(report, bordism.RepresentedClass):
+                verdicts["classes"] += 1
+                if machine:
+                    sys.stdout.write(f"{seed}\t{kind}\t{_class_text(report)}\n")
                 continue
             verdicts[report.ok] += 1
             if machine:
@@ -204,7 +236,8 @@ def law_campaign(count, seed0, machine):
                 failures += 1
     print(
         f"{verdicts[True]} checks held, {verdicts[False]} did not, "
-        f"{verdicts['refused']} refused, {time.perf_counter() - t0:.2f}s",
+        f"{verdicts['classes']} classes built, {verdicts['refused']} refused, "
+        f"{time.perf_counter() - t0:.2f}s",
         file=out,
     )
     return failures

@@ -132,9 +132,11 @@ def _record_class(universe, ambient, records):
     structure.
     """
     records = sorted(records, key=lambda record: record[0])
-    structure = () if universe in _BITLESS else tuple(bits for _, bits in records)
+    # lists first, as in exactgeom.common_denominator: a tuple built from a
+    # generator is resized to its length
+    structure = () if universe in _BITLESS else tuple([bits for _, bits in records])
     return RepresentedClass(
-        universe, ambient, tuple(item for item, _ in records), structure
+        universe, ambient, tuple([item for item, _ in records]), structure
     )
 
 

@@ -30,6 +30,7 @@ from .exactgeom import (
     GenericityError,
     InputError,
     PushoffCollision,
+    certified_parts,
     collinear_overlap,
     common_denominator,
     dist2_point_seg_parts,
@@ -211,6 +212,7 @@ class MultiCurve:
     def __init__(self, complex_: SquareComplex, components):
         self.complex = complex_
         self.components = tuple(components)
+        self._parts = ()
         self._cert = None
         self._lift = None
         self._pushoffs = {}  # epsilon -> pushoff_all(self, epsilon) or its error message
@@ -223,9 +225,19 @@ class MultiCurve:
         return cls(complex_, [_build_component(complex_, raw) for raw in raw_components])
 
     def union(self, other: "MultiCurve") -> "MultiCurve":
+        """The disjoint union of this multicurve and ``other``.
+
+        Its lift is its parts' lifts, scaled to the least common multiple
+        of their D.  When the union is certified, a part that holds an ok
+        certificate gives it the double points of the pairs of pieces
+        inside that part; only the pairs of pieces from different parts
+        run the predicates.
+        """
         if self.complex != other.complex:
             raise ValueError("curves live on different complexes")
-        return MultiCurve(self.complex, self.components + other.components)
+        curve = MultiCurve(self.complex, self.components + other.components)
+        curve._parts = (self, other)
+        return curve
 
     def pieces_by_square(self):
         table = {}
@@ -238,16 +250,27 @@ class MultiCurve:
         """``(D, table, lifts, comp_lifts)``, built once: the pieces by
         square, D the common denominator of their end points, per square
         the integer lifts ``(D * p0, D * p1)`` of its pieces in table
-        order, and per component the same lifts in piece order."""
+        order, and per component the same lifts in piece order.  A union
+        scales its parts' lifts to D, the lcm of their D."""
         if self._lift is None:
             table = self.pieces_by_square()
-            den = common_denominator(
-                p for comp in self.components for pc in comp.pieces for p in (pc.p0, pc.p1)
-            )
-            comp_lifts = [
-                [(vlift(pc.p0, den), vlift(pc.p1, den)) for pc in comp.pieces]
-                for comp in self.components
-            ]
+            if self._parts:
+                part_lifts = [part.lift() for part in self._parts]
+                den = math.lcm(*[lift[0] for lift in part_lifts])
+                comp_lifts = []
+                for part_den, _, _, part_comps in part_lifts:
+                    k = den // part_den
+                    comp_lifts += part_comps if k == 1 else [
+                        [(vscale(k, p), vscale(k, q)) for p, q in comp] for comp in part_comps
+                    ]
+            else:
+                den = common_denominator(
+                    p for comp in self.components for pc in comp.pieces for p in (pc.p0, pc.p1)
+                )
+                comp_lifts = [
+                    [(vlift(pc.p0, den), vlift(pc.p1, den)) for pc in comp.pieces]
+                    for comp in self.components
+                ]
             lifts = {
                 square: [comp_lifts[ci][pi] for ci, pi, _ in entries]
                 for square, entries in table.items()
@@ -258,6 +281,7 @@ class MultiCurve:
     def certify(self) -> GeneralPositionCert2:
         if self._cert is None:
             self._cert = _certify(self)
+            self._parts = ()  # no longer needed; do not keep the parts alive
         return self._cert
 
     @functools.cached_property
@@ -334,8 +358,30 @@ def degeneracy_scale_sq(segments):
 
 
 def _certify(curve: MultiCurve) -> GeneralPositionCert2:
+    """Certify every vertex and every pair of pieces that meet in a square.
+
+    In a union, the vertices and pairs inside a part that holds an ok
+    certificate are skipped, and its double points are taken as they are,
+    renumbered by the part's offset: the pieces, their adjacency and the
+    predicates on their lifts are the part's own, scaled, so those
+    vertices and pairs would add no violation and exactly these hits.  The
+    violations, in order, are then the whole curve's: a crossing across
+    the parts at a part's double point meets that point's key and is a
+    ``triple-point`` with the same count.
+    """
+    parts = certified_parts(curve._parts, [len(p.components) for p in curve._parts])
+    home = [None] * len(curve.components)
+    hits = {}  # (square, point) -> list of ((comp, seg, t_global), ...)
+    for k, (part, offset) in enumerate(parts):
+        home[offset : offset + len(part.components)] = [k] * len(part.components)
+        for dp in part._cert.double_points:
+            branches = tuple([(c + offset, s, t) for c, s, t in dp.branches])
+            hits.setdefault((dp.square, dp.point), []).append(branches)
+
     violations = []
     for ci, comp in enumerate(curve.components):
+        if home[ci] is not None:
+            continue
         for si, (sq, v) in enumerate(comp.vertices):
             if v[0] in (ZERO, ONE) or v[1] in (ZERO, ONE):
                 violations.append(
@@ -350,15 +396,18 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
     # The predicates run on the curve's integer lifts; double points are
     # divided by D.
     den, table, lifted, _ = curve.lift()
-    hits = {}  # (square, lifted point) -> list of ((comp, seg, t_global), ...)
+    unlift = rat(1, den)
     for square in sorted(table):
         entries = table[square]
         segs = lifted[square]
         for x in range(len(entries)):
             ca, ia, pa = entries[x]
             sa = segs[x]
+            part = home[ca]
             for y in range(x + 1, len(entries)):
                 cb, ib, pb = entries[y]
+                if part is not None and part == home[cb]:
+                    continue
                 same_comp = ca == cb
                 if same_comp and ia == ib:
                     continue
@@ -385,7 +434,7 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
                     violations.append(("degenerate-overlap", where))
                     continue
                 if strict_crossing(res):
-                    key = (square, res.point)
+                    key = (square, vscale(unlift, res.point))
                     ga = (ca, pa.seg, pa.t0 + res.ta * (pa.t1 - pa.t0))
                     gb = (cb, pb.seg, pb.t0 + res.tb * (pb.t1 - pb.t0))
                     hits.setdefault(key, []).append(tuple(sorted((ga, gb))))
@@ -393,9 +442,8 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
                     violations.append(("tangency", where))
 
     doubles = []
-    for (square, lifted_point) in sorted(hits):
-        pairs = hits[(square, lifted_point)]
-        point = vscale(rat(1, den), lifted_point)
+    for (square, point) in sorted(hits):
+        pairs = hits[(square, point)]
         if len(pairs) > 1:
             violations.append(
                 ("triple-point", f"{len(pairs)} branch pairs meet at {format_point(point)} in square {square}")

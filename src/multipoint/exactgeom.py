@@ -76,6 +76,20 @@ def require_general_position(obj):
     return cert
 
 
+def certified_parts(parts, sizes):
+    """The parts of a union that already hold an ok certificate, each with
+    the index of its first source (component or triangle) in the union;
+    ``sizes`` are the parts' numbers of sources.  No part is certified
+    here."""
+    found = []
+    offset = 0
+    for part, size in zip(parts, sizes):
+        if part._cert is not None and part._cert.ok:
+            found.append((part, offset))
+        offset += size
+    return found
+
+
 # ---------------------------------------------------------------------------
 # vector helpers
 
@@ -373,7 +387,9 @@ def lattice_translates(amin, amax, bmin, bmax, den):
         if lo > hi:
             return ()
         ranges.append(range(lo, hi + 1))
-    return tuple(itertools.product(*ranges))
+    # a list first, as in common_denominator: a tuple built from the
+    # iterator is resized to its length
+    return tuple(list(itertools.product(*ranges)))
 
 
 # ---------------------------------------------------------------------------
@@ -937,6 +953,7 @@ __all__ = [
     "GeneralPositionError",
     "GenericityError",
     "require_general_position",
+    "certified_parts",
     "vsub",
     "vadd",
     "vscale",

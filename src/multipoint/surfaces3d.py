@@ -64,6 +64,7 @@ from .exactgeom import (
     InputError,
     PlaneChart,
     bbox,
+    certified_parts,
     clip_line_to_tri,
     common_denominator,
     contact_only_at,
@@ -355,8 +356,13 @@ class Mesh3:
         self._normals = tuple(normals)
         self._build_matching()
         self._check_vertex_links()
-        self._build_adjacency()
-        self._parts = ()
+        self._build_edge_adjacency()
+        self._build_vertex_adjacency()
+        self._init_results(())
+
+    def _init_results(self, parts):
+        """No certificate yet, and nothing extracted from one."""
+        self._parts = parts
         self._cert = None
         self._segments = None
         self._end_links = None
@@ -483,7 +489,7 @@ class Mesh3:
                     f"(corners {sorted(members)})"
                 )
 
-    def _build_adjacency(self):
+    def _build_edge_adjacency(self):
         edge_adj = {}
         for mi, m in enumerate(self.matches):
             (t1, _), (t2, _) = m.slot_a, m.slot_b
@@ -492,6 +498,8 @@ class Mesh3:
                 vscale(-1, m.rel_shift), []
             ).append(mi)
         self._edge_adj = edge_adj
+
+    def _build_vertex_adjacency(self):
         vertex_adj = {}
         for cls in self._vertex_classes:
             for (t1, c1) in cls:
@@ -521,14 +529,75 @@ class Mesh3:
     def union(self, other):
         """The disjoint union of this mesh and ``other``.
 
+        It is built from its parts' tables: its lift D is the lcm of
+        theirs, their lifts and normals are scaled to it, and their edge
+        matches, vertex classes and adjacency are renumbered.  An edge of
+        both parts raises the :class:`MeshBuildError` of the whole mesh.
+
         When the union is certified, a part that holds an ok certificate
         gives it the double segments of the pairs of triangles inside that
         part, with their end links and triple-point witnesses; only the
         other pairs run the predicates, only the ends of their segments are
         matched, and only the pairs of arcs where one is theirs are crossed.
         """
-        mesh = Mesh3(self.triangles + other.triangles)
-        mesh._parts = (self, other)
+        parts = (self, other)
+        mesh = Mesh3.__new__(Mesh3)
+        mesh.triangles = self.triangles + other.triangles
+        mesh.den = den = math.lcm(self.den, other.den)
+        lifts, normals = [], []
+        for part in parts:
+            k = den // part.den
+            if k == 1:
+                lifts += part._lifts
+                normals += part._normals
+            else:
+                lifts += [tuple(vscale(k, p) for p in t) for t in part._lifts]
+                normals += [vscale(k * k, n) for n in part._normals]
+        mesh._lifts, mesh._normals = tuple(lifts), tuple(normals)
+        # Tuples of more than a few items are built from lists, as in
+        # common_denominator: the freed tuples of a generator's resizing
+        # stay on the tuple free lists until a full garbage collection.
+        offset = len(self.triangles)
+        matches = self.matches + tuple([
+            EdgeMatch((ta + offset, ea), (tb + offset, eb), m.rel_shift, m.flip)
+            for m in other.matches
+            for (ta, ea), (tb, eb) in [(m.slot_a, m.slot_b)]
+        ])
+
+        # The whole mesh numbers its matches in the order of their edge
+        # keys, which scale with the lifts; a key of both parts is an edge
+        # of four slots.
+        def edge_key(m):
+            t, e = m.slot_a
+            return _canon_segment(lifts[t][e], lifts[t][(e + 1) % 3], den)
+
+        keyed = sorted((edge_key(m), x) for x, m in enumerate(matches))
+        for (key, x), (next_key, y) in zip(keyed, keyed[1:]):
+            if key == next_key:
+                where = ", ".join(
+                    f"triangle {t} edge {e}"
+                    for m in (matches[x], matches[y])
+                    for t, e in (m.slot_a, m.slot_b)
+                )
+                raise MeshBuildError(f"edge-matching: edge shared by 4 slots ({where})")
+        mesh.matches = tuple([matches[x] for _, x in keyed])
+        mesh._slot_of = {}
+        for mi, m in enumerate(mesh.matches):
+            mesh._slot_of[m.slot_a] = (mi, 0)
+            mesh._slot_of[m.slot_b] = (mi, 1)
+        mesh._build_edge_adjacency()
+        mesh._vertex_classes = self._vertex_classes + tuple(
+            [tuple([(t + offset, c) for t, c in cls]) for cls in other._vertex_classes]
+        )
+        # only the keys name triangles: the corner pairs by shift are shared
+        mesh._vertex_adj = dict(self._vertex_adj)
+        for (t1, t2), by_shift in other._vertex_adj.items():
+            mesh._vertex_adj[(t1 + offset, t2 + offset)] = by_shift
+        mesh.num_vertices = self.num_vertices + other.num_vertices
+        mesh.euler = self.euler + other.euler
+        mesh.orientable = self.orientable and other.orientable
+        mesh.num_components = self.num_components + other.num_components
+        mesh._init_results(parts)
         return mesh
 
     # -- pair enumeration and certification ---------------------------------
@@ -536,23 +605,6 @@ class Mesh3:
     def chart(self, t):
         """The :class:`PlaneChart` of triangle t's plane."""
         return PlaneChart.of(self._normals[t])
-
-    def _certified_parts(self):
-        """The parts that hold an ok certificate, each with the index of its
-        first triangle in this mesh.
-
-        Inside one part the edge and vertex adjacency are the part's own,
-        since an edge shared across parts fails the edge matching, and the
-        exact predicates do not depend on ``D``: what the part certified
-        holds here, renumbered by the part's offset.
-        """
-        parts = []
-        offset = 0
-        for part in self._parts:
-            if part._cert is not None and part._cert.ok:
-                parts.append((part, offset))
-            offset += len(part.triangles)
-        return parts
 
     def _enumerate_pairs(self, parts):
         """Certify every pair of triangle lifts.
@@ -786,7 +838,11 @@ class Mesh3:
     def certify(self):
         if self._cert is not None:
             return self._cert
-        parts = self._certified_parts()
+        # Inside one part the edge and vertex adjacency are the part's own,
+        # since an edge shared across parts fails the union's edge matching,
+        # and the exact predicates do not depend on D: what a certified part
+        # found holds here, renumbered by the part's offset.
+        parts = certified_parts(self._parts, [len(p.triangles) for p in self._parts])
         violations, segments, fresh, placed = self._enumerate_pairs(parts)
         if not violations:
             links, keys = self._match_ends(segments, fresh, parts, placed, violations)

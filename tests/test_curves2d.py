@@ -349,3 +349,113 @@ def test_chain_roundtrip_matches_pieces():
     assert [l.kind for l in chain_h.links] == ["wrap", "corner"]
     # the wrap acts on lifts: the exit (1, 1/2) lifts to (4, 2) and lands on (0, 2)
     assert chain_h.den == 4 and chain_h.links[0].transform.apply((4, 2)) == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# unions certified from their parts
+
+
+def _generated_curves(ambient, count):
+    """Certified generated curves of one ambient, all on one complex."""
+    from multipoint import generate
+
+    curves = []
+    for k in range(count):
+        config = generate.GeneratorConfig(
+            ambient=ambient,
+            components=(1 + k % 2, 1 + k % 2),
+            segments=(3 + k % 4, 3 + k % 4),
+            seed=7 * k + 1,
+        )
+        raw = generate.generate(config).multicurve("c")
+        complex_ = curves[0].complex if curves else raw.complex
+        curves.append(MultiCurve(complex_, raw.components))
+        assert curves[-1].certify().ok
+    return curves
+
+
+def _whole(a, b):
+    return MultiCurve(a.complex, a.components + b.components)
+
+
+@pytest.mark.parametrize("ambient", ["torus", "klein", "genus2"])
+def test_union_certifies_like_the_whole_curve(ambient):
+    curves = _generated_curves(ambient, 4)
+    verdicts = set()
+    for a in curves:
+        for b in curves:  # both orders, and a curve with itself
+            union, whole = a.union(b), _whole(a, b)
+            cert = union.certify()
+            assert cert == whole.certify()  # violations in order, double points
+            assert union.lift() == whole.lift()
+            assert union._parts == ()
+            verdicts.add(cert.ok)
+    assert verdicts == {True, False}
+
+
+def _assert_refused_like_the_whole(a, b, name):
+    assert a.certify().ok and b.certify().ok
+    union = a.union(b)
+    assert name in union.certify().violation_names
+    assert union.certify() == _whole(a, b).certify()
+
+
+def test_union_refuses_a_crossing_through_a_part_double_point():
+    # the horizontal loop crosses both branches of the figure eight at its
+    # double point (1/2, 1/2)
+    fig8 = curve_str(TORUS, FIG8)
+    loop = curve_str(TORUS, [(0, "1/8", "1/2"), (0, "9/8", "1/2")])
+    _assert_refused_like_the_whole(fig8, loop, "triple-point")
+    _assert_refused_like_the_whole(loop, fig8, "triple-point")
+
+
+def test_union_refuses_a_tangency_across_its_parts():
+    vertex_on_loop = curve_str(TORUS, [(0, "1/2", "1/2"), (0, "3/4", "3/4"), (0, "1/4", "3/4")])
+    _assert_refused_like_the_whole(curve_str(TORUS, HORIZ), vertex_on_loop, "tangency")
+
+
+def test_union_refuses_an_overlap_across_its_parts():
+    along_loop = curve_str(TORUS, [(0, "1/4", "1/2"), (0, "3/4", "1/2"), (0, "1/2", "3/4")])
+    _assert_refused_like_the_whole(curve_str(TORUS, HORIZ), along_loop, "degenerate-overlap")
+
+
+def test_union_with_an_uncertified_or_rejected_part():
+    fig8 = curve_str(TORUS, FIG8)
+    assert fig8.certify().ok
+    fresh = curve_str(TORUS, VERT)
+    union = fig8.union(fresh)
+    assert union.certify() == _whole(fig8, fresh).certify()
+    assert fresh._cert is None  # a part is never certified by its union
+    rejected = curve_str(TORUS, [(0, "1/2", "0"), (0, "3/4", "1/2"), (0, "1/4", "1/2")])
+    assert not rejected.certify().ok
+    for a, b in ((fig8, rejected), (rejected, fig8)):
+        assert a.union(b).certify() == _whole(a, b).certify()
+
+
+def test_cartan_check_crosses_only_pairs_across_its_parts(monkeypatch):
+    import multipoint.curves2d as c2
+    from multipoint.bordism import check_cartan, class_of_curve
+
+    _, a, _, b = _generated_curves("torus", 4)  # two components each
+    assert a.certify().double_points and b.certify().double_points
+    assert _whole(a, b).certify().ok
+    f, g = class_of_curve(a), class_of_curve(b)
+    certified, crossed = [], []
+    real_certify, real_intersect = c2._certify, c2.seg_intersect
+
+    def counted_certify(curve):
+        certified.append(curve)
+        return real_certify(curve)
+
+    def counted_intersect(sa, sb):
+        crossed.append((sa, sb))
+        return real_intersect(sa, sb)
+
+    monkeypatch.setattr(c2, "_certify", counted_certify)
+    monkeypatch.setattr(c2, "seg_intersect", counted_intersect)
+    assert check_cartan(f, g, 2).ok
+    assert [curve.components for curve in certified] == [a.components + b.components]
+    on_a, on_b = a.pieces_by_square(), b.pieces_by_square()
+    cross_pairs = sum(len(on_a[sq]) * len(on_b.get(sq, ())) for sq in on_a)
+    assert cross_pairs > 0
+    assert len(crossed) == cross_pairs

@@ -398,6 +398,15 @@ def test_mesh_certification_creates_no_fraction(fraction_count):
 
 
 @pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
+def test_mesh_union_construction_creates_no_fraction(fraction_count):
+    # the parts have different D, so the union scales the lifts of one
+    a, b = _generated_mesh(2, 1), _generated_mesh(3, 4)
+    assert a.den != b.den
+    assert fraction_count(a.union, b) == 0
+    assert fraction_count(surfaces3d.Mesh3, a.triangles + b.triangles) > 0
+
+
+@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
 def test_arc_crossings_build_only_the_returned_points(fraction_count):
     from multipoint import bordism
     from multipoint.exactgeom import seg_intersect

@@ -112,12 +112,18 @@ def test_bordism_builds_classes_only_in_its_constructors():
 #
 # A top-level name of the package, or a method of one of its classes, that
 # only tests read is dead code with a test around it.  Reads are counted in
-# src/, bench/ and scripts/, never in tests/, as ``Name`` and ``Attribute``
-# nodes; a name's own body and ``__all__`` do not count.  Dunder names are
-# read by the language and its tools, so they are not checked.
+# src/, bench/ and scripts/, never in tests/; a name's own body and
+# ``__all__`` do not count.  A read of a top-level name counts only where it
+# resolves to the module that defines it: a ``Name`` in that module, a
+# ``Name`` bound by ``from .m import x`` (or ``from multipoint.m import x``,
+# also through a module that imports it in turn), or ``m.x`` with ``m`` that
+# module.  A method is read by any ``Name`` or ``Attribute`` of its name.
+# Dunder names are read by the language and its tools, so they are not
+# checked.
 
 ROOT = SRC.parent.parent
 PROGRAM_DIRS = ("src", "bench", "scripts")
+PACKAGE = "multipoint"
 
 # the paper's operations, kept for callers outside the program
 API = {
@@ -148,10 +154,59 @@ def _definitions(source, filename):
                         yield node.lineno, name.id
 
 
-def _reads(source, filename):
-    """Names read in ``source``, outside ``__all__`` and outside the body of
-    a definition of the same name."""
-    found = set()
+def _package_module(dotted, level, stems):
+    """The package module (a stem; the package is ``__init__``) that an
+    import names, or None when it names a module outside the package."""
+    if level:
+        name = dotted or "__init__"
+    elif dotted == PACKAGE:
+        name = "__init__"
+    else:
+        name = dotted.removeprefix(PACKAGE + ".")
+    return name if name in stems or name == "__init__" else None
+
+
+def _bindings(tree, stems):
+    """What each imported name of a module binds: ``("module", m)`` or
+    ``("name", m, x)`` for a package module m."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                module = _package_module(alias.name, 0, stems)
+                if module is not None:
+                    key = alias.asname or alias.name.partition(".")[0]
+                    bound[key] = ("module", module if alias.asname else "__init__")
+        elif isinstance(node, ast.ImportFrom):
+            module = _package_module(node.module or "", node.level, stems)
+            if module is None:
+                continue
+            for alias in node.names:
+                key = alias.asname or alias.name
+                if module == "__init__" and alias.name in stems:
+                    bound[key] = ("module", alias.name)
+                else:
+                    bound[key] = ("name", module, alias.name)
+    return bound
+
+
+def _reads(source, module, stems):
+    """The reads in ``source``, outside ``__all__`` and outside the body of
+    a definition of the same name: the bare names of every ``Name`` and
+    ``Attribute``, and ``(m, x)`` for each read that resolves to the
+    top-level name x of package module m.  ``module`` is the stem of the
+    source's own package module, or None outside the package."""
+    tree = ast.parse(source)
+    bound = _bindings(tree, stems)
+    bare, resolved = set(), set()
+
+    def module_of(node):
+        if isinstance(node, ast.Name):
+            b = bound.get(node.id)
+            return b[1] if b is not None and b[0] == "module" else None
+        if isinstance(node, ast.Attribute) and module_of(node.value) == "__init__":
+            return node.attr if node.attr in stems else None
+        return None
 
     def visit(node, inside):
         if isinstance(node, ast.Assign) and any(
@@ -160,32 +215,67 @@ def _reads(source, filename):
             return
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-            name = node.id if isinstance(node, ast.Name) else node.attr
-            if name not in inside:
-                found.add(name)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in inside:
+                bare.add(node.id)
+                b = bound.get(node.id)
+                if b is not None and b[0] == "name":
+                    resolved.add(b[1:])
+                elif module is not None:
+                    resolved.add((module, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in inside:
+                bare.add(node.attr)
+                owner = module_of(node.value)
+                if owner is not None:
+                    resolved.add((owner, node.attr))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
-    visit(ast.parse(source, filename=filename), frozenset())
-    return found
+    visit(tree, frozenset())
+    return bare, resolved
 
 
 def _unread(modules, readers, api):
     """``file:line name`` for each definition in ``modules`` (filename to
-    source) that no source in ``readers`` reads and ``api`` does not hold."""
-    read = set().union(*(_reads(src, "reader.py") for src in readers))
+    source) that no reader reads and ``api`` does not hold.  ``readers``
+    are ``(module, source)`` pairs, ``module`` the stem of a package
+    module or None."""
+    stems = {Path(filename).stem: source for filename, source in modules.items()}
+    bare, resolved = set(), set()
+    for module, source in readers:
+        names, pairs = _reads(source, module, stems)
+        bare |= names
+        resolved |= pairs
+    # a name that a module imports is read where that module's name is
+    reexported = {
+        (stem, key): b[1:]
+        for stem, source in stems.items()
+        for key, b in _bindings(ast.parse(source), stems).items()
+        if b[0] == "name"
+    }
+    todo = list(resolved)
+    while todo:
+        target = reexported.get(todo.pop())
+        if target is not None and target not in resolved:
+            resolved.add(target)
+            todo.append(target)
     for filename, source in modules.items():
+        stem = Path(filename).stem
         for line, name in _definitions(source, filename):
-            short = name.rpartition(".")[2]
-            if short.startswith("__") or short in read or name in api:
+            owner, _, short = name.rpartition(".")
+            if short.startswith("__") or name in api:
+                continue
+            if (short in bare) if owner else ((stem, name) in resolved):
                 continue
             yield f"{filename}:{line} {name}"
 
 
 def _program_sources():
+    """``(module, source)`` of every program file; ``module`` is the stem
+    of a package module, None elsewhere."""
     return [
-        path.read_text(encoding="utf-8")
+        (path.stem if path.parent == SRC else None, path.read_text(encoding="utf-8"))
         for d in PROGRAM_DIRS
         for path in sorted((ROOT / d).rglob("*.py"))
     ]
@@ -206,9 +296,37 @@ def test_unread_definition_is_detected():
         "def kept():\n"
         "    return 2\n"
     )
-    reader = "from sample import Box\nBox()\n"
-    found = list(_unread({"sample.py": module}, [module, reader], {"kept": ""}))
+    reader = "from multipoint.sample import Box\nBox()\n"
+    found = list(_unread({"sample.py": module}, [("sample", module), (None, reader)], {"kept": ""}))
     assert found == ["sample.py:4 dead", "sample.py:9 Box.gone"]
+
+
+def test_top_level_name_read_only_as_an_attribute_is_detected():
+    # a method of the same name does not read the top-level function
+    module = (
+        "def union(a, b):\n"
+        "    return a + b\n"
+        "class Box:\n"
+        "    def union(self, other):\n"
+        "        return other\n"
+    )
+    reader = "from multipoint.sample import Box\nBox().union(Box())\n"
+    found = list(_unread({"sample.py": module}, [("sample", module), (None, reader)], {}))
+    assert found == ["sample.py:1 union"]
+    # each form of a resolved read counts
+    for reader in (
+        "from multipoint.sample import union\nunion(1, 2)\n",
+        "from multipoint.sample import union as u\nu(1, 2)\n",
+        "from multipoint import sample\nsample.union(1, 2)\n",
+        "import multipoint.sample as s\ns.union(1, 2)\n",
+        "import multipoint.sample\nmultipoint.sample.union(1, 2)\n",
+        "from multipoint.other import union\nunion(1, 2)\n",
+    ):
+        other = "from .sample import union\n"
+        reader += "from multipoint.sample import Box\nBox().union(Box())\n"
+        readers = [("sample", module), ("other", other), (None, reader)]
+        found = list(_unread({"sample.py": module, "other.py": other}, readers, {}))
+        assert found == [], reader
 
 
 def test_every_definition_has_a_reader_outside_tests():

@@ -647,6 +647,60 @@ def test_union_certifies_like_the_concatenated_mesh(generated_meshes):
     assert verdicts == {True, False}  # accepted and rejected unions both occur
 
 
+# the tables of a mesh that its union reads or keeps, compared in order;
+# vertex classes and adjacency lists are compared as sets below
+_UNION_TABLES = (
+    "triangles",
+    "den",
+    "_lifts",
+    "_normals",
+    "matches",
+    "_slot_of",
+    "_edge_adj",
+    "num_vertices",
+    "euler",
+    "orientable",
+    "num_components",
+)
+
+
+def _as_sets(adjacency):
+    return {pair: {v: set(x) for v, x in by_shift.items()} for pair, by_shift in adjacency.items()}
+
+
+def test_union_is_built_from_its_parts_like_the_whole_mesh(generated_meshes):
+    # a copy of one mesh on large prime denominators, each triangle moved by
+    # its own lattice vector and every other one reversed, so that its
+    # matches carry shifts and flips
+    w = (rat(1, 1000003), rat(-7, 999983), rat(5, 1000033))
+    moved = Mesh3(
+        [vadd(vadd(p, w), (k, -2 * k, 3 - k % 2)) for p in tri[:: 1 - 2 * (k % 2)]]
+        for k, tri in enumerate(generated_meshes[-1].triangles)
+    )
+    assert any(m.flip for m in moved.matches)
+    meshes = generated_meshes + [moved]
+    built = refused = 0
+    for a in meshes:
+        for b in meshes:
+            try:
+                whole = Mesh3(a.triangles + b.triangles)
+            except MeshBuildError as e:
+                # coinciding sheets: an edge of both parts
+                with pytest.raises(MeshBuildError) as raised:
+                    a.union(b)
+                assert str(raised.value) == str(e)
+                refused += 1
+                continue
+            union = a.union(b)
+            for name in _UNION_TABLES:
+                assert getattr(union, name) == getattr(whole, name), name
+            assert set(union._vertex_classes) == set(whole._vertex_classes)
+            assert _as_sets(union._vertex_adj) == _as_sets(whole._vertex_adj)
+            assert _lift_tables(union) == oracles.mesh_tables_reference(union)
+            built += 1
+    assert built > 50 and refused > 10
+
+
 def _count_predicate_calls(monkeypatch, mesh):
     """Calls of the pair predicates made while certifying ``mesh``."""
     import multipoint.surfaces3d as s3
