@@ -40,9 +40,11 @@ from .rational import rat, rfloor
 # the error model
 #
 # An InputError is input the package refuses by name; the command line
-# exits with status 2 on it.  A GenericityError is a retry budget that ran
-# out on certified input; the verifier reports it as an ERROR row.  Any
-# other exception is a bug.
+# exits with status 2 on it.  A GenericityError is certified input that
+# meets a probe non-transversally: the curve pushoff's epsilon budget ran
+# out (the verifier reports an ERROR row), or a segment meets the mesh
+# itself, with no translate, non-transversally
+# (``surfaces3d.mesh_segment_hits``).  Any other exception is a bug.
 
 
 class InputError(ValueError):
@@ -65,7 +67,7 @@ class GeneralPositionError(InputError):
 
 
 class GenericityError(RuntimeError):
-    """A genericity retry budget was exhausted."""
+    """Certified input met a probe non-transversally."""
 
 
 def require_general_position(obj):
@@ -344,12 +346,6 @@ def dist2_point_seg_parts(p, seg):
     return c * c, dd
 
 
-def dist2_point_seg(p, seg):
-    """Squared distance from a 2D point to a closed 2D segment."""
-    num, den = dist2_point_seg_parts(p, seg)
-    return num if den == 1 else rat(num, den)
-
-
 # ---------------------------------------------------------------------------
 # the integer lattice of the 3-torus
 
@@ -455,22 +451,6 @@ def coplanar_tri_relation(a, b, n=None):
             if ia[2] == ib[0] or ib[2] == ia[0]:
                 touched = True
     return "touch" if touched else "overlap"
-
-
-def point_in_tri_2d(pt, tri):
-    """1 strictly inside a 2D triangle, 0 strictly outside, None when pt
-    lies on the line through one of its edges."""
-    side = 0
-    for i in range(3):
-        c = cross2(vsub(tri[(i + 1) % 3], tri[i]), vsub(pt, tri[i]))
-        if c == 0:
-            return None
-        s = 1 if c > 0 else -1
-        if side == 0:
-            side = s
-        elif side != s:
-            return 0
-    return 1
 
 
 def _inward_edge_normals(tri, n):
@@ -662,6 +642,44 @@ def segment_triangle_hit(p, q, tri):
             return DEGENERATE
     t = rat(tn, td)
     return SegmentHit(vadd(p, vscale(t, d)), t)
+
+
+def _positive_in_the_limit(c0, g):
+    """Whether ``c0 + g . (e, e^2, e^3) > 0`` for every small enough
+    ``e > 0``: the first nonzero of ``c0, g[0], g[1], g[2]`` decides."""
+    if c0:
+        return c0 > 0
+    return next(c > 0 for c in g if c)
+
+
+def segment_crosses_translate(p, q, tri, n):
+    """Whether segment ``pq`` crosses ``tri + w``, ``w = (e, e^2, e^3)``,
+    for every small enough ``e > 0``.
+
+    ``n`` is a positive multiple of ``tri_normal(tri)``.  Every test is
+    affine in ``w`` and is decided in the limit (Simulation of Simplicity,
+    Edelsbrunner and Muecke 1990), so the answer is never degenerate:
+    - a plane test ``n . (x - a - w)`` has ``-n != 0`` as its ``w`` term;
+    - an edge test ``det(u, x + w - p, y + w - p)``, with ``u = q - p``, is
+      ``det(u, x - p, y - p) + w . ((y - x) x u)``.  It vanishes for every
+      ``w`` only when ``u`` is parallel to the edge, hence to the plane,
+      and then the two plane tests are equal and have already answered.
+    The segment crosses when its ends lie on opposite sides of the plane
+    and the three edge tests agree.
+    """
+    a = tri[0]
+    minus_n = (-n[0], -n[1], -n[2])
+    p_above = _positive_in_the_limit(vdot(n, vsub(p, a)), minus_n)
+    if p_above == _positive_in_the_limit(vdot(n, vsub(q, a)), minus_n):
+        return False
+    u = vsub(q, p)
+    sides = {
+        _positive_in_the_limit(
+            vdot(u, cross3(vsub(x, p), vsub(y, p))), cross3(vsub(y, x), u)
+        )
+        for x, y in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
+    }
+    return len(sides) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -974,7 +992,6 @@ __all__ = [
     "seg_crossing",
     "contact_only_at",
     "segments_touch",
-    "dist2_point_seg",
     "dist2_point_seg_parts",
     "floor_vec",
     "frac_vec",
@@ -984,11 +1001,11 @@ __all__ = [
     "coplanar",
     "PlaneChart",
     "coplanar_tri_relation",
-    "point_in_tri_2d",
     "TriTriHit",
     "clip_line_to_tri",
     "tri_tri_intersect",
     "segment_triangle_hit",
+    "segment_crosses_translate",
     "Transform2",
     "SQUARE_EDGES",
     "ChainPiece",

@@ -113,25 +113,20 @@ def _verify_mesh(mesh, targets):
     require_general_position(mesh)
     curves = mesh.double_curves()
     triples = mesh.triple_points()
-    rows = []
-    try:
-        lhs = herbert_lhs_r2(mesh)
-        mu, euler = herbert_rhs_r2_parts(mesh)
-    except GenericityError as exc:
-        rows.append(_error_row("[M]", 2, exc))
-    else:
-        diag = (
-            f"{len(triples)} triple points; "
-            f"{sum(len(dc.preimages) for dc in curves)} preimage circles "
-            f"over {len(curves)} double circles"
-        )
-        rows.append(_row("[M]", 2, lhs, mu, euler, diag))
+    lhs = herbert_lhs_r2(mesh)
+    mu, euler = herbert_rhs_r2_parts(mesh)
+    diag = (
+        f"{len(triples)} triple points; "
+        f"{sum(len(dc.preimages) for dc in curves)} preimage circles "
+        f"over {len(curves)} double circles"
+    )
+    rows = [_row("[M]", 2, lhs, mu, euler, diag)]
     for name, marks in (targets or {}).items():
         try:
             cyc = marks if isinstance(marks, MeshCycle) else MeshCycle(mesh, marks)
             lhs = herbert_lhs_r1_cycle(mesh, cyc)
             mu, euler = herbert_rhs_r1_cycle_parts(mesh, cyc)
-        except (CycleError, GenericityError) as exc:
+        except CycleError as exc:
             rows.append(_error_row(name, 1, exc))
             continue
         diag = (

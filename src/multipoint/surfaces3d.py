@@ -47,6 +47,9 @@ and of the degree-1 identity along a cycle C drawn on the source surface:
     crossings(C in the 3-torus, translated surface)
         == crossings(C, preimage circles on the surface)
            + orientation transport along C              (mod 2).
+
+The translate is ``(e, e^2, e^3)`` in the limit ``e -> 0+``, which decides
+every contact, so neither count retries or fails.
 """
 
 from __future__ import annotations
@@ -70,16 +73,14 @@ from .exactgeom import (
     contact_only_at,
     coplanar,
     coplanar_tri_relation,
-    cross2,
     cross3,
-    dist2_point_seg,
     from_homogeneous,
     lattice_translates,
     lowest_terms,
-    point_in_tri_2d,
     require_general_position,
     seg_intersect,
     seg_meeting,
+    segment_crosses_translate,
     segment_triangle_hit,
     strict_crossing,
     tri_normal,
@@ -989,130 +990,67 @@ class Mesh3:
 # homology of the image
 
 
-_PROBE_PARAMS = (
-    (rat(3, 7), rat(5, 11)),
-    (rat(7, 13), rat(9, 17)),
-    (rat(11, 19), rat(13, 23)),
-    (rat(15, 29), rat(17, 31)),
-    (rat(19, 37), rat(21, 41)),
-    (rat(23, 43), rat(25, 47)),
-    (rat(27, 53), rat(29, 59)),
-    (rat(31, 61), rat(33, 67)),
-)
-
-
-def _axis_crossings(mesh, axis, probe):
-    # The mesh lifts and the probe are scaled to D', the common denominator
-    # of the mesh's D and the probe; the probe's lattice translates step
-    # by D'.
-    chart = PlaneChart(axis)
-    den = math.lcm(mesh.den, common_denominator((probe,)))
-    k = den // mesh.den
-    probe = vlift(probe, den)
-    total = 0
-    for lift in mesh._lifts:
-        flat = tuple(vscale(k, p) for p in chart.points(lift))
-        area2 = cross2(vsub(flat[1], flat[0]), vsub(flat[2], flat[0]))
-        for u in lattice_translates(*bbox(flat), probe, probe, den):
-            pt = vadd(probe, vscale(den, u))
-            if area2 == 0:
-                # the triangle contains the probe direction; the probe
-                # line must stay clear of its projected image
-                for i in range(3):
-                    if dist2_point_seg(pt, (flat[i], flat[(i + 1) % 3])) == 0:
-                        return None
-                continue
-            inside = point_in_tri_2d(pt, flat)
-            if inside is None:
-                return None
-            total += inside
-    return total
-
-
 def ambient_class_h2(mesh):
     """Mod-2 class of the mapped surface in the homology of the 3-torus.
 
-    Component ``k`` is the parity of crossings with a generic line
-    parallel to axis ``k``.
+    Component ``k`` is the parity of crossings of the closed axis loop
+    from 0 to ``e_k`` with a generic translate of the mesh, counted as
+    the degree-2 LHS counts, so it is decided for every mesh.
     """
-    bits = []
-    for axis in range(3):
-        for probe in _PROBE_PARAMS:
-            res = _axis_crossings(mesh, axis, probe)
-            if res is not None:
-                bits.append(res % 2)
-                break
-        else:
-            raise GenericityError(
-                f"no generic probe line found for axis {axis}"
-            )
-    return tuple(bits)
+    return tuple(
+        crossings_mod2_with_generic_translate(mesh, [((0, 0, 0), e)])
+        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    )
 
 
 # ---------------------------------------------------------------------------
-# crossing counts against a translated copy of the mesh
+# crossing counts against the mesh and a translated copy of it
 
 
-def _segment_contacts(mesh, segs, w=(0, 0, 0)):
-    """Contacts of 3-space segments with every lift of the mesh translated by w.
+def _segment_contacts(mesh, segs, translated=False):
+    """The lifts of the mesh that a 3-space segment may touch.
 
-    The mesh lifts are scaled to D, the common denominator of the mesh's
-    own D, the segments and w, and the predicates run on the integer
-    lifts.  Returns D and an iterator of ``(triangle, lattice translate,
-    hit)`` for each lift a segment touches, where ``hit`` is a
-    :class:`SegmentHit` on the lifts (its point is D times the contact
-    point) or ``DEGENERATE``.
+    The mesh lifts and the segments are scaled to D, the common
+    denominator of the mesh's own D and the segments.  Returns D and an
+    iterator of ``(triangle, lattice translate, p, q, lift)`` on ints for
+    each lattice translate of a lift whose box meets the box of segment
+    ``pq``; the lift is D times the translated triangle.  With
+    ``translated`` the boxes are those of the lifts moved by
+    ``(e, e^2, e^3)``, ``e -> 0+``: a lift's box must start strictly
+    before the segment's ends, which on ints is at most one less.
     """
-    den = math.lcm(mesh.den, common_denominator(itertools.chain(*segs, (w,))))
+    den = math.lcm(mesh.den, common_denominator(itertools.chain(*segs)))
     k = den // mesh.den
-    shift = vlift(w, den)
-    tris = [tuple(vadd(vscale(k, p), shift) for p in lift) for lift in mesh._lifts]
+    tris = [tuple(vscale(k, p) for p in lift) for lift in mesh._lifts]
     boxes = [bbox(tri) for tri in tris]
     lifted = [(vlift(p, den), vlift(q, den)) for p, q in segs]
 
     def contacts():
         for p, q in lifted:
             smin, smax = bbox((p, q))
+            if translated:
+                smax = (smax[0] - 1, smax[1] - 1, smax[2] - 1)
             for t, (tri, (tmin, tmax)) in enumerate(zip(tris, boxes)):
                 for v in lattice_translates(smin, smax, tmin, tmax, den):
-                    h = segment_triangle_hit(p, q, _shift_tri(tri, vscale(den, v)))
-                    if h is not None:
-                        yield t, v, h
+                    yield t, v, p, q, _shift_tri(tri, vscale(den, v))
 
     return den, contacts()
 
 
-def _crossings_with_translate(mesh, segs, w):
-    """Strict crossings of 3-space segments with the mesh translated by w.
-
-    Returns None as soon as any contact is non-transverse.
-    """
-    total = 0
-    _, contacts = _segment_contacts(mesh, segs, w)
-    for _, _, h in contacts:
-        if h is DEGENERATE:
-            return None
-        total += 1
-    return total
-
-
-def crossings_mod2_with_generic_translate(mesh, segs, retry_budget=16):
+def crossings_mod2_with_generic_translate(mesh, segs):
     """Parity of crossings of closed curves (given as segments) with a
-    generically translated copy of the mesh.
+    generic translate of the mesh.
 
-    The translate starts at (d, d^2, d^3) with d = 1/8 and halves d until
-    every contact is strictly transverse.
+    The translate is ``(e, e^2, e^3)`` in the limit ``e -> 0+``, which
+    decides every contact (:func:`segment_crosses_translate`).  The parity
+    is the mod-2 intersection number of the closed curves with the closed
+    surface, the same for every transverse translate.
     """
-    d = rat(1, 8)
-    for _ in range(retry_budget):
-        w = (d, d * d, d * d * d)
-        c = _crossings_with_translate(mesh, segs, w)
-        if c is not None:
-            return c % 2
-        d = d / 2
-    raise GenericityError(
-        "translate retry budget exhausted while counting crossings"
-    )
+    _, contacts = _segment_contacts(mesh, segs, translated=True)
+    normals = mesh._normals  # scaling a lift by k > 0 scales its normal by k^2
+    return sum(
+        segment_crosses_translate(p, q, tri, normals[t]) for t, _, p, q, tri in contacts
+    ) % 2
 
 
 def mesh_segment_hits(mesh, segs):
@@ -1125,7 +1063,10 @@ def mesh_segment_hits(mesh, segs):
     hits = []
     den, contacts = _segment_contacts(mesh, segs)
     unlift = rat(1, den)
-    for t, v, h in contacts:
+    for t, v, p, q, tri in contacts:
+        h = segment_triangle_hit(p, q, tri)
+        if h is None:
+            continue
         if h is DEGENERATE:
             raise GenericityError(f"non-transverse contact with triangle {t} + {v}")
         hits.append((t, vsub(vscale(unlift, h.point), v)))

@@ -572,6 +572,39 @@ def segment_contacts_reference(mesh, segs, w=(0, 0, 0)):
     return out
 
 
+def _halving_translates(d):
+    """The translates ``(d, d^2, d^3)``, halving ``d`` 40 times."""
+    for _ in range(40):
+        yield (d, d * d, d * d * d)
+        d = d / 2
+    raise AssertionError("no generic translate")
+
+
+def translate_parity_reference(mesh, segs):
+    """``(parity, d)``: the parity of crossings of the segments with the
+    mesh translated by ``(d, d^2, d^3)``, at the first ``d`` of 1/8, 1/16,
+    ... at which every contact is transverse."""
+    for w in _halving_translates(rat(1, 8)):
+        hits = segment_contacts_reference(mesh, segs, w)
+        if all(h is not DEGENERATE for _, _, h in hits):
+            return len(hits) % 2, w[0]
+
+
+def translate_crossing_reference(p, q, tri, d):
+    """Whether segment ``pq`` crosses ``tri + (d, d^2, d^3)``, on Fraction
+    coordinates, with ``d`` halved until the contact is transverse.
+
+    It answers for every smaller translate too when ``d`` is below every
+    positive root of the contact tests (polynomials in ``d``).
+    """
+    from multipoint.exactgeom import segment_triangle_hit, vadd
+
+    for w in _halving_translates(d):
+        h = segment_triangle_hit(p, q, tuple(vadd(x, w) for x in tri))
+        if h is not DEGENERATE:
+            return h is not None
+
+
 # --- the Fraction tables of a mesh -----------------------------------------
 #
 # Mesh3 builds its edge matching, adjacency and charts on the integer lifts

@@ -27,13 +27,13 @@ from multipoint.exactgeom import (
     coplanar,
     coplanar_tri_relation,
     cross3,
-    dist2_point_seg,
     dist2_point_seg_parts,
     lattice_translates,
     lowest_terms,
     pushoff_polyline,
     seg_crossing,
     seg_intersect,
+    segment_crosses_translate,
     segment_triangle_hit,
     segments_touch,
     strict_crossing,
@@ -328,7 +328,7 @@ def test_degeneracy_scale_bounded_by_sampled_distances(feats):
 def test_dist2_point_seg_parts_matches_reference(p, seg):
     num, den = dist2_point_seg_parts(p, seg)
     assert den > 0
-    assert rat(num, den) == dist2_point_seg(p, seg) == oracles.dist2_point_seg_reference(p, seg)
+    assert rat(num, den) == oracles.dist2_point_seg_reference(p, seg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -606,6 +606,106 @@ def test_segment_triangle_back_substitution(p, q, tri):
 
 
 # ---------------------------------------------------------------------------
+# segment against a triangle translated by (e, e^2, e^3), e -> 0+
+
+# TRI_A moved by w lies in the plane z = e^3 and covers x >= e, y >= e^2,
+# x + y <= 4 + e + e^2; TRI_C moved by w covers x <= e, y <= e^2,
+# x + y >= -4 + e + e^2
+TRI_C = (_pt(0, 0, 0), _pt(-4, 0, 0), _pt(0, -4, 0))
+
+TRANSLATE_CASES = [
+    # through an edge interior
+    ("edge y = 0", (2, 0, -1), (2, 0, 1), TRI_A, False),
+    ("edge x = 0", (0, 2, -1), (0, 2, 1), TRI_A, False),
+    ("edge x + y = 4", (2, 2, -1), (2, 2, 1), TRI_A, True),
+    ("edge x + y = 4, slanted", (3, 1, -1), (1, 3, 1), TRI_A, True),
+    # through a vertex
+    ("vertex, outside", (0, 0, -1), (0, 0, 1), TRI_A, False),
+    ("vertex, inside", (0, 0, -1), (0, 0, 1), TRI_C, True),
+    ("vertex, slanted, outside", (-1, -1, -1), (1, 1, 1), TRI_A, False),
+    ("vertex, slanted, inside", (-1, -1, -1), (1, 1, 1), TRI_C, True),
+    # an end point on the plane
+    ("end inside, other above", (1, 1, 0), (1, 1, 1), TRI_A, True),
+    ("end inside, other below", (1, 1, 0), (1, 1, -1), TRI_A, False),
+    ("end on an edge, outside", (2, 0, 0), (2, 0, 1), TRI_A, False),
+    ("end on an edge, inside", (2, 2, 0), (2, 2, 1), TRI_A, True),
+    ("end on a vertex", (0, 0, 0), (1, 1, 1), TRI_C, True),
+    # in the plane, or parallel to an edge
+    ("in the plane", (1, 1, 0), (2, 1, 0), TRI_A, False),
+    ("in the plane, across an edge", (-1, 1, 0), (1, 1, 0), TRI_A, False),
+    ("along an edge", (1, 0, 0), (3, 0, 0), TRI_A, False),
+    ("parallel to an edge", (1, 0, 1), (3, 0, 1), TRI_A, False),
+]
+
+# The contact tests of the cases here are polynomials in d, for the
+# translate (d, d^2, d^3), with integer coefficients below 2^15 in absolute
+# value; no positive root lies below 2^-15, so at d = 2^-16 the halving
+# walk of oracles answers for every smaller translate.
+LIMIT_D = rat(1, 2**16)
+
+
+def _check_translate_crossing(p, q, tri, want=None):
+    n = tri_normal(tri)
+    got = segment_crosses_translate(p, q, tri, n)
+    assert got == oracles.translate_crossing_reference(p, q, tri, LIMIT_D)
+    if want is not None:
+        assert got == want
+    # the same for the reversed segment, a multiple of the normal, another
+    # first vertex and the reversed triangle
+    assert segment_crosses_translate(q, p, tri, n) == got
+    assert segment_crosses_translate(p, q, tri, vscale(3, n)) == got
+    assert segment_crosses_translate(p, q, tri[1:] + tri[:1], n) == got
+    assert segment_crosses_translate(p, q, tri[::-1], vscale(-1, n)) == got
+
+
+@pytest.mark.parametrize("case", TRANSLATE_CASES, ids=lambda c: c[0])
+def test_segment_crosses_translate_hand_cases(case):
+    _, p, q, tri, want = case
+    _check_translate_crossing(_pt(*p), _pt(*q), tri, want)
+
+
+small = st.integers(0, 2)
+small_points3 = st.tuples(small, small, small)
+small_triangles3 = st.tuples(small_points3, small_points3, small_points3).filter(
+    lambda t: any(cross3(vsub(t[1], t[0]), vsub(t[2], t[0])))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_points3, small_points3, small_triangles3)
+def test_segment_crosses_translate_on_a_small_grid(p, q, tri):
+    # ends and corners on the grid {0, 1, 2}^3 tie often
+    assume(p != q)
+    _check_translate_crossing(p, q, tri)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_triangles3, st.integers(0, 5), st.tuples(*[st.integers(-2, 2)] * 3))
+def test_segment_crosses_translate_through_the_boundary(tri, where, u):
+    # the segment's midpoint is a corner or an edge midpoint of the
+    # triangle (all doubled to stay on ints)
+    assume(any(u))
+    tri = tuple(vscale(2, x) for x in tri)
+    i = where % 3
+    b = tri[i] if where < 3 else vscale(rat(1, 2), vadd(tri[i], tri[(i + 1) % 3]))
+    _check_translate_crossing(vsub(b, u), vadd(b, u), tri)
+
+
+def test_translate_count_of_a_loop_through_a_triangle_edge():
+    from multipoint.surfaces3d import Mesh3, coordinate_torus, crossings_mod2_with_generic_translate
+
+    # a closed loop in the class e_3 with a vertex on the plane z = 1/4 of
+    # the mesh, on the diagonal edge shared by its two triangles and then
+    # on the mesh vertex: one crossing, whichever triangle takes it
+    mesh = Mesh3(coordinate_torus(2, rat(1, 4)))
+    start, turn = _pt(rat(1, 3), rat(1, 5), 0), _pt(rat(1, 5), rat(1, 3), rat(1, 2))
+    for vertex in (_pt(rat(1, 2), rat(1, 2), rat(1, 4)), _pt(0, 0, rat(1, 4))):
+        loop = [(start, vertex), (vertex, turn), (turn, vadd(start, _pt(0, 0, 1)))]
+        assert crossings_mod2_with_generic_translate(mesh, loop) == 1
+        assert oracles.translate_parity_reference(mesh, loop)[0] == 1
+
+
+# ---------------------------------------------------------------------------
 # the lattice box test
 
 
@@ -706,9 +806,10 @@ BIG_CASES = {
         lambda r: r,
     ),
     contact_only_at: (((_pt(0, 0), W), (W, _pt(2, rat(1, 3))), W), lambda r: r),
-    dist2_point_seg: (
+    # a foot inside the segment: num scales by BIG^4 and den by BIG^2
+    dist2_point_seg_parts: (
         (_pt(rat(1, 3), 1), (_pt(0, 0), _pt(2, rat(1, 2)))),
-        lambda r: rat(r, BIG * BIG),
+        lambda r: (rat(r[0], BIG**4), rat(r[1], BIG**2)),
     ),
     clip_line_to_tri: (
         (_pt(rat(1, 3), rat(1, 2), 0), _pt(1, rat(2, 3), 0), TRI_A, "a"),
@@ -726,6 +827,11 @@ BIG_CASES = {
     segment_triangle_hit: (
         (_pt(rat(1, 3), 1, -1), _pt(rat(1, 2), rat(2, 3), rat(1, 2)), TRI_A),
         lambda h: SegmentHit(_down(h.point), h.ta),
+    ),
+    # through an edge of the triangle, decided by the translate's tie
+    segment_crosses_translate: (
+        (_pt(2, 2, -1), _pt(rat(3, 2), rat(5, 2), 1), TRI_A, tri_normal(TRI_A)),
+        lambda r: r,
     ),
     # rational boxes with den = 1, whose BIG-scaled copy has den = BIG; the
     # boxes touch at the faces x = -1 and z = 1 of the first box

@@ -4,7 +4,9 @@
 ``crossings_mod2_with_generic_translate`` and ``mesh_segment_hits`` run on
 integer lifts by one common denominator.  These tests compare them with
 the Fraction walks kept in ``oracles`` and check that the predicates they
-call receive only ints.
+call receive only ints.  The translate count decides every contact in the
+limit of small translates; its reference halves a rational translate until
+every contact is transverse.
 """
 
 import importlib.util
@@ -17,7 +19,7 @@ import oracles
 from helpers import torus_complex
 from multipoint import curves2d, herbert, surfaces3d
 from multipoint.curves2d import MultiCurve, initial_epsilon, pairing_mod2
-from multipoint.exactgeom import DEGENERATE, GenericityError, PushoffCollision, vscale, vsub
+from multipoint.exactgeom import GenericityError, PushoffCollision, vsub
 from multipoint.generate import CURVE_AMBIENTS, TORI_AMBIENT, GeneratorConfig, generate
 from multipoint.rational import GMPY2, rat
 from multipoint.scene import parse_scene
@@ -193,39 +195,52 @@ def tori_cases():
     return cases
 
 
-def _lifted_contacts(mesh, segs, w):
-    den, contacts = surfaces3d._segment_contacts(mesh, segs, w)
-    unlift = rat(1, den)
-    return [
-        (t, v, h if h is DEGENERATE else (h.ta, vscale(unlift, h.point)))
-        for t, v, h in contacts
-    ]
-
-
-def _reference_contacts(mesh, segs, w):
-    return [
-        (t, v, h if h is DEGENERATE else (h.ta, h.point))
-        for t, v, h in oracles.segment_contacts_reference(mesh, segs, w)
-    ]
-
-
 @pytest.mark.parametrize("name", TORI_CASES)
 def test_translate_steps_match_rational_reference(tori_cases, name):
     mesh, seg_lists = tori_cases[name]
     assert mesh.certify().ok
     for segs in seg_lists:
         assert segs
-        d = rat(1, 8)
-        for _ in range(16):
-            w = (d, d * d, d * d * d)
-            want = _reference_contacts(mesh, segs, w)
-            assert _lifted_contacts(mesh, segs, w) == want
-            if all(h is not DEGENERATE for _, _, h in want):
-                break
-            d = d / 2
-        else:
-            pytest.fail("no generic translate")
-        assert crossings_mod2_with_generic_translate(mesh, segs) == len(want) % 2
+        parity, _ = oracles.translate_parity_reference(mesh, segs)
+        assert crossings_mod2_with_generic_translate(mesh, segs) == parity
+
+
+def _fuzz_tori_mesh(seed):
+    """The mesh of ``fuzz --universe tori`` at ``seed``."""
+    config = GeneratorConfig(
+        universe="tori",
+        ambient=TORI_AMBIENT,
+        components=(2, 3),
+        seed=seed,
+        with_cycle=seed % 2 == 0,
+    )
+    return generate(config).mesh("f")
+
+
+@pytest.mark.parametrize("seed, halvings", [(36, 1), (71, 1), (81, 2)])
+def test_r2_rows_whose_first_translates_touch_the_mesh(seed, halvings):
+    # the halving walk meets a non-transverse contact at d = 1/8 (and at
+    # 1/16 for seed 81); the count in the limit agrees with it
+    mesh = _fuzz_tori_mesh(seed)
+    segs = [(s.p, s.q) for s in mesh.double_segments()]
+    assert oracles.translate_parity_reference(mesh, segs) == (1, rat(1, 8 * 2**halvings))
+    (row,) = herbert.verify(mesh, scene_id="f").rows
+    assert (row.r, row.lhs, row.verdict) == (2, 1, "PASS")
+
+
+def test_r2_lhs_is_the_poincare_dual_pairing(tori_cases):
+    # f*(n_2) is the double locus crossed with the surface: mod 2 the sum
+    # over double circles D of h1(D) . h2(M)
+    meshes = [mesh for mesh, _ in tori_cases.values()]
+    meshes += [_fuzz_tori_mesh(seed) for seed in range(14)]
+    ones = 0
+    for mesh in meshes:
+        h2 = surfaces3d.ambient_class_h2(mesh)
+        dual = sum(a * b for dc in mesh.double_curves() for a, b in zip(dc.h1, h2)) % 2
+        lhs = surfaces3d.herbert_lhs_r2(mesh)
+        assert lhs == dual
+        ones += lhs
+    assert ones >= 5
 
 
 @pytest.mark.parametrize("name", TORI_CASES)
@@ -258,11 +273,14 @@ def _scalars(x):
 
 def test_lhs_predicates_receive_only_integers(monkeypatch):
     # curves2d.seg_intersect is certification's, seg_crossing the pushoff
-    # count's and degeneracy_scale_sq the separation scale's
+    # count's and degeneracy_scale_sq the separation scale's;
+    # segment_crosses_translate is the translate count's and
+    # segment_triangle_hit that of mesh_segment_hits
     spied = (
         (curves2d, "seg_intersect"),
         (curves2d, "seg_crossing"),
         (curves2d, "degeneracy_scale_sq"),
+        (surfaces3d, "segment_crosses_translate"),
         (surfaces3d, "segment_triangle_hit"),
     )
     coordinates = {name: [] for _, name in spied}
@@ -285,6 +303,9 @@ def test_lhs_predicates_receive_only_integers(monkeypatch):
     mesh = scene.mesh("f")
     report = herbert.verify(mesh, targets={"g": scene.mesh_cycle("g", mesh)}, scene_id="f")
     assert report.all_pass and len(report.rows) == 2
+    x, y = rat(1, 3), rat(1, 5)
+    hits = mesh_segment_hits(mesh, [((x, y, 0), (x, y, rat(1, 2)))])
+    assert hits == [(0, (x, y, rat(1, 4)))]
 
     for name, coords in coordinates.items():
         assert coords, name

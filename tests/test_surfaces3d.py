@@ -461,23 +461,35 @@ def test_mesh_segment_hits_degenerate_raises():
         )
 
 
-def test_translate_retry_and_budget():
+def test_translate_count_on_a_chart_edge():
     m = Mesh3(coordinate_torus(2, Q))
-    # the first translate (1/8, 1/64, 1/512) drops this segment's crossing
-    # onto a chart edge; the halved translate resolves it
+    # the translate (1/8, 1/64, 1/512) drops this segment's crossing onto a
+    # chart edge, so the halving walk takes the next one; the count in the
+    # limit of small translates needs no retry
     seg = [((rat(1, 8), rat(1, 3), 0), (rat(1, 8), rat(1, 3), rat(1, 2)))]
     assert crossings_mod2_with_generic_translate(m, seg) == 1
-    with pytest.raises(GenericityError):
-        crossings_mod2_with_generic_translate(m, seg, retry_budget=1)
-    with pytest.raises(GenericityError):
-        crossings_mod2_with_generic_translate(m, seg, retry_budget=0)
+    assert oracles.translate_parity_reference(m, seg) == (1, rat(1, 16))
 
 
-def test_h2_probe_retry_on_aligned_chart():
-    # chart origin at 3/7 collides with the first probe point; the second
-    # probe must take over
-    m = Mesh3(coordinate_torus(2, Q, rat(3, 7)))
-    assert ambient_class_h2(m) == (0, 0, 1)
+def test_h2_of_meshes_on_the_axis_loops():
+    # the axis loops from 0 to e_k start on a vertex of each mesh, and two
+    # of them lie in the sheet of a coordinate torus at level 0
+    planes = [
+        ((1, 0, 0), (0, 1, 0)),
+        ((1, 1, 0), (0, 1, 1)),
+        ((1, 2, 0), (0, 1, -1)),
+        ((2, 1, 1), (1, 1, 0)),
+    ]
+    for u, v in planes:
+        assert oracles.plane_torus_is_primitive(u, v)
+        m = Mesh3(parallelogram_torus((0, 0, 0), u, v))
+        assert ambient_class_h2(m) == oracles.plane_torus_h2(u, v)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for axis in range(3):
+        u, v = (e for k, e in enumerate(units) if k != axis)
+        for level, offset in ((0, 0), (Q, rat(3, 7))):
+            m = Mesh3(coordinate_torus(axis, level, offset))
+            assert ambient_class_h2(m) == oracles.plane_torus_h2(u, v)
 
 
 # --- determinism -------------------------------------------------------------
