@@ -575,7 +575,7 @@ def _arc_crossings_on_source(mesh, records):
                     continue
                 if not strict_crossing(hit):
                     raise AssertionError("preimage arcs meet non-transversally")
-                tn, td = hit.ta.numerator, hit.ta.denominator
+                tn, td = hit.tn, hit.den
                 a, b = ends[i]
                 point = tuple(rat(td * x + tn * (y - x), td * den) for x, y in zip(a, b))
                 crossings.add((tri, point))

@@ -34,6 +34,8 @@ from .exactgeom import (
     collinear_overlap,
     common_denominator,
     dist2_point_seg_parts,
+    from_homogeneous,
+    lowest_terms,
     pushoff_polyline,
     require_general_position,
     seg_crossing,
@@ -187,12 +189,14 @@ class DoublePoint:
     """A transverse self-intersection of the multicurve.
 
     ``branches`` holds the two preimage parameters as (component, segment,
-    t) triples in ascending order.
+    t) triples in ascending order.  ``key`` is the point in homogeneous
+    lowest terms ``(X, Y, W)``, by which certification finds it again.
     """
 
     square: int
     point: tuple
     branches: tuple
+    key: tuple
 
 
 @dataclass(frozen=True)
@@ -357,8 +361,21 @@ def degeneracy_scale_sq(segments):
     return None if best_num is None else rat(best_num, best_den)
 
 
+def _segment_t(piece: Piece, tn, den):
+    """The parameter along its segment of the point ``tn / den`` of a
+    piece, built as one rational."""
+    n0, d0 = piece.t0.numerator, piece.t0.denominator
+    n1, d1 = piece.t1.numerator, piece.t1.denominator
+    return rat(n0 * d1 * den + tn * (n1 * d0 - n0 * d1), d0 * d1 * den)
+
+
 def _certify(curve: MultiCurve) -> GeneralPositionCert2:
     """Certify every vertex and every pair of pieces that meet in a square.
+
+    The predicates run on the curve's integer lifts.  A crossing is keyed
+    by its chart point in homogeneous lowest terms, which does not depend
+    on the lift's D, and its rational point and branch parameters are
+    built once, for the double point it becomes.
 
     In a union, the vertices and pairs inside a part that holds an ok
     certificate are skipped, and its double points are taken as they are,
@@ -371,12 +388,13 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
     """
     parts = certified_parts(curve._parts, [len(p.components) for p in curve._parts])
     home = [None] * len(curve.components)
-    hits = {}  # (square, point) -> list of ((comp, seg, t_global), ...)
+    # (square, key) -> the branch pairs met there: a part's double point
+    # with its offset, or a new crossing (entry a, entry b, tn, un, den)
+    hits = {}
     for k, (part, offset) in enumerate(parts):
         home[offset : offset + len(part.components)] = [k] * len(part.components)
         for dp in part._cert.double_points:
-            branches = tuple([(c + offset, s, t) for c, s, t in dp.branches])
-            hits.setdefault((dp.square, dp.point), []).append(branches)
+            hits.setdefault((dp.square, dp.key), []).append((dp, offset))
 
     violations = []
     for ci, comp in enumerate(curve.components):
@@ -393,10 +411,7 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
                     ("zero-length-segment", f"component {ci} segment {piece.seg}")
                 )
 
-    # The predicates run on the curve's integer lifts; double points are
-    # divided by D.
     den, table, lifted, _ = curve.lift()
-    unlift = rat(1, den)
     for square in sorted(table):
         entries = table[square]
         segs = lifted[square]
@@ -426,36 +441,56 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
                         if lo != hi:
                             violations.append(("degenerate-overlap", where))
                         continue  # collinear continuation through the vertex
-                    shared = sa[1] if sa[1] in sb else sa[0]
-                    if res.point != shared:
+                    # the hit must be the shared end of sa
+                    if res.tn != (res.den if sa[1] in sb else 0):
                         violations.append(("tangency", where))
                     continue
                 if res is DEGENERATE:
                     violations.append(("degenerate-overlap", where))
                     continue
                 if strict_crossing(res):
-                    key = (square, vscale(unlift, res.point))
-                    ga = (ca, pa.seg, pa.t0 + res.ta * (pa.t1 - pa.t0))
-                    gb = (cb, pb.seg, pb.t0 + res.tb * (pb.t1 - pb.t0))
-                    hits.setdefault(key, []).append(tuple(sorted((ga, gb))))
+                    hx, hy, hw = res.hp
+                    key = (square, lowest_terms(hx, hy, hw * den))
+                    hits.setdefault(key, []).append((entries[x], entries[y], res.tn, res.un, res.den))
                 else:
                     violations.append(("tangency", where))
 
-    doubles = []
-    for (square, point) in sorted(hits):
-        pairs = hits[(square, point)]
+    order = sorted(hits, key=functools.cmp_to_key(_chart_cmp))
+    for key in order:
+        pairs = hits[key]
         if len(pairs) > 1:
+            point = format_point(from_homogeneous(key[1]))
             violations.append(
-                ("triple-point", f"{len(pairs)} branch pairs meet at {format_point(point)} in square {square}")
+                ("triple-point", f"{len(pairs)} branch pairs meet at {point} in square {key[0]}")
             )
-            continue
-        doubles.append(DoublePoint(square, point, pairs[0]))
+    if violations:
+        return GeneralPositionCert2(False, tuple(violations), ())
+    return GeneralPositionCert2(True, (), tuple([_double_point(key, hits[key][0]) for key in order]))
 
-    return GeneralPositionCert2(
-        ok=not violations,
-        violations=tuple(violations),
-        double_points=tuple(doubles) if not violations else (),
-    )
+
+def _chart_cmp(a, b):
+    """Order ``(square, (X, Y, W))`` keys by square, then by the point's
+    x, then by its y, on ints."""
+    if a[0] != b[0]:
+        return a[0] - b[0]
+    (xa, ya, wa), (xb, yb, wb) = a[1], b[1]
+    return (xa * wb - xb * wa) or (ya * wb - yb * wa)
+
+
+def _double_point(key, pair):
+    """The double point of the one branch pair met at ``key``: a part's
+    double point, renumbered by its offset, or a new crossing's."""
+    square, hp = key
+    if len(pair) == 2:
+        dp, offset = pair
+        if not offset:
+            return dp
+        return DoublePoint(square, dp.point, tuple([(c + offset, s, t) for c, s, t in dp.branches]), hp)
+    # the entries are in (component, piece) order, and the pieces of one
+    # segment in parameter order, so the branches ascend
+    (ca, _, pa), (cb, _, pb), tn, un, den = pair
+    branches = ((ca, pa.seg, _segment_t(pa, tn, den)), (cb, pb.seg, _segment_t(pb, un, den)))
+    return DoublePoint(square, from_homogeneous(hp), branches, hp)
 
 
 def double_points(curve: MultiCurve):

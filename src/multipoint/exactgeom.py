@@ -11,7 +11,11 @@ coordinates and runs the predicates on the integer numerators, which is
 many times cheaper than rational arithmetic.  Since ``int / int`` is a
 float, nothing here divides one int by another: a predicate tests a
 parameter ``t = n / d`` by comparing ``n`` with ``d`` (``d`` made positive
-first) and builds a rational with :func:`rat` only for a value it returns.
+first).  A hit is returned in ints too: a :class:`SegmentHit` of
+:func:`seg_intersect` or :func:`segment_triangle_hit` holds its parameters
+as numerators over one positive ``den`` and its point as a homogeneous
+tuple, and builds the rationals ``point``, ``ta`` and ``tb`` with
+:func:`rat` only when a caller reads them.
 
 The points that certification constructs and keeps are homogeneous, not
 rational: a tuple of ints ``(X, Y, Z, W)``, or ``(X, Y, W)`` in a chart,
@@ -27,6 +31,7 @@ that needs one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -190,11 +195,32 @@ DEGENERATE = _Degenerate()
 
 @dataclass(frozen=True)
 class SegmentHit:
-    """A single intersection point with parameters along each input."""
+    """The single meeting point of a segment ``a = (p, q)`` with a segment
+    ``b`` or a triangle, in the numbers the predicate was given.
 
-    point: tuple
-    ta: object
-    tb: Optional[object] = None
+    The point is ``a(tn / den) = p + (tn / den) (q - p)`` with ``den > 0``,
+    and, for a segment, also ``b(un / den)``; ``un`` is None for a
+    triangle.  ``hp`` is the same point written homogeneous,
+    ``(den p + tn (q - p), den)``, not reduced to lowest terms.  The
+    rationals ``point``, ``ta`` and ``tb`` are built when first read.
+    """
+
+    tn: object
+    un: Optional[object]
+    den: object
+    hp: tuple
+
+    @functools.cached_property
+    def point(self):
+        return from_homogeneous(self.hp)
+
+    @functools.cached_property
+    def ta(self):
+        return rat(self.tn, self.den)
+
+    @functools.cached_property
+    def tb(self):
+        return None if self.un is None else rat(self.un, self.den)
 
 
 def collinear_overlap(a, b):
@@ -253,23 +279,23 @@ def seg_intersect(a, b):
     """Intersect closed 2D segments ``a = (p0, p1)`` and ``b = (q0, q1)``.
 
     Returns None (disjoint), a :class:`SegmentHit` (single intersection
-    point, with parameters in [0, 1] for each segment), or ``DEGENERATE``
-    for collinear overlap, including a single-point collinear touch.
-    Endpoint-to-interior contacts are reported as ordinary hits with a
-    parameter of 0 or 1; callers classify them.
+    point, with ``0 <= tn, un <= den`` for the parameters along each
+    segment), or ``DEGENERATE`` for collinear overlap, including a
+    single-point collinear touch.  Endpoint-to-interior contacts are
+    reported as ordinary hits with ``tn`` or ``un`` equal to 0 or ``den``;
+    callers classify them.
     """
     res = seg_meeting(a, b)
     if res is None or res is DEGENERATE:
         return res
     tn, un, den = res
-    p = a[0]
-    t = rat(tn, den)
-    return SegmentHit(vadd(p, vscale(t, vsub(a[1], p))), t, rat(un, den))
+    (px, py), (qx, qy) = a
+    return SegmentHit(tn, un, den, (den * px + tn * (qx - px), den * py + tn * (qy - py), den))
 
 
 def strict_crossing(h):
     """Whether a :func:`seg_intersect` hit is interior to both segments."""
-    return h is not DEGENERATE and 0 < h.ta < 1 and 0 < h.tb < 1
+    return h is not DEGENERATE and 0 < h.tn < h.den and 0 < h.un < h.den
 
 
 def seg_crossing(a, b):
@@ -487,14 +513,17 @@ def clip_line_to_tri(p0, u, tri, owner, w=1, n=None):
     integer vector and its denominator, and ``n`` is the triangle's normal,
     computed when not given.
 
-    Returns ('miss',), ('degenerate', why), or
-    ('interval', lo, lo_tag, lo_tie, hi, hi_tag, hi_tie), where the bounds
-    of ``t`` are int pairs ``(num, den)``, ``den > 0``, in lowest terms.
+    Returns ('miss',) or (kind, lo, lo_tag, lo_tie, hi, hi_tag, hi_tie),
+    where the bounds of ``t`` are int pairs ``(num, den)``, ``den > 0``, in
+    lowest terms.  The kind is 'edge' when the line runs along an edge of
+    the triangle, the bounds being that edge's ends, and 'interval'
+    otherwise.
     """
     # the parameters lo and hi are kept as (numerator, denominator > 0)
     lo = hi = None
     lo_tag = hi_tag = None
     lo_tie = hi_tie = False
+    kind = "interval"
     nx, ny, nz = tri_normal(tri) if n is None else n
     px, py, pz = p0
     ux, uy, uz = u
@@ -511,7 +540,7 @@ def clip_line_to_tri(p0, u, tri, owner, w=1, n=None):
             if c0 < 0:
                 return ("miss",)
             if c0 == 0:
-                return ("degenerate", "line-on-edge")
+                kind = "edge"  # the other two edges bound it
             continue
         if c1 > 0:  # t = -c0 / c1 is a lower bound
             if lo is None or -c0 * lo[1] > lo[0] * c1:
@@ -527,7 +556,7 @@ def clip_line_to_tri(p0, u, tri, owner, w=1, n=None):
         return ("miss",)
     if lo[0] * hi[1] > hi[0] * lo[1]:
         return ("miss",)
-    return ("interval", lowest_terms(*lo), lo_tag, lo_tie, lowest_terms(*hi), hi_tag, hi_tie)
+    return (kind, lowest_terms(*lo), lo_tag, lo_tie, lowest_terms(*hi), hi_tag, hi_tie)
 
 
 def _plane_sides(tri, v, n):
@@ -578,13 +607,10 @@ def tri_tri_intersect(a, b, na=None, nb=None):
     p0 = vadd(vscale(wa * nbb - wb * nab, na), vscale(wb * naa - wa * nab, nb))
     ra = clip_line_to_tri(p0, u, a, "a", den, na)
     rb = clip_line_to_tri(p0, u, b, "b", den, nb)
-    for r in (ra, rb):
-        if r[0] == "miss":
-            return None
-        if r[0] == "degenerate":
-            return DEGENERATE
-    _, lo_a, lo_tag_a, lo_tie_a, hi_a, hi_tag_a, hi_tie_a = ra
-    _, lo_b, lo_tag_b, lo_tie_b, hi_b, hi_tag_b, hi_tie_b = rb
+    if ra[0] == "miss" or rb[0] == "miss":
+        return None
+    kind_a, lo_a, lo_tag_a, lo_tie_a, hi_a, hi_tag_a, hi_tie_a = ra
+    kind_b, lo_b, lo_tag_b, lo_tie_b, hi_b, hi_tag_b, hi_tie_b = rb
     # the bounds are in lowest terms, so equal parameters are equal pairs
     if lo_a == lo_b or hi_a == hi_b:
         return DEGENERATE  # arc endpoint on the boundary of both triangles
@@ -598,8 +624,8 @@ def tri_tri_intersect(a, b, na=None, nb=None):
         fhi, fhi_tag, fhi_tie = hi_b, hi_tag_b, hi_tie_b
     if _before(fhi, flo):
         return None
-    if flo == fhi:
-        return DEGENERATE
+    if flo == fhi or kind_a == "edge" or kind_b == "edge":
+        return DEGENERATE  # a single point, or contact along an edge
     if flo_tie or fhi_tie:
         return DEGENERATE  # arc endpoint at a triangle vertex
     # the point p0 / den + (tn / td) u, over den * td
@@ -616,11 +642,11 @@ def tri_tri_intersect(a, b, na=None, nb=None):
 def segment_triangle_hit(p, q, tri):
     """Strict transverse crossing of an open segment through a triangle interior.
 
-    Returns a :class:`SegmentHit` (point and parameter along pq) for a
-    crossing strictly interior to both the segment and the triangle, None
-    when there is no contact, and ``DEGENERATE`` for everything else
-    (endpoint on the plane, coplanar segment, crossing on an edge or
-    vertex, zero-length segment).
+    Returns a :class:`SegmentHit` (the point and its parameter along pq)
+    for a crossing strictly interior to both the segment and the
+    triangle, None when there is no contact, and ``DEGENERATE`` for
+    everything else (endpoint on the plane, coplanar segment, crossing on
+    an edge or vertex, zero-length segment).
     """
     if p == q:
         return DEGENERATE
@@ -640,8 +666,7 @@ def segment_triangle_hit(p, q, tri):
             return None
         if s == 0:
             return DEGENERATE
-    t = rat(tn, td)
-    return SegmentHit(vadd(p, vscale(t, d)), t)
+    return SegmentHit(tn, None, td, (*x, td))
 
 
 def _positive_in_the_limit(c0, g):

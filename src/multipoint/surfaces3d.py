@@ -316,10 +316,10 @@ def vertex_adjacent_contact(ta, tb, w, na=None, nb=None):
                     return "vertex-contact"
         return None
     u = cross3(na, nb)
+    # the line through w, a point of both triangles, is never a miss; a
+    # triangle with an edge along it meets the other only on that edge
     ra = clip_line_to_tri(w, u, ta, "a", 1, na)
     rb = clip_line_to_tri(w, u, tb, "b", 1, nb)
-    if ra[0] != "interval" or rb[0] != "interval":
-        return "vertex-contact"
     # the larger lower and the smaller upper bound, as (num, den) pairs in
     # lowest terms, so that equal bounds are equal pairs
     (la, lb), (ha, hb) = (ra[1], rb[1]), (ra[4], rb[4])
@@ -1062,14 +1062,13 @@ def mesh_segment_hits(mesh, segs):
     """
     hits = []
     den, contacts = _segment_contacts(mesh, segs)
-    unlift = rat(1, den)
     for t, v, p, q, tri in contacts:
         h = segment_triangle_hit(p, q, tri)
         if h is None:
             continue
         if h is DEGENERATE:
             raise GenericityError(f"non-transverse contact with triangle {t} + {v}")
-        hits.append((t, vsub(vscale(unlift, h.point), v)))
+        hits.append((t, vsub(from_homogeneous((*h.hp[:3], h.hp[3] * den)), v)))
     return hits
 
 
@@ -1197,7 +1196,7 @@ class MeshCycle:
                     continue
                 if h is DEGENERATE:
                     raise CycleError("cycle rides a chart boundary")
-                if 0 < h.ta < 1:
+                if 0 < h.tn < h.den:
                     raise CycleError("cycle leaves its chart between marks")
 
     def transport_bit(self):

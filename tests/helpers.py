@@ -95,3 +95,23 @@ def subdivide_mesh(mesh):
         ca = vscale(half, vadd(c, a))
         out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
     return Mesh3(out)
+
+
+def z_sheet(xs, zs, ys):
+    """The torus ``z = h(x, y)`` in the 3-torus over the grid of columns
+    ``xs`` and rows ``ys`` (each ascending, within one unit): h is
+    ``zs[i]`` on column i and affine in x between columns, the last
+    column joining the first one unit on.  Unequal heights fold the sheet
+    along its columns."""
+    n, m = len(xs), len(ys)
+
+    def vertex(i, j):
+        return (xs[i % n] + i // n, ys[j % m] + j // m, zs[i % n])
+
+    triangles = []
+    for i in range(n):
+        for j in range(m):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
+            triangles += [(a, b, d), (b, c, d)]
+    return Mesh3(triangles)

@@ -488,6 +488,91 @@ def degeneracy_scale_sq_reference(segments):
     return best
 
 
+def _seg_hit_reference(a, b):
+    """Closed 2D segments meeting by the rational parameter solve: None,
+    DEGENERATE (collinear contact), or ``(point, ta, tb)`` as Fractions."""
+    p, p1 = a
+    q, q1 = b
+    r, s, w = vsub(p1, p), vsub(q1, q), vsub(q, p)
+    den = cross2(r, s)
+    if den == 0:
+        if cross2(w, s) != 0 or cross2(w, r) != 0:
+            return None
+        return None if seg_relation_oracle(a, b) == "disjoint" else DEGENERATE
+    t = Fraction(cross2(w, s)) / den
+    u = Fraction(cross2(w, r)) / den
+    if not (0 <= t <= 1 and 0 <= u <= 1):
+        return None
+    return tuple(x + t * d for x, d in zip(p, r)), t, u
+
+
+def certify_curve_reference(curve):
+    """The general-position certificate of a multicurve on Fraction
+    coordinates, with every pair of pieces in a square tested and no part
+    of a union reused.
+
+    Returns ``(violations, double_points)``: the ``(name, detail)`` pairs
+    in the library's order, and the double points as ``(square, point,
+    branches)``, none when there is a violation.
+    """
+    from multipoint.rational import ONE, format_point
+
+    violations = []
+    for ci, comp in enumerate(curve.components):
+        for si, (_, v) in enumerate(comp.vertices):
+            if v[0] in (ZERO, ONE) or v[1] in (ZERO, ONE):
+                violations.append(("vertex-on-edge", f"component {ci} vertex {si} at {format_point(v)}"))
+        for piece in comp.pieces:
+            if piece.p0 == piece.p1:
+                violations.append(("zero-length-segment", f"component {ci} segment {piece.seg}"))
+
+    def adjacent(comp, pa, pb):
+        n = len(comp.vertices)
+        return any(
+            (x.seg + 1) % n == y.seg and x.t1 == 1 and y.t0 == 0 for x, y in ((pa, pb), (pb, pa))
+        )
+
+    hits = {}
+    table = curve.pieces_by_square()
+    for square in sorted(table):
+        entries = table[square]
+        for x, (ca, ia, pa) in enumerate(entries):
+            for cb, ib, pb in entries[x + 1 :]:
+                if ca == cb and ia == ib:
+                    continue
+                sa, sb = (pa.p0, pa.p1), (pb.p0, pb.p1)
+                res = _seg_hit_reference(sa, sb)
+                if res is None:
+                    continue
+                where = f"component {ca} segment {pa.seg} vs component {cb} segment {pb.seg} in square {square}"
+                if ca == cb and adjacent(curve.components[ca], pa, pb):
+                    if res is DEGENERATE:
+                        if seg_relation_oracle(sa, sb) == "overlap":
+                            violations.append(("degenerate-overlap", where))
+                    elif res[0] not in (sa[0], sa[1]) or res[0] not in (sb[0], sb[1]):
+                        violations.append(("tangency", where))
+                    continue
+                if res is DEGENERATE:
+                    violations.append(("degenerate-overlap", where))
+                elif 0 < res[1] < 1 and 0 < res[2] < 1:
+                    point, ta, tb = res
+                    ga = (ca, pa.seg, pa.t0 + ta * (pa.t1 - pa.t0))
+                    gb = (cb, pb.seg, pb.t0 + tb * (pb.t1 - pb.t0))
+                    hits.setdefault((square, point), []).append(tuple(sorted((ga, gb))))
+                else:
+                    violations.append(("tangency", where))
+
+    doubles = []
+    for (square, point), pairs in sorted(hits.items()):
+        if len(pairs) > 1:
+            violations.append(
+                ("triple-point", f"{len(pairs)} branch pairs meet at {format_point(point)} in square {square}")
+            )
+        else:
+            doubles.append((square, point, pairs[0]))
+    return tuple(violations), ([] if violations else doubles)
+
+
 def pairing_mod2_reference(curve_a, comp_a, curve_b, retry_budget=16):
     """The pushoff pairing of one component of ``curve_a`` with ``curve_b``,
     counted on Fraction coordinates with every piece of the component
@@ -661,13 +746,15 @@ def mesh_tables_reference(mesh):
 
 def _clip_line_to_tri_reference(p0, u, tri, owner, w):
     """The clip of the line ``p0 / w + t u`` to a triangle in its plane,
-    with the bounds of t as Fractions."""
+    with the bounds of t as Fractions; the kind is 'edge' when the line
+    runs along an edge."""
     from multipoint.exactgeom import tri_normal
 
     n = tri_normal(tri)
     lo = hi = None
     lo_tag = hi_tag = None
     lo_tie = hi_tie = False
+    kind = "interval"
     for i in range(3):
         vi = tri[i]
         m = cross3(n, vsub(tri[(i + 1) % 3], vi))
@@ -677,7 +764,7 @@ def _clip_line_to_tri_reference(p0, u, tri, owner, w):
             if c0 < 0:
                 return ("miss",)
             if c0 == 0:
-                return ("degenerate",)
+                kind = "edge"
             continue
         t = Fraction(-c0) / c1
         if c1 > 0:
@@ -692,7 +779,7 @@ def _clip_line_to_tri_reference(p0, u, tri, owner, w):
                 hi_tie = True
     if lo is None or hi is None or lo > hi:
         return ("miss",)
-    return ("interval", lo, lo_tag, lo_tie, hi, hi_tag, hi_tie)
+    return (kind, lo, lo_tag, lo_tie, hi, hi_tag, hi_tie)
 
 
 def tri_tri_intersect_reference(a, b):
@@ -716,20 +803,17 @@ def tri_tri_intersect_reference(a, b):
     p0 = vadd(vscale(wa * nbb - wb * nab, na), vscale(wb * naa - wa * nab, nb))
     ra = _clip_line_to_tri_reference(p0, u, a, "a", den)
     rb = _clip_line_to_tri_reference(p0, u, b, "b", den)
-    for r in (ra, rb):
-        if r[0] == "miss":
-            return None
-        if r[0] == "degenerate":
-            return DEGENERATE
-    _, lo_a, lo_tag_a, lo_tie_a, hi_a, hi_tag_a, hi_tie_a = ra
-    _, lo_b, lo_tag_b, lo_tie_b, hi_b, hi_tag_b, hi_tie_b = rb
+    if ra[0] == "miss" or rb[0] == "miss":
+        return None
+    kind_a, lo_a, lo_tag_a, lo_tie_a, hi_a, hi_tag_a, hi_tie_a = ra
+    kind_b, lo_b, lo_tag_b, lo_tie_b, hi_b, hi_tag_b, hi_tie_b = rb
     if lo_a == lo_b or hi_a == hi_b:
         return DEGENERATE
     flo, flo_tag, flo_tie = (lo_a, lo_tag_a, lo_tie_a) if lo_a > lo_b else (lo_b, lo_tag_b, lo_tie_b)
     fhi, fhi_tag, fhi_tie = (hi_a, hi_tag_a, hi_tie_a) if hi_a < hi_b else (hi_b, hi_tag_b, hi_tie_b)
     if flo > fhi:
         return None
-    if flo == fhi or flo_tie or fhi_tie:
+    if flo == fhi or flo_tie or fhi_tie or "edge" in (kind_a, kind_b):
         return DEGENERATE
     base = vscale(Fraction(1, den), p0)
     p = vadd(base, vscale(flo, u))

@@ -540,6 +540,10 @@ def test_tri_tri_matches_rational_reference(pair, free):
         (((2, -1, -1), (2, 2, 2), (2, -1, 2)), DEGENERATE),
         # a transverse arc
         (((1, -1, -2), (1, 3, -1), (1, 0, 2)), "hit"),
+        # an edge in a's plane, on the planes' common line: disjoint from
+        # a, and touching a's edge at one point
+        (((1, -1, 0), (1, -3, 0), (1, -2, 5)), None),
+        (((1, 0, 0), (1, -3, 0), (1, -2, 5)), DEGENERATE),
     ],
 )
 def test_tri_tri_special_cases_match_rational_reference(b, want):
@@ -550,6 +554,29 @@ def test_tri_tri_special_cases_match_rational_reference(b, want):
         assert _hit_ends(got) == (ref.p, ref.q)
     else:
         assert got is ref is want
+
+
+# The lower triangles of two diagonal cells of a sheet folded along the
+# column x = 5.  Their planes meet in the line x = 5, z = 27, which runs
+# along an edge of the second and meets the first only at its vertex
+# (5, 3, 27): the triangles are disjoint.
+FOLD_A = ((0, 3, 24), (5, 3, 27), (0, 8, 24))
+FOLD_B = ((5, 8, 27), (10, 8, 24), (5, 13, 27))
+
+
+def test_a_line_along_an_edge_is_clipped_by_the_other_edges():
+    n = tri_normal(FOLD_B)
+    u = cross3(tri_normal(FOLD_A), n)
+    assert u == (0, 750, 0)
+    # the line (5, 750 t, 27) runs along edge 2, and edges 0 and 1 bound
+    # it at that edge's ends y = 8 and y = 13
+    kind, lo, lo_tag, _, hi, hi_tag, _ = clip_line_to_tri((5, 0, 27), u, FOLD_B, "b", 1, n)
+    assert kind == "edge"
+    assert (lo, hi) == (lowest_terms(8, 750), lowest_terms(13, 750))
+    assert (lo_tag, hi_tag) == (("b", 0), ("b", 1))
+    for a, b in ((FOLD_A, FOLD_B), (FOLD_B, FOLD_A)):
+        assert tri_tri_intersect(a, b) is None
+        assert oracles.tri_tri_intersect_reference(a, b) is None
 
 
 # ---------------------------------------------------------------------------
@@ -776,6 +803,18 @@ def _down(p):
     return tuple(rat(c, BIG) for c in p)
 
 
+def _hit_down(h, k):
+    """A :class:`SegmentHit` on the BIG-scaled input, scaled back: its
+    parameters and its point's weight are homogeneous of degree k in the
+    input, and its point's coordinates of degree k + 1."""
+
+    def down(x, degree):
+        return None if x is None else rat(x, BIG**degree)
+
+    point = tuple(down(c, k + 1) for c in h.hp[:-1])
+    return SegmentHit(down(h.tn, k), down(h.un, k), down(h.den, k), (*point, down(h.hp[-1], k)))
+
+
 def _floats(x):
     """Every float inside a result built of tuples and dataclasses."""
     if isinstance(x, float):
@@ -795,7 +834,7 @@ SHIFTED_B = tuple(vadd(p, _pt(rat(1, 3), rat(1, 4), rat(1, 2))) for p in TRI_B)
 BIG_CASES = {
     seg_intersect: (
         ((_pt(0, 0), _pt(rat(2, 3), 1)), (_pt(0, rat(1, 2)), _pt(1, rat(1, 2)))),
-        lambda h: SegmentHit(_down(h.point), h.ta, h.tb),
+        lambda h: _hit_down(h, 2),
     ),
     collinear_overlap: (
         ((_pt(0, 0), _pt(2, 1)), (_pt(4, 2), _pt(1, rat(1, 2)))),
@@ -826,7 +865,7 @@ BIG_CASES = {
     ),
     segment_triangle_hit: (
         (_pt(rat(1, 3), 1, -1), _pt(rat(1, 2), rat(2, 3), rat(1, 2)), TRI_A),
-        lambda h: SegmentHit(_down(h.point), h.ta),
+        lambda h: _hit_down(h, 3),
     ),
     # through an edge of the triangle, decided by the translate's tie
     segment_crosses_translate: (
@@ -856,6 +895,12 @@ def test_predicates_on_big_integers_are_exact(fn):
     assert not _floats(got), got
     assert back(got) == want
     assert want is not None
+    if isinstance(got, SegmentHit):
+        # the hit's fields are ints, and the rationals built from them
+        # are those of the rational input
+        assert {type(c) for c in (got.tn, got.den, *got.hp)} == {int}
+        assert got.un is None or type(got.un) is int
+        assert (_down(got.point), got.ta, got.tb) == (want.point, want.ta, want.tb)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import oracles
 from helpers import torus_complex
 from multipoint import curves2d, herbert, surfaces3d
 from multipoint.curves2d import MultiCurve, initial_epsilon, pairing_mod2
-from multipoint.exactgeom import GenericityError, PushoffCollision, vsub
+from multipoint.exactgeom import GenericityError, PushoffCollision, lowest_terms, vsub
 from multipoint.generate import CURVE_AMBIENTS, TORI_AMBIENT, GeneratorConfig, generate
 from multipoint.rational import GMPY2, rat
 from multipoint.scene import parse_scene
@@ -391,6 +391,71 @@ def test_separation_scale_matches_rational_reference_on_generated_curves(ambient
         ]
         scales = [s for s in scales if s is not None]
         assert curve.min_sep_sq == (min(scales) if scales else None)
+
+
+# ---------------------------------------------------------------------------
+# curves: certification
+
+
+def _certificate(curve):
+    cert = curve.certify()
+    assert cert.ok == (not cert.violations)
+    for dp in cert.double_points:
+        assert dp.key == lowest_terms(*dp.point, 1)
+    return cert.violations, [(dp.square, dp.point, dp.branches) for dp in cert.double_points]
+
+
+@pytest.mark.parametrize("ambient", CURVE_AMBIENTS)
+def test_curve_certificate_matches_rational_reference(ambient):
+    small, large = (
+        [_generated_curve(ambient, seed, shape) for seed in range(50)] for shape in ((1, 2), (2, 2))
+    )
+    verdicts = []
+    for k, f in enumerate(small):
+        g = large[(k + 1) % 50]  # the same seed would draw much the same curve
+        # the unions reuse their parts' double points; f with itself is refused
+        for curve in (f, g, f.union(g), g.union(f), f.union(f)):
+            want = oracles.certify_curve_reference(curve)
+            assert _certificate(curve) == want
+            verdicts.append(not want[0])
+    assert 100 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
+def test_curve_certification_creates_no_fraction_per_pair(fraction_count):
+    # a double point is its point and its two branch parameters, built
+    # once; a pair of pieces that does not cross makes none
+    found = 0
+    for ambient in CURVE_AMBIENTS:
+        for seed in range(10):
+            generated = _generated_curve(ambient, seed, (2, 2))
+            fresh = MultiCurve(generated.complex, generated.components)
+            fresh.lift()
+            count = fraction_count(fresh.certify)
+            assert fresh.certify().ok
+            found += len(fresh.certify().double_points)
+            assert count <= 4 * len(fresh.certify().double_points)
+    assert found > 20
+
+
+@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
+def test_curve_union_certification_makes_no_fraction_for_reused_double_points(fraction_count):
+    from multipoint.bordism import class_of_curve
+
+    reused = 0
+    for seed in range(0, 12, 2):
+        f, g = (
+            class_of_curve(_generated_curve("torus", s, (2, 2))).payload for s in (seed, seed + 1)
+        )
+        union = f.union(g)  # as check_cartan builds it for r = 2
+        union.lift()
+        count = fraction_count(union.certify)
+        if not union.certify().ok:
+            continue
+        parts = len(f.certify().double_points) + len(g.certify().double_points)
+        assert count <= 4 * (len(union.certify().double_points) - parts)
+        reused += parts
+    assert reused > 10
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from multipoint.surfaces3d import (
 )
 
 import oracles
-from helpers import subdivide_mesh
+from helpers import subdivide_mesh, z_sheet
 
 Q = rat(1, 4)
 
@@ -441,6 +441,42 @@ def test_vertex_contact_classifier():
     # a coplanar fin containing the first one is not
     wide = (n, (rat(1, 2), rat(3, 16), Q), (rat(1, 2), rat(13, 16), Q))
     assert vertex_adjacent_contact(t1, wide, n) == "coplanar-overlap"
+    # two cells of a sheet folded along the column x = 5, meeting at w:
+    # the planes' common line runs along an edge of the second, which the
+    # first meets only at w
+    w = (5, 3, 27)
+    fold_a, fold_b = ((0, 3, 24), w, (0, 8, 24)), (w, (10, 3, 24), (5, 8, 27))
+    assert vertex_adjacent_contact(fold_a, fold_b, w) is None
+    assert vertex_adjacent_contact(fold_b, fold_a, w) is None
+    # a first triangle with an edge along the same line shares more than w
+    along = (w, (0, 3, 24), (5, 6, 27))
+    assert vertex_adjacent_contact(along, fold_b, w) == "vertex-contact"
+    assert vertex_adjacent_contact(fold_b, along, w) == "vertex-contact"
+
+
+THIRD, FIFTH = rat(1, 3), rat(1, 5)
+ROWS = (FIFTH, FIFTH + THIRD, FIFTH + 2 * THIRD)
+
+
+def test_folded_sheets_certify():
+    # (columns, heights, rows) of sheets z = h(x, y) folded along columns;
+    # all but the last are folded on the column x = 0, where the z axis
+    # loop meets them on an edge and the tie-break of the translate's
+    # edge tests decides its crossing
+    sheets = [
+        ((0, THIRD, 2 * THIRD), (0, rat(1, 8), 0), ROWS),
+        ((0, THIRD, 2 * THIRD), (rat(3, 5), rat(4, 5), rat(3, 5)), ROWS),
+        ((0, THIRD, 2 * THIRD), (rat(1, 7), rat(2, 7), rat(3, 7)), ROWS),
+        ((0, THIRD, 2 * THIRD), (rat(1, 2), rat(5, 8), rat(1, 2)), (rat(1, 11), rat(5, 11), rat(8, 11))),
+        ((0, rat(1, 4), rat(1, 2), rat(3, 4)), (0, rat(1, 16), 0, rat(1, 16)), (FIFTH, FIFTH + rat(1, 2))),
+        ((rat(1, 9), rat(4, 9), rat(7, 9)), (rat(1, 8), rat(1, 4), 0), (rat(1, 7), rat(3, 7), rat(5, 7))),
+    ]
+    for xs, zs, ys in sheets:
+        m = z_sheet(xs, zs, ys)
+        assert m.certify().ok
+        assert m.double_segments() == ()
+        assert m.euler == 0 and m.orientable
+        assert ambient_class_h2(m) == (0, 0, 1)
 
 
 # --- generic-translate counting ---------------------------------------------
