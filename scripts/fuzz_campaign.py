@@ -12,12 +12,14 @@ classes of the shapes that the law checks of criterion 3 draw: per seed, a
 mu-tower on each) and a curve pair on one complex (Cartan r=2 in both
 orders).  It also runs every other operation that builds a union, on the
 mesh pair and on the curve pair: ``add``, ``internal_product`` and
-``pullback_class``.  With --machine it prints every check's report in full
-(verdict, detail, both sides and the Cartan pieces, rationals as p/q) and
-every class in full (universe, note, payload and structure; a curve or mesh
-payload as the double points, double curves and triple points of its
-certificate), one line per operation, or the exception that refused it
-with its message.
+``pullback_class``; and the multiple-point classes that the law checks
+read: ``psi_r(·, 2)`` and ``mu_r(·, 2)`` of each curve, and ``mu_r(·, 2)``
+and ``mu_r(·, 3)`` of each mesh.  With --machine it prints every check's
+report in full (verdict, detail, both sides and the Cartan pieces,
+rationals as p/q) and every class in full (universe, note, payload and
+structure; a curve or mesh payload as the double points, double curves and
+triple points of its certificate), one line per operation, or the
+exception that refused it with its message.
 
 Examples:
     python3 scripts/fuzz_campaign.py --count 200
@@ -211,6 +213,14 @@ def law_campaign(count, seed0, machine):
             ("internal_product-curves", bordism.internal_product, (f_curve, g_curve)),
             ("pullback_class", bordism.pullback_class, (small, large)),
             ("pullback_class-curves", bordism.pullback_class, (f_curve, g_curve)),
+            ("psi2-curves-f", bordism.psi_r, (f_curve, 2)),
+            ("psi2-curves-g", bordism.psi_r, (g_curve, 2)),
+            ("mu2-curves-f", bordism.mu_r, (f_curve, 2)),
+            ("mu2-curves-g", bordism.mu_r, (g_curve, 2)),
+            ("mu2-small", bordism.mu_r, (small, 2)),
+            ("mu3-small", bordism.mu_r, (small, 3)),
+            ("mu2-large", bordism.mu_r, (large, 2)),
+            ("mu3-large", bordism.mu_r, (large, 3)),
         )
         for kind, check, args in checks:
             try:

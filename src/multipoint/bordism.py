@@ -12,7 +12,7 @@ curve sets.
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .curves2d import MultiCurve, double_points
+from .curves2d import DoublePoint, MultiCurve, double_points
 from .exactgeom import (
     InputError,
     bbox,
@@ -124,19 +124,21 @@ _BITLESS = {POINTS_IN_3TORUS, POINTS_ON_SOURCE_MESH}
 
 
 def _record_class(universe, ambient, records):
-    """The point or circle class of ``(item, bits)`` records.
+    """The point or circle class of ``(key, item, bits)`` records.
 
-    The records are sorted by item, and each item keeps its own bits: the
+    The records are sorted by key, and each item keeps its own bits: the
     payload holds the items and the structure their bits, in one order.
-    A class in ``_BITLESS`` takes ``(item, None)`` records and keeps no
-    structure.
+    A curve double point's key is its position in its curve's certificate,
+    whose order is the items' order (see ``_point_records``); every other
+    record's key is its item.  A class in ``_BITLESS`` takes
+    ``(key, item, None)`` records and keeps no structure.
     """
     records = sorted(records, key=lambda record: record[0])
     # lists first, as in exactgeom.common_denominator: a tuple built from a
     # generator is resized to its length
-    structure = () if universe in _BITLESS else tuple([bits for _, bits in records])
+    structure = () if universe in _BITLESS else tuple([bits for _, _, bits in records])
     return RepresentedClass(
-        universe, ambient, tuple([item for item, _ in records]), structure
+        universe, ambient, tuple([item for _, item, _ in records]), structure
     )
 
 
@@ -219,7 +221,9 @@ def add(a, b):
         raise ValueError(f"add not defined on universe {a.universe!r}")
     # the items of a class in _BITLESS have no structure and pair with None
     records = zip_longest(a.payload + b.payload, a.structure + b.structure)
-    return _record_class(a.universe, a.ambient, records)
+    return _record_class(
+        a.universe, a.ambient, [(item, item, bits) for item, bits in records]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +231,12 @@ def add(a, b):
 
 # (universe, r) whose r-fold points a representative carries: the double
 # points of curves, and the double circles and triple points of surfaces;
-# each maps to the universe of mu_r, the points with one sheet marked
+# each maps to the universes of psi_r, the points themselves, and of mu_r,
+# the points with one sheet marked
 _R_FOLD = {
-    (CURVES_IN_SURFACE, 2): POINTS_ON_SOURCE_CIRCLES,
-    (SURFACES_IN_3TORUS, 2): CURVES_ON_SOURCE_MESH,
-    (SURFACES_IN_3TORUS, 3): POINTS_ON_SOURCE_MESH,
+    (CURVES_IN_SURFACE, 2): (POINTS_IN_SURFACE, POINTS_ON_SOURCE_CIRCLES),
+    (SURFACES_IN_3TORUS, 2): (CURVES_IN_3TORUS, CURVES_ON_SOURCE_MESH),
+    (SURFACES_IN_3TORUS, 3): (POINTS_IN_3TORUS, POINTS_ON_SOURCE_MESH),
 }
 
 # the pairs whose product and pullback are read off the double points of
@@ -242,30 +247,41 @@ _UNION_PAIRS = (
 )
 
 
-def _r_fold_points(payload, r):
-    """Each r-fold point of a certified payload with its r sheets.
+def _sheets(point, r):
+    """The data of an r-fold point's sheets, in the order of its sources:
+    a curve double point's branches ``(component, segment, t)``, the
+    preimage circles of a double circle (a circle that covers it twice is
+    both of its sheets), or the source points ``(triangle, point)`` of a
+    triple point."""
+    if isinstance(point, DoublePoint):
+        return point.branches
+    if r == 2:
+        return point.preimages * (2 // len(point.preimages))
+    return point.preimages
 
-    A sheet is ``(source, data)``: ``source`` is the component or triangle
-    it lies on, and ``data`` is the branch ``(component, segment, t)`` of a
-    curve double point, the preimage circle of a double circle, or the
-    source point ``(triangle, point)`` of a triple point.  A preimage circle
-    that covers its double circle twice is both of its sheets.
+
+def _r_fold_points(payload, r):
+    """Each r-fold point of a certified payload as ``(position, point,
+    sources)``: its position in this list, and the sources (components or
+    triangles) of its r sheets, as ints in the order of :func:`_sheets`.
+
+    A curve's double points come in its certificate's order, by square,
+    then x, then y, and their sources are read without building their
+    branches.
     """
     if isinstance(payload, MultiCurve):
-        return [
-            (dp, tuple((branch[0], branch) for branch in dp.branches))
-            for dp in double_points(payload)
+        points = [(dp, dp.components) for dp in double_points(payload)]
+    elif r == 2:
+        points = [
+            (dc, tuple(pc.arcs[0][0] for pc in _sheets(dc, 2)))
+            for dc in payload.double_curves()
         ]
-    if r == 2:
-        points = []
-        for dc in payload.double_curves():
-            circles = dc.preimages * (2 // len(dc.preimages))
-            points.append((dc, tuple((pc.arcs[0][0], pc) for pc in circles)))
-        return points
-    return [
-        (tp, tuple((pre[0], pre) for pre in tp.preimages))
-        for tp in payload.triple_points().points
-    ]
+    else:
+        points = [
+            (tp, tuple(pre[0] for pre in tp.preimages))
+            for tp in payload.triple_points().points
+        ]
+    return [(i, point, sources) for i, (point, sources) in enumerate(points)]
 
 
 def _part_size(cls):
@@ -275,50 +291,56 @@ def _part_size(cls):
     return len(cls.payload.triangles)
 
 
-def _by_part(union, n_first, r):
-    """The r-fold points of a union keyed by k, the number of their sheets
-    on the first part (the sources numbered below ``n_first``).
-
-    Every k from 0 to r is a key.  An entry is ``(point, first, second)``,
-    the point with the data of its sheets on the first part and on the
-    second.
-    """
+def _by_part(points, n_first, r):
+    """The ``_r_fold_points`` entries of a union keyed by k, the number of
+    their sheets on the first part (the sources numbered below
+    ``n_first``).  Every k from 0 to r is a key, and each list keeps the
+    union's order."""
     parts = {k: [] for k in range(r + 1)}
-    for point, sheets in _r_fold_points(union, r):
-        first = tuple(data for source, data in sheets if source < n_first)
-        second = tuple(data for source, data in sheets if source >= n_first)
-        parts[len(first)].append((point, first, second))
+    for entry in points:
+        parts[sum(source < n_first for source in entry[2])].append(entry)
     return parts
 
 
-def _point_class(cls, r, entries, bits):
-    """The class of r-fold points in ``psi_r``'s record format.
+def _on_parts(point, sources, r, n_first):
+    """The data of a point's sheets on the first part and on the second."""
+    sheets = tuple(zip(sources, _sheets(point, r)))
+    return (
+        tuple(data for source, data in sheets if source < n_first),
+        tuple(data for source, data in sheets if source >= n_first),
+    )
 
-    ``entries`` are ``_r_fold_points`` or ``_by_part`` entries of a payload
-    whose sources include those of ``cls``; ``bits`` holds one structure
-    bit per component of that payload.  A curve double point is recorded
-    as ``(square, point)`` with the sorted bits of its two components, a
-    double circle as ``(canonical, h1)`` with the sorted w1 of its preimage
-    circles, and a triple point as its target, with no structure.
+
+def _point_records(cls, r, entries, bits):
+    """The ``_record_class`` records of r-fold points, in entry order.
+
+    ``entries`` are ``_r_fold_points`` entries of a payload whose sources
+    include those of ``cls``; ``bits`` holds one structure bit per
+    component of that payload.  A curve double point is recorded as
+    ``(square, point)`` with the sorted bits of its two components, and
+    keyed by its position, a double circle as ``(canonical, h1)`` with the
+    sorted w1 of its preimage circles, and a triple point as its target,
+    with no structure.
     """
-    points = [entry[0] for entry in entries]
     if cls.universe == CURVES_IN_SURFACE:
-        records = [
-            ((dp.square, dp.point), tuple(sorted(bits[b[0]] for b in dp.branches)))
-            for dp in points
+        return [
+            (i, (dp.square, dp.point), tuple(sorted([bits[c] for c in dp.components])))
+            for i, dp, _ in entries
         ]
-        return _record_class(POINTS_IN_SURFACE, cls.ambient, records)
     if r == 2:
-        records = [
-            (
-                (tuple(sorted(dc.canonical)), dc.h1),
-                tuple(sorted(pc.w1 for pc in dc.preimages)),
-            )
-            for dc in points
-        ]
-        return _record_class(CURVES_IN_3TORUS, AMBIENT_T3, records)
-    records = [(tp.target, None) for tp in points]
-    return _record_class(POINTS_IN_3TORUS, AMBIENT_T3, records)
+        records = []
+        for _, dc, _ in entries:
+            item = (tuple(sorted(dc.canonical)), dc.h1)
+            records.append((item, item, tuple(sorted(pc.w1 for pc in dc.preimages))))
+        return records
+    return [(tp.target, tp.target, None) for _, tp, _ in entries]
+
+
+def _point_class(cls, r, entries, bits):
+    """The class of ``psi_r``'s records of r-fold points (see
+    :func:`_point_records`)."""
+    universe = _R_FOLD[(cls.universe, r)][0]
+    return _record_class(universe, cls.ambient, _point_records(cls, r, entries, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +355,7 @@ def _circle_hits(circles, mesh_cls):
 
 def _product_circles_mesh(circles, mesh_cls):
     points = {frac_vec(point) for _, point in _circle_hits(circles, mesh_cls)}
-    return _record_class(POINTS_IN_3TORUS, AMBIENT_T3, [(p, None) for p in points])
+    return _record_class(POINTS_IN_3TORUS, AMBIENT_T3, [(p, p, None) for p in points])
 
 
 def internal_product(a, b):
@@ -359,7 +381,8 @@ def internal_product(a, b):
     pair = (a.universe, b.universe)
     if pair in _UNION_PAIRS:
         # the double points of a ⊔ b with one sheet on each part
-        mixed = _by_part(a.payload.union(b.payload), _part_size(a), 2)[1]
+        union = a.payload.union(b.payload)
+        mixed = _by_part(_r_fold_points(union, 2), _part_size(a), 2)[1]
         return _point_class(a, 2, mixed, a.structure + b.structure)
     if pair == (CURVES_IN_3TORUS, SURFACES_IN_3TORUS):
         return _product_circles_mesh(a, b)
@@ -390,17 +413,22 @@ def pullback_class(g, f):
         require_general_position(union)
         # each double point of g ⊔ f with one sheet on each part gives the
         # point of g's sheet, carrying the structure of f's sheet
-        mixed = _by_part(union, _part_size(g), 2)[1]
+        n_g = _part_size(g)
+        mixed = _by_part(_r_fold_points(union, 2), n_g, 2)[1]
+        sheets = [_on_parts(point, sources, 2, n_g) for _, point, sources in mixed]
         if g.universe == CURVES_IN_SURFACE:
             bits = g.structure + f.structure
-            records = [(on_g, bits[on_f[0]]) for _, (on_g,), (on_f,) in mixed]
+            records = [(on_g, on_g, bits[on_f[0]]) for (on_g,), (on_f,) in sheets]
             return _record_class(POINTS_ON_SOURCE_CIRCLES, g.payload, records)
-        records = [((on_g.arcs, on_g.w1), on_f.w1) for _, (on_g,), (on_f,) in mixed]
+        records = []
+        for (on_g,), (on_f,) in sheets:
+            item = (on_g.arcs, on_g.w1)
+            records.append((item, item, on_f.w1))
         return _record_class(CURVES_ON_SOURCE_MESH, g.payload, records)
     if pair == (SURFACES_IN_3TORUS, CURVES_IN_3TORUS):
         hits = set(_circle_hits(f, g))
         return _record_class(
-            POINTS_ON_SOURCE_MESH, g.payload, [(hit, None) for hit in hits]
+            POINTS_ON_SOURCE_MESH, g.payload, [(hit, hit, None) for hit in hits]
         )
     raise ValueError(f"pullback undefined on {pair!r}")
 
@@ -434,25 +462,29 @@ def mu_r(f, r):
     branch ``(component, segment, t)`` with its component's bit, a preimage
     circle as ``(arcs, w1, doubled)`` with its w1, or a triple point's
     source point ``(triangle, point)``.  A preimage circle that covers its
-    double circle twice is both sheets and gives one record.
+    double circle twice is both sheets, one cached object listed twice,
+    and gives one record: sheets are told apart by identity, since no two
+    sheets of a certified payload are equal.
     """
     if r < 2:
         raise ValueError("mu_r needs r >= 2")
     if f.is_empty:
         return empty_class(None)
-    universe = _R_FOLD.get((f.universe, r))
-    if universe is None:
+    universes = _R_FOLD.get((f.universe, r))
+    if universes is None:
         return empty_class(f.payload, note=GENERICALLY_EMPTY)
+    universe = universes[1]
     records = {}
-    for _, sheets in _r_fold_points(f.payload, r):
-        for source, data in sheets:
+    for _, point, sources in _r_fold_points(f.payload, r):
+        for source, data in zip(sources, _sheets(point, r)):
             if universe == POINTS_ON_SOURCE_CIRCLES:
-                records[data] = f.structure[source]
+                records[id(data)] = (data, data, f.structure[source])
             elif universe == CURVES_ON_SOURCE_MESH:
-                records[(data.arcs, data.w1, data.doubled)] = data.w1
+                item = (data.arcs, data.w1, data.doubled)
+                records[id(data)] = (item, item, data.w1)
             else:
-                records[data] = None
-    return _record_class(universe, f.payload, records.items())
+                records[id(data)] = (data, data, None)
+    return _record_class(universe, f.payload, records.values())
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +507,9 @@ def check_naturality(g, f):
     lhs = sorted(set(mesh_segment_hits(g.payload, segs)))
 
     # triple points of g ⊔ f with one sheet on g, read on that sheet
-    mixed = _by_part(union, _part_size(g), 3)[1]
-    rhs = sorted({on_g for _, (on_g,), _ in mixed})
+    n_g = _part_size(g)
+    mixed = _by_part(_r_fold_points(union, 3), n_g, 3)[1]
+    rhs = sorted({_on_parts(point, sources, 3, n_g)[0][0] for _, point, sources in mixed})
 
     ok = lhs == rhs
     return CheckReport(
@@ -520,16 +553,23 @@ def check_cartan(f, g, r):
     union = f.payload.union(g.payload)
     require_general_position(union)
     bits = f.structure + g.structure
-    whole = _point_class(f, r, _r_fold_points(union, r), bits).payload
-    pieces = {
-        k: _point_class(f, r, entries, bits).payload
-        for k, entries in _by_part(union, _part_size(f), r).items()
-    }
+    points = _r_fold_points(union, r)
+    parts = _by_part(points, _part_size(f), r)
+    by_position = _point_records(f, r, points, bits)
+    records = {k: _point_records(f, r, entries, bits) for k, entries in parts.items()}
+    # the pieces fill each position of the union's list exactly once, each
+    # with the whole's item at that position
+    positions = [i for entries in parts.values() for i, _, _ in entries]
+    items = [item for piece in records.values() for _, item, _ in piece]
+    reunion = sorted(positions) == list(range(len(points))) and all(
+        item == by_position[i][1] for i, item in zip(positions, items)
+    )
+    universe = _R_FOLD[(f.universe, r)][0]
+    pieces = {k: _record_class(universe, f.ambient, rs).payload for k, rs in records.items()}
+    whole = _record_class(universe, f.ambient, by_position).payload
     table = _CARTAN_PIECES[r]
     expected = {k: law(f, g).payload for k, _, law in table if law is not None}
-    ok = all(pieces[k] == expected[k] for k in expected) and (
-        tuple(sorted(sum(pieces.values(), ()))) == whole
-    )
+    ok = reunion and all(pieces[k] == expected[k] for k in expected)
     return CheckReport(
         "cartan",
         ok,
@@ -594,7 +634,7 @@ def check_mu_tower(f):
         lhs = tuple(
             sorted(_arc_crossings_on_source(f.payload, mu2.payload))
         )
-    rhs = tuple(sorted(mu_r(f, 3).payload))
+    rhs = mu_r(f, 3).payload
     return CheckReport(
         "mu-tower", lhs == rhs, lhs, rhs, f"{len(lhs)} arrangement double points"
     )

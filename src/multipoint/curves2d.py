@@ -184,19 +184,55 @@ def _build_component(cx: SquareComplex, raw) -> Component:
     return Component(tuple(vertices), tuple(crossings), tuple(pieces))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DoublePoint:
     """A transverse self-intersection of the multicurve.
 
-    ``branches`` holds the two preimage parameters as (component, segment,
-    t) triples in ascending order.  ``key`` is the point in homogeneous
-    lowest terms ``(X, Y, W)``, by which certification finds it again.
+    ``key`` is the point in homogeneous lowest terms ``(X, Y, W)``, by
+    which certification finds it again, and ``components`` the components
+    of its two branches, as ints in ascending order.  The rational
+    ``point`` and ``branches``, the two preimage parameters as (component,
+    segment, t) triples in ascending order, are built on first read from
+    ``origin``: the crossing ``(piece a, tn, piece b, un, den)`` that
+    certification found, or the double point of a union's part that this
+    one renumbers, whose own ``point`` and ``branches`` it reads.
     """
 
     square: int
-    point: tuple
-    branches: tuple
     key: tuple
+    components: tuple
+    origin: object
+
+    @functools.cached_property
+    def point(self):
+        if isinstance(self.origin, DoublePoint):
+            return self.origin.point
+        return from_homogeneous(self.key)
+
+    @functools.cached_property
+    def branches(self):
+        if isinstance(self.origin, DoublePoint):
+            offset = self.components[0] - self.origin.components[0]
+            return tuple([(c + offset, s, t) for c, s, t in self.origin.branches])
+        # the crossing's pieces are in (component, piece) order, and the
+        # pieces of one segment in parameter order, so the branches ascend
+        pa, tn, pb, un, den = self.origin
+        ca, cb = self.components
+        return ((ca, pa.seg, _segment_t(pa, tn, den)), (cb, pb.seg, _segment_t(pb, un, den)))
+
+    def __eq__(self, other):
+        if not isinstance(other, DoublePoint):
+            return NotImplemented
+        return (self.square, self.key, self.branches) == (other.square, other.key, other.branches)
+
+    def __hash__(self):
+        return hash((self.square, self.key, self.components))
+
+    def __repr__(self):
+        return (
+            f"DoublePoint(square={self.square!r}, point={self.point!r}, "
+            f"branches={self.branches!r}, key={self.key!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -374,8 +410,8 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
 
     The predicates run on the curve's integer lifts.  A crossing is keyed
     by its chart point in homogeneous lowest terms, which does not depend
-    on the lift's D, and its rational point and branch parameters are
-    built once, for the double point it becomes.
+    on the lift's D, and the double point it becomes builds its rational
+    point and branch parameters on first read.
 
     In a union, the vertices and pairs inside a part that holds an ok
     certificate are skipped, and its double points are taken as they are,
@@ -485,12 +521,10 @@ def _double_point(key, pair):
         dp, offset = pair
         if not offset:
             return dp
-        return DoublePoint(square, dp.point, tuple([(c + offset, s, t) for c, s, t in dp.branches]), hp)
-    # the entries are in (component, piece) order, and the pieces of one
-    # segment in parameter order, so the branches ascend
+        ca, cb = dp.components
+        return DoublePoint(square, hp, (ca + offset, cb + offset), dp)
     (ca, _, pa), (cb, _, pb), tn, un, den = pair
-    branches = ((ca, pa.seg, _segment_t(pa, tn, den)), (cb, pb.seg, _segment_t(pb, un, den)))
-    return DoublePoint(square, from_homogeneous(hp), branches, hp)
+    return DoublePoint(square, hp, (ca, cb), (pa, tn, pb, un, den))
 
 
 def double_points(curve: MultiCurve):
@@ -612,12 +646,7 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
 def mu_count_r1(curve: MultiCurve, comp_idx: int) -> int:
     """Number of ordered double-point preimages whose first branch lies on
     the given component."""
-    count = 0
-    for dp in double_points(curve):
-        for branch in dp.branches:
-            if branch[0] == comp_idx:
-                count += 1
-    return count
+    return sum(dp.components.count(comp_idx) for dp in double_points(curve))
 
 
 def herbert_lhs_r1(curve: MultiCurve, comp_idx: int) -> int:

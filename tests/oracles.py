@@ -821,3 +821,33 @@ def tri_tri_intersect_reference(a, b):
     if p <= q:
         return TriTriHit(p, q, flo_tag, fhi_tag)
     return TriTriHit(q, p, fhi_tag, flo_tag)
+
+
+def mu_r_reference(cls, r):
+    """``(payload, structure)`` of ``bordism.mu_r(cls, r)`` for a curve or
+    mesh class, with each sheet's record kept in a dict keyed by its value
+    and the records sorted by item.
+
+    A preimage circle that covers its double circle twice is both of its
+    sheets, and the dict keeps one record for it.  Triple points carry no
+    bits and give no structure.
+    """
+    from multipoint.curves2d import MultiCurve, double_points
+
+    payload = cls.payload
+    records = {}
+    if isinstance(payload, MultiCurve):
+        for dp in double_points(payload):
+            for branch in dp.branches:
+                records[branch] = cls.structure[branch[0]]
+    elif r == 2:
+        for dc in payload.double_curves():
+            for pc in dc.preimages * (2 // len(dc.preimages)):
+                records[(pc.arcs, pc.w1, pc.doubled)] = pc.w1
+    else:
+        for tp in payload.triple_points().points:
+            for pre in tp.preimages:
+                records[pre] = None
+    items = sorted(records.items(), key=lambda record: record[0])
+    structure = () if r == 3 else tuple(bits for _, bits in items)
+    return tuple(item for item, _ in items), structure

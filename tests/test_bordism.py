@@ -33,9 +33,12 @@ from multipoint.bordism import (
     pullback_class,
 )
 from multipoint.curves2d import MultiCurve
+from multipoint.exactgeom import GeneralPositionError
+from multipoint.generate import CURVE_AMBIENTS, TORI_AMBIENT, GeneratorConfig, generate
 from multipoint.rational import rat
 from multipoint.surfaces3d import Mesh3, coordinate_torus
 
+import oracles
 from helpers import klein_complex, torus_complex
 
 TORUS = torus_complex()
@@ -453,6 +456,28 @@ def test_cartan_r2_certifies_one_union_of_meshes(monkeypatch):
     assert len(calls) == 1
 
 
+def test_cartan_reunion_sees_a_point_lost_doubled_or_misplaced(monkeypatch):
+    # the f.g piece has no class of its own to equal, so only the reunion
+    # of the pieces with the whole sees a fault in its split
+    f, g = mk(TORUS, FIG8), mk(TORUS, SMALL8)
+    assert check_cartan(f, g, 2).ok
+    real = bordism._by_part
+    faults = (
+        lambda mixed: mixed[1:],
+        lambda mixed: mixed + mixed[:1],
+        lambda mixed: [(j, p, s) for (_, p, s), (j, _, _) in zip(mixed, mixed[::-1])],
+    )
+    for fault in faults:
+        def split(points, n_first, r, fault=fault):
+            parts = real(points, n_first, r)
+            assert len(parts[1]) == 2
+            parts[1] = fault(parts[1])
+            return parts
+
+        monkeypatch.setattr(bordism, "_by_part", split)
+        assert not check_cartan(f, g, 2).ok
+
+
 def test_cartan_rejects_unsupported_r(monkeypatch):
     # refused before any union is built or certified
     curves = (mk(TORUS, FIG8), mk(TORUS, SMALL8))
@@ -531,6 +556,79 @@ def test_preimage_arc_contact_is_an_internal_fault():
     for records in (touching, t_contact):
         with pytest.raises(AssertionError):
             bordism._arc_crossings_on_source(mesh, records)
+
+
+# --- the order and the items of every point and circle class ---------------------
+
+
+def _unless_refused(op, *args):
+    """``op(*args)``, or None when the package refuses the union it builds."""
+    try:
+        return op(*args)
+    except (GeneralPositionError, surfaces3d.MeshBuildError):
+        return None
+
+
+def _check_classes(f, g, rs):
+    """Check the point and circle classes read off f, g and their unions
+    f ⊔ g, g ⊔ f and f ⊔ f (when certified), for each r in ``rs``: psi_r,
+    mu_r, the products, the pullbacks and the Cartan pieces list their
+    items sorted and once each, and mu_r equals its reference.  Returns the
+    number of items checked."""
+    pairs = ((f, g), (g, f), (f, f))
+    payloads = []
+    for cls in [f, g] + [_unless_refused(add, a, b) for a, b in pairs]:
+        if cls is None:
+            continue
+        for r in rs:
+            mu = mu_r(cls, r)
+            assert (mu.payload, mu.structure) == oracles.mu_r_reference(cls, r)
+            payloads += [psi_r(cls, r).payload, mu.payload]
+    for a, b in pairs:
+        for op in (internal_product, pullback_class):
+            cls = _unless_refused(op, a, b)
+            if cls is not None:
+                payloads.append(cls.payload)
+        for r in rs:
+            report = _unless_refused(check_cartan, a, b, r)
+            if report is not None:
+                assert report.ok
+                payloads += [piece for _, piece in report.rhs]
+    for payload in payloads:
+        assert payload == tuple(sorted(payload))
+        assert len(set(payload)) == len(payload)
+    return sum(map(len, payloads))
+
+
+def test_classes_are_sorted_and_distinct_and_mu_matches_reference_on_curves():
+    def curve(ambient, seed, shape):
+        config = GeneratorConfig(ambient=ambient, seed=seed, components=shape)
+        return class_of_curve(generate(config).multicurve("c"))
+
+    items = 0
+    for ambient in CURVE_AMBIENTS:
+        small, large = (
+            [curve(ambient, seed, shape) for seed in range(50)] for shape in ((1, 2), (2, 2))
+        )
+        for k, f in enumerate(small):
+            g = large[(k + 1) % 50]  # the same seed would draw much the same curve
+            items += _check_classes(f, g, (2,))
+    assert items > 1000
+
+
+def test_classes_are_sorted_and_distinct_and_mu_matches_reference_on_meshes():
+    def mesh(sheets, seed):
+        config = GeneratorConfig(
+            universe="tori", ambient=TORI_AMBIENT, components=(sheets, sheets), seed=seed
+        )
+        return class_of_mesh(generate(config).mesh("f"))
+
+    # about a third of the unions of neighbours certify; the rest are refused
+    meshes = [mesh(1 + k % 3, k) for k in range(24)]
+    items = 0
+    for f, g in zip(meshes, meshes[1:]):
+        items += _check_classes(f, g, (2, 3))
+    assert items > 500
 
 
 # --- randomized laws ----------------------------------------------------------------

@@ -458,6 +458,96 @@ def test_curve_union_certification_makes_no_fraction_for_reused_double_points(fr
     assert reused > 10
 
 
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """``calls(fn, *args)``: the names of the ``Fraction.__eq__``,
+    ``__lt__`` and ``__hash__`` calls, and of the ``curves2d._segment_t``
+    calls, made while fn runs."""
+    seen = []
+    counting = [False]
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args):
+            if counting[0]:
+                seen.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    for name in ("__eq__", "__lt__", "__hash__"):
+        counted(Fraction, name)
+    counted(curves2d, "_segment_t")
+
+    def calls(fn, *args):
+        seen.clear()
+        counting[0] = True
+        try:
+            fn(*args)
+        finally:
+            counting[0] = False
+        return list(seen)
+
+    return calls
+
+
+def _bench_curve_pairs():
+    """Class pairs shaped as the Cartan r=2 ops of the ``algebra`` bench:
+    per ambient and seed, a curve of 1 or 2 components and one of 1 or 2
+    on its complex, with 3 to 6 segments per component."""
+    from multipoint.bordism import class_of_curve
+
+    for ambient in CURVE_AMBIENTS:
+        for seed in range(12):
+            segments = (3 + seed % 4,) * 2
+            f, g = (
+                generate(
+                    GeneratorConfig(
+                        ambient=ambient, components=(comps,) * 2, segments=segments, seed=2 * seed + k
+                    )
+                ).multicurve("c")
+                for k, comps in enumerate((1 + seed % 2, 1 + (seed // 2) % 2))
+            )
+            yield class_of_curve(f), class_of_curve(MultiCurve(f.complex, g.components))
+
+
+def test_verify_on_a_curve_builds_no_branch_parameter(fraction_calls):
+    # certification, the pairing and the preimage count read the components
+    # of the double points; only explain prints their branch parameters
+    generated = _generated_curve("klein", 3, (2, 2))
+    curve = MultiCurve(generated.complex, generated.components)
+    reports = []
+    calls = fraction_calls(lambda: reports.append(herbert.verify(curve, scene_id="c")))
+    assert reports[0].all_pass and curve.certify().double_points
+    assert "_segment_t" not in calls
+    assert "_segment_t" in fraction_calls(herbert.explain, reports[0], curve)
+
+
+@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
+def test_cartan_check_compares_no_fraction_once_its_union_is_certified(monkeypatch, fraction_calls):
+    from multipoint import bordism
+
+    unions = {}
+    real_union = MultiCurve.union
+    monkeypatch.setattr(MultiCurve, "union", lambda a, b: unions[a, b])
+    checked, sorts_seen = 0, 0
+    for f, g in _bench_curve_pairs():
+        for a, b in ((f, g), (g, f)):
+            union = unions[a.payload, b.payload] = real_union(a.payload, b.payload)
+            if not union.certify().ok:
+                continue
+            assert fraction_calls(bordism.check_cartan, a, b, 2) == []
+            report = bordism.check_cartan(a, b, 2)
+            assert report.ok
+            checked += bool(report.lhs)
+            # the counter sees the sort of the pieces by point that the check
+            # no longer makes, where two points share a square
+            reunion = sum((piece for _, piece in report.rhs), ())
+            sorts_seen += bool(fraction_calls(sorted, reunion))
+    assert checked > 20 and sorts_seen > 5
+
+
 # ---------------------------------------------------------------------------
 # the mesh path: certification and the arrangement of preimage arcs
 
@@ -506,3 +596,20 @@ def test_arc_crossings_build_only_the_returned_points(fraction_count):
     per_hit = fraction_count(seg_intersect, ((0, 0), (2, 2)), ((0, 2), (2, 0)))
     count = fraction_count(bordism._arc_crossings_on_source, mesh, records)
     assert count == (per_hit + 3) * len(crossings)
+
+
+@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
+def test_mu_2_of_a_mesh_hashes_no_fraction(fraction_calls):
+    from multipoint import bordism
+
+    circles = 0
+    for sheets in (2, 3):
+        for seed in range(4):
+            f = bordism.class_of_mesh(_generated_mesh(sheets, seed))
+            f.payload.double_curves()  # built and cached once per mesh
+            assert "__hash__" not in fraction_calls(bordism.mu_r, f, 2)
+            # the counter sees the value-keyed dedupe that mu_r no longer makes
+            if f.payload.double_curves():
+                assert "__hash__" in fraction_calls(oracles.mu_r_reference, f, 2)
+            circles += len(bordism.mu_r(f, 2).payload)
+    assert circles > 10
