@@ -452,17 +452,14 @@ def _certify(curve: MultiCurve) -> GeneralPositionCert2:
         entries = table[square]
         segs = lifted[square]
         for x in range(len(entries)):
-            ca, ia, pa = entries[x]
+            ca, _, pa = entries[x]
             sa = segs[x]
             part = home[ca]
             for y in range(x + 1, len(entries)):
-                cb, ib, pb = entries[y]
+                cb, _, pb = entries[y]
                 if part is not None and part == home[cb]:
                     continue
-                same_comp = ca == cb
-                if same_comp and ia == ib:
-                    continue
-                adjacent = same_comp and _adjacent(curve.components[ca], pa, pb)
+                adjacent = ca == cb and _adjacent(curve.components[ca], pa, pb)
                 sb = segs[y]
                 res = seg_intersect(sa, sb)
                 if res is None:
@@ -585,7 +582,11 @@ def pushoff_all(curve: MultiCurve, epsilon):
     return curve.lift()[0] * scale, by_square
 
 
-def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_budget: int = 16) -> int:
+# how many times pairing_mod2 halves the pushoff's offset before it gives up
+PUSHOFF_RETRIES = 16
+
+
+def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve) -> int:
     """Mod-2 intersection number of one component of ``curve_a`` with the
     whole multicurve ``curve_b``, via a small normal pushoff of ``curve_b``.
 
@@ -594,7 +595,7 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
     transverse interior crossing; otherwise the offset is halved and the
     count retried.  The result is the homological pairing
     regardless of how the two original curves touch each other.  Raises
-    :class:`GenericityError` after ``retry_budget`` halvings.
+    :class:`GenericityError` after :data:`PUSHOFF_RETRIES` halvings.
     """
     if curve_a.complex != curve_b.complex:
         raise ValueError("curves live on different complexes")
@@ -603,7 +604,7 @@ def pairing_mod2(curve_a: MultiCurve, comp_a: int, curve_b: MultiCurve, retry_bu
     den_a, _, _, comp_lifts = curve_a.lift()
     comp = list(zip((pc.square for pc in curve_a.components[comp_a].pieces), comp_lifts[comp_a]))
     last_error = None
-    for _ in range(retry_budget):
+    for _ in range(PUSHOFF_RETRIES):
         try:
             # The crossings are counted on the integer lifts of the
             # component and the offset pieces by their common denominator:

@@ -14,8 +14,7 @@ parameter ``t = n / d`` by comparing ``n`` with ``d`` (``d`` made positive
 first).  A hit is returned in ints too: a :class:`SegmentHit` of
 :func:`seg_intersect` or :func:`segment_triangle_hit` holds its parameters
 as numerators over one positive ``den`` and its point as a homogeneous
-tuple, and builds the rationals ``point``, ``ta`` and ``tb`` with
-:func:`rat` only when a caller reads them.
+tuple.
 
 The points that certification constructs and keeps are homogeneous, not
 rational: a tuple of ints ``(X, Y, Z, W)``, or ``(X, Y, W)`` in a chart,
@@ -31,7 +30,6 @@ that needs one.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -201,26 +199,13 @@ class SegmentHit:
     The point is ``a(tn / den) = p + (tn / den) (q - p)`` with ``den > 0``,
     and, for a segment, also ``b(un / den)``; ``un`` is None for a
     triangle.  ``hp`` is the same point written homogeneous,
-    ``(den p + tn (q - p), den)``, not reduced to lowest terms.  The
-    rationals ``point``, ``ta`` and ``tb`` are built when first read.
+    ``(den p + tn (q - p), den)``, not reduced to lowest terms.
     """
 
     tn: object
     un: Optional[object]
     den: object
     hp: tuple
-
-    @functools.cached_property
-    def point(self):
-        return from_homogeneous(self.hp)
-
-    @functools.cached_property
-    def ta(self):
-        return rat(self.tn, self.den)
-
-    @functools.cached_property
-    def tb(self):
-        return None if self.un is None else rat(self.un, self.den)
 
 
 def collinear_overlap(a, b):
@@ -373,6 +358,28 @@ def dist2_point_seg_parts(p, seg):
 
 
 # ---------------------------------------------------------------------------
+# union-find
+
+
+class UnionFind:
+    """Disjoint classes of the integers ``0 .. n - 1``."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, a):
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+# ---------------------------------------------------------------------------
 # the integer lattice of the 3-torus
 
 
@@ -457,14 +464,13 @@ class PlaneChart:
         return tuple(self.point(p) for p in ps)
 
 
-def coplanar_tri_relation(a, b, n=None):
+def coplanar_tri_relation(a, b, n):
     """Relation of two coplanar triangles: 'disjoint', 'touch' or 'overlap'.
 
     'touch' means the closed triangles meet but their interiors do not;
-    'overlap' means the interiors intersect.  ``n`` is the normal of ``a``,
-    computed when not given.
+    'overlap' means the interiors intersect.  ``n`` is the normal of ``a``.
     """
-    chart = PlaneChart.of(tri_normal(a) if n is None else n)
+    chart = PlaneChart.of(n)
     pa, pb = chart.points(a), chart.points(b)
     touched = False
     for poly in (pa, pb):
@@ -507,11 +513,10 @@ class TriTriHit:
     tag_q: tuple
 
 
-def clip_line_to_tri(p0, u, tri, owner, w=1, n=None):
+def clip_line_to_tri(p0, u, tri, owner, w, n):
     """Clip the line ``p0 / w + t u`` (lying in the triangle's plane) to a
     triangle; ``w > 0`` lets a caller pass a rational base point as an
-    integer vector and its denominator, and ``n`` is the triangle's normal,
-    computed when not given.
+    integer vector and its denominator, and ``n`` is the triangle's normal.
 
     Returns ('miss',) or (kind, lo, lo_tag, lo_tie, hi, hi_tag, hi_tie),
     where the bounds of ``t`` are int pairs ``(num, den)``, ``den > 0``, in
@@ -524,7 +529,7 @@ def clip_line_to_tri(p0, u, tri, owner, w=1, n=None):
     lo_tag = hi_tag = None
     lo_tie = hi_tie = False
     kind = "interval"
-    nx, ny, nz = tri_normal(tri) if n is None else n
+    nx, ny, nz = n
     px, py, pz = p0
     ux, uy, uz = u
     for i in range(3):
@@ -572,7 +577,7 @@ def _before(s, t):
     return s[0] * t[1] < t[0] * s[1]
 
 
-def tri_tri_intersect(a, b, na=None, nb=None):
+def tri_tri_intersect(a, b, na, nb):
     """Intersect two triangles in 3-space.
 
     Returns None (disjoint), a :class:`TriTriHit` (a transverse crossing
@@ -580,12 +585,8 @@ def tri_tri_intersect(a, b, na=None, nb=None):
     coplanar touch or overlap, single-point contact, an arc endpoint at a
     triangle vertex, an arc along an edge, or an arc endpoint on the
     boundary of both triangles at once.  ``na`` and ``nb`` are the
-    triangles' normals, computed when not given.
+    triangles' normals.
     """
-    if na is None:
-        na = tri_normal(a)
-    if nb is None:
-        nb = tri_normal(b)
     db = _plane_sides(a, b[0], nb)
     if min(db) > 0 or max(db) < 0:
         return None
@@ -804,7 +805,6 @@ class PushoffResult:
     """
 
     pieces: tuple
-    reconnected: bool
     jump: Optional[ChainPiece]
 
 
@@ -875,10 +875,10 @@ def _apply_lifted(t, p):
     return (t.a * x + t.b * y + t.e * w, t.c * x + t.d * y + t.f * w, w)
 
 
-def _side_mults(base, links):
-    """The side of each piece of a run joined by ``links``: it flips
-    across every orientation-reversing wrap."""
-    mults = [base]
+def _side_mults(links):
+    """The side of each piece of a run joined by ``links``, 1 for the
+    left: it flips across every orientation-reversing wrap."""
+    mults = [1]
     for link in links:
         mults.append(-mults[-1] if link.kind == "wrap" and link.sign else mults[-1])
     return mults
@@ -939,11 +939,11 @@ def _offset_run(pieces, links, mults, den, epsilon, first, last):
     return out
 
 
-def pushoff_polyline(chain, side="left", epsilon=None):
-    """Push a closed lifted chain off itself by ``epsilon`` on the given side.
+def pushoff_polyline(chain, epsilon):
+    """Push a closed lifted chain off itself by ``epsilon`` to its left.
 
-    The offset of each piece is epsilon times the L1-normalized left (or
-    right) perpendicular of its direction, with the side flipping across
+    The offset of each piece is epsilon times the L1-normalized left
+    perpendicular of its direction, with the side flipping across
     orientation-reversing wrap links.  When the side flips an odd number
     of times around the chain the curve is one-sided: the result is an
     open offset arc anchored at the midpoint of the longest piece plus a
@@ -962,14 +962,12 @@ def pushoff_polyline(chain, side="left", epsilon=None):
     at this epsilon (a smaller epsilon eventually succeeds on curves in
     general position).
     """
-    if epsilon is None or epsilon <= 0:
+    if epsilon <= 0:
         raise ValueError("epsilon must be a positive rational")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     _validate_chain(chain)
     n = len(chain.pieces)
-    reconnected = _side_mults(1, chain.links)[-1] < 0
-    if reconnected:
+    one_sided = _side_mults(chain.links)[-1] < 0
+    if one_sided:
         # one-sided: anchor at the midpoint of the longest piece
         lengths = [sum(map(abs, vsub(p.end, p.start))) for p in chain.pieces]
         k = max(range(n), key=lambda i: (lengths[i], -i))
@@ -982,13 +980,12 @@ def pushoff_polyline(chain, side="left", epsilon=None):
         first, last = anchor.start + (1,), anchor.end + (1,)
     pieces = [*chain.pieces[k:], *chain.pieces[:k], anchor]
     links = [*chain.links[k:], *chain.links[:k]]
-    mults = _side_mults(1 if side == "left" else -1, links)
-    run = _offset_run(pieces, links, mults, chain.den, epsilon, first, last)
-    if reconnected:
+    run = _offset_run(pieces, links, _side_mults(links), chain.den, epsilon, first, last)
+    if one_sided:
         jump = ChainPiece(anchor.chart, run[-1].end, run[0].start)
-        return PushoffResult(tuple(run), True, jump)
+        return PushoffResult(tuple(run), jump)
     closed = [ChainPiece(anchor.chart, run[-1].start, run[0].end)] + run[1:-1]
-    return PushoffResult(tuple(closed), False, None)
+    return PushoffResult(tuple(closed), None)
 
 
 __all__ = [
@@ -1020,6 +1017,7 @@ __all__ = [
     "dist2_point_seg_parts",
     "floor_vec",
     "frac_vec",
+    "UnionFind",
     "bbox",
     "lattice_translates",
     "tri_normal",

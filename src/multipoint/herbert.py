@@ -25,7 +25,6 @@ from .rational import format_point, format_rational
 from .surfaces3d import (
     CycleError,
     Mesh3,
-    MeshCycle,
     herbert_lhs_r1_cycle,
     herbert_lhs_r2,
     herbert_rhs_r1_cycle_parts,
@@ -121,9 +120,8 @@ def _verify_mesh(mesh, targets):
         f"over {len(curves)} double circles"
     )
     rows = [_row("[M]", 2, lhs, mu, euler, diag)]
-    for name, marks in (targets or {}).items():
+    for name, cyc in (targets or {}).items():
         try:
-            cyc = marks if isinstance(marks, MeshCycle) else MeshCycle(mesh, marks)
             lhs = herbert_lhs_r1_cycle(mesh, cyc)
             mu, euler = herbert_rhs_r1_cycle_parts(mesh, cyc)
         except CycleError as exc:
@@ -140,32 +138,29 @@ def _verify_mesh(mesh, targets):
 def verify(scene, targets=None, scene_id="scene"):
     """Evaluate every applicable instance of the identity on a scene.
 
-    ``scene`` is a :class:`MultiCurve`, a :class:`Mesh3`, or a
-    represented class wrapping one.  For meshes, ``targets`` optionally
-    maps cycle names to :class:`MeshCycle` objects (or raw mark lists).
+    ``scene`` is a :class:`MultiCurve` or a :class:`Mesh3`.  For meshes,
+    ``targets`` optionally maps cycle names to :class:`MeshCycle` objects.
     """
-    payload = getattr(scene, "payload", scene)
     start = time.perf_counter()
-    if isinstance(payload, MultiCurve):
-        rows, n_double, n_triple = _verify_curve(payload)
-    elif isinstance(payload, Mesh3):
-        rows, n_double, n_triple = _verify_mesh(payload, targets)
+    if isinstance(scene, MultiCurve):
+        rows, n_double, n_triple = _verify_curve(scene)
+    elif isinstance(scene, Mesh3):
+        rows, n_double, n_triple = _verify_mesh(scene, targets)
     else:
-        raise TypeError(f"cannot verify scenes of type {type(payload).__name__}")
+        raise TypeError(f"cannot verify scenes of type {type(scene).__name__}")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return HerbertReport(scene_id, tuple(rows), n_double, n_triple, elapsed_ms)
 
 
 def _geometry_lines(scene):
-    payload = getattr(scene, "payload", scene)
     lines = []
-    if isinstance(payload, MultiCurve):
-        for ci, comp in enumerate(payload.components):
+    if isinstance(scene, MultiCurve):
+        for ci, comp in enumerate(scene.components):
             pts = " ".join(
                 f"s{sq}:{format_point(p)}" for sq, p in comp.vertices
             )
             lines.append(f"component[{ci}]: {pts}")
-        for dp in double_points(payload):
+        for dp in double_points(scene):
             branches = ", ".join(
                 f"(comp {c}, seg {s}, t={format_rational(t)})"
                 for c, s, t in dp.branches
@@ -174,33 +169,32 @@ def _geometry_lines(scene):
                 f"double point s{dp.square}:{format_point(dp.point)} "
                 f"from {branches}"
             )
-    elif isinstance(payload, Mesh3):
-        for ti, tri in enumerate(payload.triangles):
+    elif isinstance(scene, Mesh3):
+        for ti, tri in enumerate(scene.triangles):
             lines.append(
                 f"t{ti}: " + " ".join(format_point(p) for p in tri)
             )
-        for ci, dc in enumerate(payload.double_curves()):
+        for ci, dc in enumerate(scene.double_curves()):
             lines.append(
                 f"double circle {ci}: h1={dc.h1}, "
                 f"{len(dc.preimages)} preimage circle(s) with w1 bits "
                 f"{[pc.w1 for pc in dc.preimages]}"
             )
-        for tp in payload.triple_points().points:
+        for tp in scene.triple_points().points:
             pre = ", ".join(f"t{t}:{format_point(p)}" for t, p in tp.preimages)
             lines.append(f"triple point {format_point(tp.target)} over {pre}")
     return lines
 
 
-def explain(report, scene=None):
-    """A human-readable derivation of every row of a report."""
+def explain(report, scene):
+    """A human-readable derivation of every row of a report on ``scene``."""
     lines = [
         f"scene {report.scene}: {report.n_double} double object(s), "
         f"{report.n_triple} triple point(s)"
     ]
     if report.n_double == 0 and report.n_triple == 0:
         lines.append("no intersections: every identity instance is 0 = 0 + 0")
-    if scene is not None:
-        lines.extend(_geometry_lines(scene))
+    lines.extend(_geometry_lines(scene))
     for row in report.rows:
         if row.verdict == "ERROR":
             lines.append(

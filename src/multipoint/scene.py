@@ -112,11 +112,8 @@ class Scene:
             self._built[name] = Mesh3(list(decl.triangles))
         return self._built[name]
 
-    def mesh_cycle(self, name, mesh=None):
-        decl = self.cycles[name]
-        if mesh is None:
-            mesh = self.mesh(decl.immersion)
-        return MeshCycle(mesh, list(decl.marks))
+    def mesh_cycle(self, name, mesh):
+        return MeshCycle(mesh, list(self.cycles[name].marks))
 
 
 def _rational(tok, line):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .rational import rat
-from .exactgeom import SQUARE_EDGES, InputError, Transform2
+from .exactgeom import SQUARE_EDGES, InputError, Transform2, UnionFind
 
 EDGE_NAMES = tuple(SQUARE_EDGES)
 
@@ -89,28 +89,6 @@ class ComplexReport:
     euler: Optional[int]
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
-
-    def classes(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return list(groups.values())
-
-
 class SquareComplex:
     """A closed surface built from ``num_squares`` unit squares."""
 
@@ -166,29 +144,26 @@ class SquareComplex:
                 if (sq, ed) not in self._by_edge:
                     violations.append(f"unglued-edge {sq}.{ed}")
 
-        comp = _UnionFind()
-        for sq in range(self.num_squares):
-            comp.find(sq)
+        n = self.num_squares
+        comp = UnionFind(n)
         for g in self.gluings:
             comp.union(g.square_a, g.square_b)
-        connected = len(comp.classes()) == 1
+        connected = len({comp.find(sq) for sq in range(n)}) == 1
         if not connected:
             violations.append("disconnected")
 
         vertex_count = 0
         euler = None
         if not violations:
-            verts = _UnionFind()
-            for sq in range(self.num_squares):
-                for c in range(4):
-                    verts.find((sq, c))
+            # corner c of square sq is 4 * sq + c
+            verts = UnionFind(4 * n)
             for g in self.gluings:
                 for t in (0, 1):
                     t2 = 1 - t if g.flip else t
                     ca = _CORNER_OF_EDGE_END[(g.edge_a, t)]
                     cb = _CORNER_OF_EDGE_END[(g.edge_b, t2)]
-                    verts.union((g.square_a, ca), (g.square_b, cb))
-            vertex_count = len(verts.classes())
+                    verts.union(4 * g.square_a + ca, 4 * g.square_b + cb)
+            vertex_count = len({verts.find(c) for c in range(4 * n)})
             euler = vertex_count - self.num_squares
             if self._sigma_cycle_count() != 2 * vertex_count:
                 violations.append("vertex-link-mismatch")

@@ -66,6 +66,7 @@ from .exactgeom import (
     GenericityError,
     InputError,
     PlaneChart,
+    UnionFind,
     bbox,
     certified_parts,
     clip_line_to_tri,
@@ -136,22 +137,6 @@ def _scaled_homogeneous(h, scale):
 def _floor_homogeneous(h):
     x, y, z, w = h
     return (x // w, y // w, z // w)
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +276,13 @@ def _report(name, found, violations):
     violations.extend((name, f"{text} {point}") for point, text in points)
 
 
-def vertex_adjacent_contact(ta, tb, w, na=None, nb=None):
+def vertex_adjacent_contact(ta, tb, w, na, nb):
     """Classify the contact of two triangle lifts sharing the source vertex w.
 
     Returns None when they meet exactly in the point ``w``, otherwise the
     violation name (``"coplanar-overlap"`` or ``"vertex-contact"``).
-    ``na`` and ``nb`` are the triangles' normals, computed when not given.
+    ``na`` and ``nb`` are the triangles' normals.
     """
-    if na is None:
-        na = tri_normal(ta)
-    if nb is None:
-        nb = tri_normal(tb)
     if coplanar(ta, na, tb, nb):
         if coplanar_tri_relation(ta, tb, na) == "overlap":
             return "coplanar-overlap"
@@ -410,7 +391,7 @@ class Mesh3:
 
         # vertex classes via corner identifications induced by the matching
         n = len(self.triangles)
-        uf = _UnionFind(3 * n)
+        uf = UnionFind(3 * n)
         for m in self.matches:
             (t1, e1), (t2, e2) = m.slot_a, m.slot_b
             c1 = (e1, (e1 + 1) % 3)
@@ -450,7 +431,7 @@ class Mesh3:
                     elif colors[other] != want:
                         orientable = False
         self.orientable = orientable
-        comp = _UnionFind(n)
+        comp = UnionFind(n)
         for m in self.matches:
             comp.union(m.slot_a[0], m.slot_b[0])
         self.num_components = len({comp.find(t) for t in range(n)})
@@ -891,20 +872,12 @@ class Mesh3:
         return circles
 
     def _circle_h1(self, path):
-        segments = self._segments
-        offset = (ZERO, ZERO, ZERO)
-        start = None
-        end = None
+        # each segment starts at a lattice translate of the previous one's
+        # end, so the circle's period is the sum of its segment vectors
+        period = (ZERO, ZERO, ZERO)
         for si, forward in path:
-            seg = segments[si]
-            a, b = (seg.p, seg.q) if forward else (seg.q, seg.p)
-            if start is None:
-                start = a
-                offset = (ZERO, ZERO, ZERO)
-            else:
-                offset = vsub(end, a)
-            end = vadd(b, offset)
-        period = vsub(end, start)
+            seg = self._segments[si]
+            period = vadd(period, vsub(seg.q, seg.p) if forward else vsub(seg.p, seg.q))
         if any(c != rfloor(c) for c in period):
             raise AssertionError("double circle closes with non-integer period")
         return tuple(rfloor(c) % 2 for c in period)
@@ -1108,6 +1081,11 @@ class MeshCycle:
     chart is implied by the edge identification.  The first mark must be
     interior, and consecutive marks must share a chart or be linked by an
     edge crossing.
+
+    Every mark lies in its closed triangle, and a triangle is convex, so a
+    segment between two marks leaves its chart only by running along an
+    edge: exactly when the walk leaves a chart by the edge it entered it
+    through, which is refused as riding a chart boundary.
     """
 
     def __init__(self, mesh, marks):
@@ -1151,6 +1129,8 @@ class MeshCycle:
         crossed = []
         cur_tri = self.marks[0][0]
         cur_pt = self._mark_point(self.marks[0])
+        entered = None  # the (triangle, edge) slot the walk entered cur_tri by
+        rides = False
         for mark in self.marks[1:] + (self.marks[0],):
             zeros = self._zero_count(mark)
             if zeros > 1:
@@ -1165,39 +1145,28 @@ class MeshCycle:
             segments.append((cur_tri, cur_pt, x))
             if zeros == 0:
                 cur_pt = x
+                entered = None
                 continue
             w = self._weights(mark)
             zero_at = w.index(ZERO)
-            edge = (zero_at + 1) % 3
-            mi, side = mesh._slot_of[(cur_tri, edge)]
+            slot = (cur_tri, (zero_at + 1) % 3)
+            rides = rides or slot == entered
+            mi, side = mesh._slot_of[slot]
             m = mesh.matches[mi]
             if side == 0:
-                cur_tri = m.slot_b[0]
+                entered = m.slot_b
                 cur_pt = vsub(x, m.rel_shift)
             else:
-                cur_tri = m.slot_a[0]
+                entered = m.slot_a
                 cur_pt = vadd(x, m.rel_shift)
+            cur_tri = entered[0]
             crossed.append(m)
         if cur_pt != self._mark_point(self.marks[0]) or cur_tri != self.marks[0][0]:
             raise CycleError("cycle does not close up")
+        if rides:
+            raise CycleError("cycle rides a chart boundary")
         self.segments = tuple(segments)
         self.crossed = tuple(crossed)
-        self._validate_containment()
-
-    def _validate_containment(self):
-        for (t, p, q) in self.segments:
-            tri = self.mesh.triangles[t]
-            chart = self.mesh.chart(t)
-            for i in range(3):
-                h = seg_intersect(
-                    chart.points((p, q)), chart.points((tri[i], tri[(i + 1) % 3]))
-                )
-                if h is None:
-                    continue
-                if h is DEGENERATE:
-                    raise CycleError("cycle rides a chart boundary")
-                if 0 < h.tn < h.den:
-                    raise CycleError("cycle leaves its chart between marks")
 
     def transport_bit(self):
         """Orientation transport of the surface along the cycle."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from multipoint.curves2d import double_points
-from multipoint.exactgeom import vadd, vscale
+from multipoint.exactgeom import from_homogeneous, vadd, vscale
 from multipoint.rational import rat
 from multipoint.surface2d import SquareComplex
 from multipoint.surfaces3d import Mesh3
@@ -13,6 +13,17 @@ from multipoint.surfaces3d import Mesh3
 
 def to_rat(f: Fraction):
     return rat(f.numerator, f.denominator)
+
+
+def hit_point(hit):
+    """The rational point of a :class:`SegmentHit`."""
+    return from_homogeneous(hit.hp)
+
+
+def hit_params(hit):
+    """The rational parameters of a :class:`SegmentHit` along its two
+    segments; the second is None for a hit on a triangle."""
+    return rat(hit.tn, hit.den), None if hit.un is None else rat(hit.un, hit.den)
 
 
 def rationals(min_value=-2, max_value=2, max_denominator=16):

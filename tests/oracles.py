@@ -193,7 +193,7 @@ def direct_crossing_parity(curve_a, curve_b):
                 res = seg_intersect((pa.p0, pa.p1), (pb.p0, pb.p1))
                 if res is None:
                     continue
-                if res is DEGENERATE or not (0 < res.ta < 1 and 0 < res.tb < 1):
+                if res is DEGENERATE or not (0 < res.tn < res.den and 0 < res.un < res.den):
                     return None
                 count += 1
     return count % 2
@@ -795,7 +795,7 @@ def tri_tri_intersect_reference(a, b):
     if all(d > 0 for d in da) or all(d < 0 for d in da):
         return None
     if all(d == 0 for d in db):
-        return None if coplanar_tri_relation(a, b) == "disjoint" else DEGENERATE
+        return None if coplanar_tri_relation(a, b, na) == "disjoint" else DEGENERATE
     u = cross3(na, nb)
     naa, nbb, nab = vdot(na, na), vdot(nb, nb), vdot(na, nb)
     wa, wb = vdot(na, a[0]), vdot(nb, b[0])
@@ -851,3 +851,92 @@ def mu_r_reference(cls, r):
     items = sorted(records.items(), key=lambda record: record[0])
     structure = () if r == 3 else tuple(bits for _, bits in items)
     return tuple(item for item, _ in items), structure
+
+
+# --- the walks of a double circle and of a cycle on a mesh -----------------
+#
+# Mesh3 reads a double circle's period as the sum of its segment vectors,
+# and MeshCycle finds a cycle riding a chart boundary from the edges its
+# walk crosses.  The references chain the period through lattice offsets,
+# and intersect every cycle segment with the three edges of its triangle
+# in the triangle's chart.
+
+
+def circle_h1_reference(mesh, path):
+    """The mod-2 class of a double circle, its segments chained end to
+    start through lattice offsets."""
+    from multipoint.exactgeom import vadd
+
+    segments = mesh._segments
+    start = end = None
+    for si, forward in path:
+        seg = segments[si]
+        a, b = (seg.p, seg.q) if forward else (seg.q, seg.p)
+        if start is None:
+            start, offset = a, (ZERO, ZERO, ZERO)
+        else:
+            offset = vsub(end, a)
+        end = vadd(b, offset)
+    period = vsub(end, start)
+    assert all(c.denominator == 1 for c in period), "non-integer period"
+    return tuple(int(c) % 2 for c in period)
+
+
+def mesh_cycle_reference(mesh, marks):
+    """``(segments, crossed)`` of a cycle, walked as ``MeshCycle`` walks it
+    and then checked segment by segment against the edges of its chart.
+    Raises ``CycleError`` with ``MeshCycle``'s message, in its order."""
+    from multipoint.exactgeom import vadd
+    from multipoint.surfaces3d import CycleError, MeshCycle
+
+    if not marks:
+        raise CycleError("a cycle needs at least one mark")
+    marks = tuple((int(t), rat(a), rat(b)) for t, a, b in marks)
+    for t, _, _ in marks:
+        if not 0 <= t < len(mesh.triangles):
+            raise CycleError(f"mark names missing triangle {t}")
+    if MeshCycle._zero_count(marks[0]) != 0:
+        raise CycleError("a cycle must start at an interior mark")
+
+    def point(mark):
+        w = MeshCycle._weights(mark)
+        tri = mesh.triangles[mark[0]]
+        return tuple(sum(w[k] * tri[k][i] for k in range(3)) for i in range(3))
+
+    segments, crossed = [], []
+    cur_tri, cur_pt = marks[0][0], point(marks[0])
+    for mark in marks[1:] + marks[:1]:
+        zeros = MeshCycle._zero_count(mark)
+        if zeros > 1:
+            raise CycleError(f"mark passes through a vertex: {mark}")
+        if mark[0] != cur_tri:
+            raise CycleError(f"mark {mark} is not in the current chart {cur_tri}")
+        x = point(mark)
+        if x == cur_pt:
+            raise CycleError("repeated cycle point")
+        segments.append((cur_tri, cur_pt, x))
+        if zeros == 0:
+            cur_pt = x
+            continue
+        edge = (MeshCycle._weights(mark).index(ZERO) + 1) % 3
+        mi, side = mesh._slot_of[(cur_tri, edge)]
+        m = mesh.matches[mi]
+        if side == 0:
+            cur_tri, cur_pt = m.slot_b[0], vsub(x, m.rel_shift)
+        else:
+            cur_tri, cur_pt = m.slot_a[0], vadd(x, m.rel_shift)
+        crossed.append(m)
+    if cur_pt != point(marks[0]) or cur_tri != marks[0][0]:
+        raise CycleError("cycle does not close up")
+    for t, p, q in segments:
+        tri = mesh.triangles[t]
+        chart = mesh.chart(t)
+        for i in range(3):
+            h = seg_intersect(chart.points((p, q)), chart.points((tri[i], tri[(i + 1) % 3])))
+            if h is None:
+                continue
+            if h is DEGENERATE:
+                raise CycleError("cycle rides a chart boundary")
+            if 0 < h.tn < h.den:
+                raise CycleError("cycle leaves its chart between marks")
+    return tuple(segments), tuple(crossed)

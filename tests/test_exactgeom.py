@@ -1,6 +1,7 @@
 """Exact geometry kernel: intersections, separation, charts, pushoffs."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -46,7 +47,35 @@ from multipoint.exactgeom import (
 )
 
 import oracles
-from helpers import points2, points3, rationals, segments2, nondegenerate_triangle3
+from helpers import (
+    hit_params,
+    hit_point,
+    nondegenerate_triangle3,
+    points2,
+    points3,
+    rationals,
+    segments2,
+)
+
+
+# the triangle predicates with the normals that every program caller
+# passes them, computed from the triangles given; wraps keeps the names,
+# which name the cases of test_predicates_on_big_integers_are_exact
+
+
+@functools.wraps(coplanar_tri_relation)
+def _coplanar_relation(a, b):
+    return coplanar_tri_relation(a, b, tri_normal(a))
+
+
+@functools.wraps(clip_line_to_tri)
+def _clip_line(p0, u, tri, owner):
+    return clip_line_to_tri(p0, u, tri, owner, 1, tri_normal(tri))
+
+
+@functools.wraps(tri_tri_intersect)
+def _tri_tri(a, b):
+    return tri_tri_intersect(a, b, tri_normal(a), tri_normal(b))
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +86,8 @@ def test_seg_intersect_proper_crossing():
     a = ((rat(0), rat(0)), (rat(2, 3), rat(1)))
     b = ((rat(0), rat(1, 2)), (rat(1), rat(1, 2)))
     hit = seg_intersect(a, b)
-    assert hit.point == (rat(1, 3), rat(1, 2))
-    assert hit.ta == rat(1, 2)
-    assert hit.tb == rat(1, 3)
+    assert hit_point(hit) == (rat(1, 3), rat(1, 2))
+    assert hit_params(hit) == (rat(1, 2), rat(1, 3))
 
 
 def test_seg_intersect_disjoint_parallel():
@@ -90,9 +118,8 @@ def test_seg_intersect_endpoint_on_interior_reports_parameter():
     a = ((rat(0), rat(0)), (rat(1), rat(0)))
     b = ((rat(1, 2), rat(0)), (rat(1, 2), rat(1)))
     hit = seg_intersect(a, b)
-    assert hit.point == (rat(1, 2), rat(0))
-    assert hit.ta == rat(1, 2)
-    assert hit.tb == 0
+    assert hit_point(hit) == (rat(1, 2), rat(0))
+    assert hit_params(hit) == (rat(1, 2), 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,9 +133,10 @@ def test_seg_intersect_matches_orientation_oracle(a, b):
         assert isinstance(res, SegmentHit)
         # back-substitution: the reported point lies at the reported
         # parameters on both segments
-        assert 0 <= res.ta <= 1 and 0 <= res.tb <= 1
-        assert res.point == vadd(a[0], vscale(res.ta, vsub(a[1], a[0])))
-        assert res.point == vadd(b[0], vscale(res.tb, vsub(b[1], b[0])))
+        ta, tb = hit_params(res)
+        assert 0 <= ta <= 1 and 0 <= tb <= 1
+        assert hit_point(res) == vadd(a[0], vscale(ta, vsub(a[1], a[0])))
+        assert hit_point(res) == vadd(b[0], vscale(tb, vsub(b[1], b[0])))
     else:  # 'collinear-point' or 'overlap'
         assert res is DEGENERATE
 
@@ -121,7 +149,7 @@ def test_seg_intersect_is_symmetric(a, b):
     if r1 is None or r1 is DEGENERATE:
         assert r2 is r1
     else:
-        assert r2.point == r1.point and (r2.ta, r2.tb) == (r1.tb, r1.ta)
+        assert hit_point(r2) == hit_point(r1) and hit_params(r2) == hit_params(r1)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +287,7 @@ def test_coplanar_and_plane_chart():
     chart = PlaneChart.of(na)
     assert chart.axis == 2 and chart.point(_pt(4, 5, 6)) == _pt(4, 5)
     hit = seg_intersect(chart.points((ta[0], _pt(2, 2, 2))), chart.points((ta[1], ta[2])))
-    assert (hit.point, hit.ta, hit.tb) == (_pt(1, 1), rat(1, 2), rat(1, 2))
+    assert (hit_point(hit), *hit_params(hit)) == (_pt(1, 1), rat(1, 2), rat(1, 2))
     assert strict_crossing(hit)
 
 
@@ -395,7 +423,7 @@ def _hit_ends(hit, den=1):
 
 
 def test_tri_tri_transverse_arc():
-    hit = tri_tri_intersect(TRI_A, TRI_B)
+    hit = _tri_tri(TRI_A, TRI_B)
     assert isinstance(hit, TriTriHit)
     p, q = _hit_ends(hit)
     assert p == (rat(1), rat(0), rat(0))
@@ -415,37 +443,37 @@ def test_tri_tri_transverse_arc():
 
 def test_tri_tri_disjoint_by_plane():
     far = tuple(vadd(p, (rat(0), rat(0), rat(5))) for p in TRI_A)
-    assert tri_tri_intersect(far, TRI_B) is None
+    assert _tri_tri(far, TRI_B) is None
 
 
 def test_tri_tri_vertex_touch_is_degenerate():
     b = ((rat(1), rat(1), rat(0)), (rat(2), rat(1), rat(3)), (rat(1), rat(2), rat(3)))
-    assert tri_tri_intersect(TRI_A, b) is DEGENERATE
+    assert _tri_tri(TRI_A, b) is DEGENERATE
 
 
 def test_tri_tri_coplanar_cases():
     shift = lambda t, v: tuple(vadd(p, v) for p in t)
     b_overlap = shift(TRI_A, (rat(1), rat(1), rat(0)))
     b_far = shift(TRI_A, (rat(10), rat(0), rat(0)))
-    assert tri_tri_intersect(TRI_A, b_overlap) is DEGENERATE
-    assert tri_tri_intersect(TRI_A, b_far) is None
-    assert coplanar_tri_relation(TRI_A, b_overlap) == "overlap"
-    assert coplanar_tri_relation(TRI_A, b_far) == "disjoint"
+    assert _tri_tri(TRI_A, b_overlap) is DEGENERATE
+    assert _tri_tri(TRI_A, b_far) is None
+    assert _coplanar_relation(TRI_A, b_overlap) == "overlap"
+    assert _coplanar_relation(TRI_A, b_far) == "disjoint"
     # mirrored copy touching along the shared edge only
     b_touch = (
         (rat(0), rat(0), rat(0)),
         (rat(0), rat(4), rat(0)),
         (rat(-4), rat(0), rat(0)),
     )
-    assert coplanar_tri_relation(TRI_A, b_touch) == "touch"
-    assert tri_tri_intersect(TRI_A, b_touch) is DEGENERATE
+    assert _coplanar_relation(TRI_A, b_touch) == "touch"
+    assert _tri_tri(TRI_A, b_touch) is DEGENERATE
 
 
 @settings(max_examples=150, deadline=None)
 @given(nondegenerate_triangle3(max_denominator=4), nondegenerate_triangle3(max_denominator=4))
 def test_tri_tri_symmetry_and_back_substitution(a, b):
-    r_ab = tri_tri_intersect(a, b)
-    r_ba = tri_tri_intersect(b, a)
+    r_ab = _tri_tri(a, b)
+    r_ba = _tri_tri(b, a)
     if r_ab is None or r_ab is DEGENERATE:
         assert r_ba is r_ab
         return
@@ -472,8 +500,8 @@ def test_tri_tri_symmetry_and_back_substitution(a, b):
 )
 def test_tri_tri_translation_invariance(a, b, v):
     shift = lambda t: tuple(vadd(p, v) for p in t)
-    r = tri_tri_intersect(a, b)
-    rs = tri_tri_intersect(shift(a), shift(b))
+    r = _tri_tri(a, b)
+    rs = _tri_tri(shift(a), shift(b))
     if r is None or r is DEGENERATE:
         assert rs is r
     else:
@@ -510,7 +538,7 @@ def _matches_reference(a, b):
     ref = oracles.tri_tri_intersect_reference(a, b)
     den = math.lcm(*[c.denominator for p in a + b for c in p])
     lifted = [tuple(vlift(p, den) for p in t) for t in (a, b)]
-    for got, scale in ((tri_tri_intersect(a, b), 1), (tri_tri_intersect(*lifted), den)):
+    for got, scale in ((_tri_tri(a, b), 1), (_tri_tri(*lifted), den)):
         if ref is None or ref is DEGENERATE:
             assert got is ref
         else:
@@ -549,7 +577,7 @@ def test_tri_tri_matches_rational_reference(pair, free):
 def test_tri_tri_special_cases_match_rational_reference(b, want):
     b = tuple(_pt(*p) for p in b)
     ref = oracles.tri_tri_intersect_reference(TRI_A, b)
-    got = tri_tri_intersect(TRI_A, b)
+    got = _tri_tri(TRI_A, b)
     if want == "hit":
         assert _hit_ends(got) == (ref.p, ref.q)
     else:
@@ -575,7 +603,7 @@ def test_a_line_along_an_edge_is_clipped_by_the_other_edges():
     assert (lo, hi) == (lowest_terms(8, 750), lowest_terms(13, 750))
     assert (lo_tag, hi_tag) == (("b", 0), ("b", 1))
     for a, b in ((FOLD_A, FOLD_B), (FOLD_B, FOLD_A)):
-        assert tri_tri_intersect(a, b) is None
+        assert _tri_tri(a, b) is None
         assert oracles.tri_tri_intersect_reference(a, b) is None
 
 
@@ -587,8 +615,8 @@ def test_segment_triangle_strict_hit():
     p = (rat(1), rat(1), rat(-1))
     q = (rat(1), rat(1), rat(1))
     hit = segment_triangle_hit(p, q, TRI_A)
-    assert hit.point == (rat(1), rat(1), rat(0))
-    assert hit.ta == rat(1, 2)
+    assert hit_point(hit) == (rat(1), rat(1), rat(0))
+    assert hit_params(hit) == (rat(1, 2), None)
 
 
 def test_segment_triangle_misses():
@@ -626,10 +654,11 @@ def test_segment_triangle_back_substitution(p, q, tri):
     hit = segment_triangle_hit(p, q, tri)
     if hit is None or hit is DEGENERATE:
         return
-    assert 0 < hit.ta < 1
-    assert hit.point == vadd(p, vscale(hit.ta, vsub(q, p)))
-    assert oracles.on_plane(hit.point, tri)
-    assert oracles.point_in_triangle(hit.point, tri, strict=True)
+    ta, _ = hit_params(hit)
+    assert 0 < ta < 1
+    assert hit_point(hit) == vadd(p, vscale(ta, vsub(q, p)))
+    assert oracles.on_plane(hit_point(hit), tri)
+    assert oracles.point_in_triangle(hit_point(hit), tri, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -850,16 +879,16 @@ BIG_CASES = {
         (_pt(rat(1, 3), 1), (_pt(0, 0), _pt(2, rat(1, 2)))),
         lambda r: (rat(r[0], BIG**4), rat(r[1], BIG**2)),
     ),
-    clip_line_to_tri: (
+    _clip_line: (
         (_pt(rat(1, 3), rat(1, 2), 0), _pt(1, rat(2, 3), 0), TRI_A, "a"),
         lambda r: r,
     ),
     # the ends scaled back, written homogeneous again
-    tri_tri_intersect: (
+    _tri_tri: (
         (TRI_A, SHIFTED_B),
         lambda h: TriTriHit(*(lowest_terms(*e, 1) for e in _hit_ends(h, BIG)), h.tag_p, h.tag_q),
     ),
-    coplanar_tri_relation: (
+    _coplanar_relation: (
         (TRI_A, (_pt(1, 1, 0), _pt(5, 1, 0), _pt(1, 3, 0))),
         lambda r: r,
     ),
@@ -900,7 +929,7 @@ def test_predicates_on_big_integers_are_exact(fn):
         # are those of the rational input
         assert {type(c) for c in (got.tn, got.den, *got.hp)} == {int}
         assert got.un is None or type(got.un) is int
-        assert (_down(got.point), got.ta, got.tb) == (want.point, want.ta, want.tb)
+        assert (_down(hit_point(got)), *hit_params(got)) == (hit_point(want), *hit_params(want))
 
 
 # ---------------------------------------------------------------------------
@@ -968,8 +997,8 @@ def square_loop_chain():
 def test_pushoff_square_loop_left_is_concentric():
     eps = rat(1, 100)
     chain = square_loop_chain()
-    res = pushoff_polyline(chain, side="left", epsilon=eps)
-    assert not res.reconnected and res.jump is None
+    res = pushoff_polyline(chain, epsilon=eps)
+    assert res.jump is None
     lo, hi = rat(13, 50), rat(37, 50)
     expect = [
         ((lo, lo), (hi, lo)),
@@ -980,17 +1009,9 @@ def test_pushoff_square_loop_left_is_concentric():
     assert chart_pieces(res, chain.den) == expect
 
 
-def test_pushoff_square_loop_right_is_outside():
-    eps = rat(1, 100)
-    chain = square_loop_chain()
-    res = pushoff_polyline(chain, side="right", epsilon=eps)
-    lo, hi = rat(6, 25), rat(19, 25)  # 1/4 - 1/100 and 3/4 + 1/100
-    assert chart_pieces(res, chain.den)[0] == ((lo, lo), (hi, lo))
-
-
 def test_pushoff_oversized_epsilon_collides():
     with pytest.raises(PushoffCollision):
-        pushoff_polyline(square_loop_chain(), side="left", epsilon=rat(1, 3))
+        pushoff_polyline(square_loop_chain(), epsilon=rat(1, 3))
 
 
 def test_pushoff_miter_on_the_chart_edge_collides():
@@ -1002,16 +1023,16 @@ def test_pushoff_miter_on_the_chart_edge_collides():
     chain = ClosedChain(pieces, tuple(ChainLink("corner") for _ in v), 8)
     # at 5/52 the miter at (1, 4) is the lifted point (0, 4): on the W edge
     with pytest.raises(PushoffCollision, match="miter left the chart"):
-        pushoff_polyline(chain, side="left", epsilon=rat(5, 52))
+        pushoff_polyline(chain, epsilon=rat(5, 52))
     # a hair smaller, it is (1/1000, 4), just inside
-    res = pushoff_polyline(chain, side="left", epsilon=rat(999, 10400))
+    res = pushoff_polyline(chain, epsilon=rat(999, 10400))
     assert res.pieces[0].start == (1, 4000, 1000)
 
 
 def test_pushoff_epsilon_precondition():
     for epsilon in (ZERO, rat(-1, 10)):
         with pytest.raises(ValueError, match="positive"):
-            pushoff_polyline(square_loop_chain(), side="left", epsilon=epsilon)
+            pushoff_polyline(square_loop_chain(), epsilon=epsilon)
 
 
 def torus_horizontal_chain():
@@ -1031,8 +1052,8 @@ def torus_horizontal_chain():
 
 def test_pushoff_torus_loop_two_sided():
     eps = rat(1, 100)
-    res = pushoff_polyline(torus_horizontal_chain(), side="left", epsilon=eps)
-    assert not res.reconnected
+    res = pushoff_polyline(torus_horizontal_chain(), epsilon=eps)
+    assert res.jump is None
     y = rat(1, 2) + eps
     assert chart_pieces(res, 2) == [
         ((rat(1, 2), y), (rat(1), y)),
@@ -1056,8 +1077,8 @@ def klein_horizontal_chain():
 
 def test_pushoff_klein_loop_reconnects_with_jump():
     eps = rat(1, 100)
-    res = pushoff_polyline(klein_horizontal_chain(), side="left", epsilon=eps)
-    assert res.reconnected
+    res = pushoff_polyline(klein_horizontal_chain(), epsilon=eps)
+    assert res.jump is not None
     up, down = rat(51, 100), rat(49, 100)
     assert chart_pieces(res, 4) == [
         ((rat(5, 8), up), (rat(1), up)),
@@ -1075,16 +1096,15 @@ def test_pushoff_rejects_discontinuous_chain():
     )
     links = (ChainLink("corner"), ChainLink("corner"))
     with pytest.raises(ValueError):
-        pushoff_polyline(ClosedChain(pieces, links, 4), side="left", epsilon=rat(1, 100))
+        pushoff_polyline(ClosedChain(pieces, links, 4), epsilon=rat(1, 100))
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(min_value=2, max_value=12),
     st.integers(min_value=2, max_value=12),
-    st.sampled_from(["left", "right"]),
 )
-def test_pushoff_square_loops_stay_at_distance_epsilon(cx, cy, side):
+def test_pushoff_square_loops_stay_at_distance_epsilon(cx, cy):
     # axis-aligned loops make the L1-normalized offset an exact Euclidean
     # offset, so every offset piece lies at squared distance epsilon^2
     center = (rat(cx, 16), rat(cy, 16))
@@ -1099,7 +1119,7 @@ def test_pushoff_square_loops_stay_at_distance_epsilon(cx, cy, side):
     ]
     chain = lifted_chain(16, v)
     eps = rat(1, 64)
-    res = pushoff_polyline(chain, side=side, epsilon=eps)
+    res = pushoff_polyline(chain, epsilon=eps)
     for i, (start, end) in enumerate(chart_pieces(res, chain.den)):
         mid_o = vscale(rat(1, 2), vadd(v[i], v[(i + 1) % 4]))
         mid_p = vscale(rat(1, 2), vadd(start, end))

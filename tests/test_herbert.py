@@ -1,7 +1,5 @@
 """The identity verifier: reports, TSV format, explanations."""
 
-from functools import partial
-
 import pytest
 
 from multipoint import curves2d, herbert
@@ -9,8 +7,8 @@ from multipoint.curves2d import MultiCurve
 from multipoint.herbert import HerbertReport, HerbertRow, explain, verify
 from multipoint.generate import CURVE_AMBIENTS, GeneratorConfig, generate
 from multipoint.rational import rat
-from multipoint.surfaces3d import GeneralPositionError, Mesh3, coordinate_torus
-from multipoint.bordism import check_cartan, class_of_curve, class_of_mesh
+from multipoint.surfaces3d import GeneralPositionError, Mesh3, MeshCycle, coordinate_torus
+from multipoint.bordism import check_cartan, class_of_curve
 
 from helpers import klein_complex, torus_complex
 
@@ -75,19 +73,13 @@ def test_three_tori_report_with_cycle():
     (row,) = rep.rows
     assert (row.target, row.r, row.lhs, row.mu, row.euler) == ("[M]", 2, 1, 1, 0)
 
-    rep2 = verify(two_tori(), targets={"gamma": CYCLE_MARKS}, scene_id="tori2")
+    mesh = two_tori()
+    rep2 = verify(mesh, targets={"gamma": MeshCycle(mesh, CYCLE_MARKS)}, scene_id="tori2")
     assert rep2.all_pass
     assert [(r.target, r.r, r.lhs, r.mu, r.euler) for r in rep2.rows] == [
         ("[M]", 2, 0, 0, 0),
         ("gamma", 1, 1, 1, 0),
     ]
-
-
-def test_verify_accepts_represented_classes():
-    rep = verify(class_of_mesh(Mesh3(coordinate_torus(2, Q))), scene_id="embedded")
-    assert rep.all_pass
-    (row,) = rep.rows
-    assert (row.lhs, row.mu, row.euler) == (0, 0, 0)
 
 
 def test_verify_rejects_uncertified_scene():
@@ -158,10 +150,8 @@ def test_curve_rows_follow_component_swap_and_reversal(ambient):
 
 
 def test_curve_budget_exhaustion_is_error_row(monkeypatch):
-    # no caller passes a budget through verify; exhaust the pairing's own
-    monkeypatch.setattr(
-        curves2d, "pairing_mod2", partial(curves2d.pairing_mod2, retry_budget=0)
-    )
+    # exhaust the pairing's retry budget
+    monkeypatch.setattr(curves2d, "PUSHOFF_RETRIES", 0)
     rep = verify(curve(FIG8))
     (row,) = rep.rows
     assert row.verdict == "ERROR"
@@ -178,9 +168,12 @@ def test_internal_error_in_curve_row_propagates(monkeypatch):
 
 
 def test_cycle_error_becomes_error_row():
-    bad = {"gamma": [(0, rat(1, 16), rat(1, 16)), (0, 0, rat(1, 8)),
-                     (1, rat(1, 8), rat(3, 8)), (1, rat(1, 8), rat(7, 8))]}
-    rep = verify(two_tori(), targets=bad, scene_id="tori2")
+    # the cycle assembles, and then meets the double-locus preimage
+    # non-transversally
+    mesh = two_tori()
+    marks = [(0, rat(1, 16), rat(1, 16)), (0, 0, rat(1, 8)),
+             (1, rat(1, 8), rat(3, 8)), (1, rat(1, 8), rat(7, 8))]
+    rep = verify(mesh, targets={"gamma": MeshCycle(mesh, marks)}, scene_id="tori2")
     by_target = {r.target: r for r in rep.rows}
     assert by_target["[M]"].verdict == "PASS"
     assert by_target["gamma"].verdict == "ERROR"
@@ -220,7 +213,7 @@ def test_explain_highlights_injected_failure():
         (HerbertRow("component[0]", 1, 1, 0, 0, "FAIL"),),
         0, 0, 0.0,
     )
-    text = explain(fake)
+    text = explain(fake, curve(HORIZ))
     assert "MISMATCH" in text
     assert "NOT ALL ROWS PASS" in text
 

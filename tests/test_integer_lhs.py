@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from helpers import torus_complex
+from helpers import hit_point, torus_complex
 from multipoint import curves2d, herbert, surfaces3d
 from multipoint.curves2d import MultiCurve, initial_epsilon, pairing_mod2
 from multipoint.exactgeom import GenericityError, PushoffCollision, lowest_terms, vsub
@@ -122,7 +122,7 @@ def test_pairing_matches_rational_reference_after_a_pushoff_retry():
     assert pairing_mod2(curve, 0, curve) == bit
 
 
-def test_pairing_retries_after_a_collision_while_counting():
+def test_pairing_retries_after_a_collision_while_counting(monkeypatch):
     # b's pushoff at the first epsilon (1/16) is the line x = 7/16, which
     # passes through the vertex (7/16, 2/5) of a: the count must halve
     # epsilon once and count the single crossing with x = 15/32
@@ -137,8 +137,9 @@ def test_pairing_retries_after_a_collision_while_counting():
     assert pairing_mod2(a, 0, b) == 1
     assert set(b._pushoffs) == {first, first / 2}
     assert oracles.pairing_mod2_reference(a, 0, b) == (1, first / 2)
+    monkeypatch.setattr(curves2d, "PUSHOFF_RETRIES", 1)
     with pytest.raises(GenericityError):
-        pairing_mod2(a, 0, b, retry_budget=1)
+        pairing_mod2(a, 0, b)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def test_mesh_segment_hits_match_rational_reference(tori_cases, name):
     w = (rat(1, 8), rat(1, 64), rat(1, 512))
     moved = [(vsub(p, w), vsub(q, w)) for p, q in segs]
     want = [
-        (t, vsub(h.point, v))
+        (t, vsub(hit_point(h), v))
         for t, v, h in oracles.segment_contacts_reference(mesh, moved)
     ]
     assert mesh_segment_hits(mesh, moved) == want

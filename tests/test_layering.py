@@ -117,7 +117,8 @@ def test_bordism_builds_classes_only_in_its_constructors():
 # resolves to the module that defines it: a ``Name`` in that module, a
 # ``Name`` bound by ``from .m import x`` (or ``from multipoint.m import x``,
 # also through a module that imports it in turn), or ``m.x`` with ``m`` that
-# module.  A method is read by any ``Name`` or ``Attribute`` of its name.
+# module.  A method or property is read only by an ``Attribute`` of its
+# name: a local variable of the same name does not read it.
 # Dunder names are read by the language and its tools, so they are not
 # checked.
 
@@ -192,13 +193,13 @@ def _bindings(tree, stems):
 
 def _reads(source, module, stems):
     """The reads in ``source``, outside ``__all__`` and outside the body of
-    a definition of the same name: the bare names of every ``Name`` and
-    ``Attribute``, and ``(m, x)`` for each read that resolves to the
-    top-level name x of package module m.  ``module`` is the stem of the
-    source's own package module, or None outside the package."""
+    a definition of the same name: the names of every ``Attribute``, and
+    ``(m, x)`` for each read that resolves to the top-level name x of
+    package module m.  ``module`` is the stem of the source's own package
+    module, or None outside the package."""
     tree = ast.parse(source)
     bound = _bindings(tree, stems)
-    bare, resolved = set(), set()
+    attrs, resolved = set(), set()
 
     def module_of(node):
         if isinstance(node, ast.Name):
@@ -217,7 +218,6 @@ def _reads(source, module, stems):
             inside = inside | {node.name}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             if node.id not in inside:
-                bare.add(node.id)
                 b = bound.get(node.id)
                 if b is not None and b[0] == "name":
                     resolved.add(b[1:])
@@ -225,7 +225,7 @@ def _reads(source, module, stems):
                     resolved.add((module, node.id))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             if node.attr not in inside:
-                bare.add(node.attr)
+                attrs.add(node.attr)
                 owner = module_of(node.value)
                 if owner is not None:
                     resolved.add((owner, node.attr))
@@ -233,7 +233,7 @@ def _reads(source, module, stems):
             visit(child, inside)
 
     visit(tree, frozenset())
-    return bare, resolved
+    return attrs, resolved
 
 
 def _unread(modules, readers, api):
@@ -242,10 +242,10 @@ def _unread(modules, readers, api):
     are ``(module, source)`` pairs, ``module`` the stem of a package
     module or None."""
     stems = {Path(filename).stem: source for filename, source in modules.items()}
-    bare, resolved = set(), set()
+    attrs, resolved = set(), set()
     for module, source in readers:
         names, pairs = _reads(source, module, stems)
-        bare |= names
+        attrs |= names
         resolved |= pairs
     # a name that a module imports is read where that module's name is
     reexported = {
@@ -266,7 +266,7 @@ def _unread(modules, readers, api):
             owner, _, short = name.rpartition(".")
             if short.startswith("__") or name in api:
                 continue
-            if (short in bare) if owner else ((stem, name) in resolved):
+            if (short in attrs) if owner else ((stem, name) in resolved):
                 continue
             yield f"{filename}:{line} {name}"
 
@@ -293,12 +293,19 @@ def test_unread_definition_is_detected():
         "        self.size = used()\n"
         "    def gone(self):\n"
         "        return self.size\n"
+        "    @property\n"
+        "    def width(self):\n"
+        "        return self.size\n"
         "def kept():\n"
         "    return 2\n"
+        "def measure(box):\n"
+        "    width, gone = box.size, 0\n"
+        "    return width + gone\n"
     )
-    reader = "from multipoint.sample import Box\nBox()\n"
+    reader = "from multipoint.sample import Box, measure\nmeasure(Box())\n"
     found = list(_unread({"sample.py": module}, [("sample", module), (None, reader)], {"kept": ""}))
-    assert found == ["sample.py:4 dead", "sample.py:9 Box.gone"]
+    # local variables named like a method or property do not read it
+    assert found == ["sample.py:4 dead", "sample.py:9 Box.gone", "sample.py:12 Box.width"]
 
 
 def test_top_level_name_read_only_as_an_attribute_is_detected():

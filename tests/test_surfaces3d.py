@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from multipoint.bordism import class_of_mesh, mu_r
 from multipoint.rational import rat
 from multipoint.scene import parse_scene
-from multipoint.exactgeom import floor_vec, frac_vec, vadd, vscale, vsub
+from multipoint.exactgeom import floor_vec, frac_vec, tri_normal, vadd, vscale, vsub
 from multipoint.surfaces3d import (
     CycleError,
     GeneralPositionError,
@@ -388,6 +388,134 @@ def test_cycle_crossing_preimage_at_arc_break_rejected():
         herbert_rhs_r1_cycle_parts(TWO_TORI, cyc)
 
 
+EIGHTHS = [rat(k, 8) for k in range(1, 8)]
+
+
+def _random_marks(rng, mesh):
+    """A mark list that walks the mesh from an interior mark: interior
+    marks, crossings of a random edge or of the edge the walk came in by,
+    and now and then a mark that a cycle refuses."""
+    n = len(mesh.triangles)
+
+    def interior(t):
+        a = rng.choice(EIGHTHS[:-1])
+        return (t, a, rng.choice([b for b in EIGHTHS if a + b < 1]))
+
+    def on_edge(t, e):
+        s = rng.choice(EIGHTHS)
+        return (t, s, 1 - s) if e == 1 else (t, 0, s) if e == 2 else (t, s, 0)
+
+    start = rng.randrange(n)
+    marks = [interior(start) if rng.random() < 0.95 else on_edge(start, rng.randrange(3))]
+    t, entered = start, None
+    steps = rng.randint(1, 8)
+    while steps > 0 or (t != start and steps > -4):
+        steps -= 1
+        roll = rng.random() if steps >= 0 else 0.5
+        if roll < 0.3:
+            marks.append(interior(t))
+            entered = None
+            continue
+        if roll < 0.95:
+            e = entered[1] if roll < 0.45 and entered is not None else rng.randrange(3)
+            marks.append(on_edge(t, e))
+        else:
+            marks.append(rng.choice([(t, 0, 0), interior(rng.randrange(n)), marks[-1]]))
+            continue
+        mi, side = mesh._slot_of[(t, e)]
+        m = mesh.matches[mi]
+        entered = m.slot_b if side == 0 else m.slot_a
+        t = entered[0]
+    return marks
+
+
+def _outcome(build, mesh, marks):
+    try:
+        return build(mesh, marks)
+    except CycleError as exc:
+        return str(exc)
+
+
+def test_cycle_rides_an_edge_exactly_when_it_leaves_by_the_edge_it_entered(generated_meshes):
+    # MeshCycle refuses a riding cycle from the edges its walk crosses; the
+    # reference intersects every segment with its triangle's edges
+    rng = random.Random(24)
+    outcomes = {}
+    for mesh in generated_meshes:
+        for _ in range(330):
+            marks = _random_marks(rng, mesh)
+            want = _outcome(oracles.mesh_cycle_reference, mesh, marks)
+            cycle = _outcome(MeshCycle, mesh, marks)
+            got = cycle if isinstance(cycle, str) else (cycle.segments, cycle.crossed)
+            assert got == want, marks
+            key = want.split(":")[0].split(" (")[0] if isinstance(want, str) else "assembled"
+            outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes["assembled"] > 800
+    assert outcomes["cycle rides a chart boundary"] > 800
+    assert "cycle leaves its chart between marks" not in outcomes
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+@pytest.fixture(scope="module")
+def fuzz_tori_scenes():
+    """The scenes of ``scripts/fuzz_campaign.py --universe tori``, seeds 0-99."""
+    from multipoint.generate import TORI_AMBIENT, GeneratorConfig, generate
+
+    return [
+        generate(
+            GeneratorConfig(
+                universe="tori",
+                ambient=TORI_AMBIENT,
+                components=(2, 3),
+                seed=seed,
+                with_cycle=seed % 2 == 0,
+            )
+        )
+        for seed in range(100)
+    ]
+
+
+def test_building_a_cycle_intersects_no_segments(monkeypatch, fuzz_tori_scenes):
+    import multipoint.surfaces3d as s3
+
+    scenes = [parse_scene((DOCS / "two-tori-cycle.scene").read_text(encoding="utf-8"))]
+    scenes += fuzz_tori_scenes
+    meshes = [scene.mesh("f") for scene in scenes]
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return None
+
+    monkeypatch.setattr(s3, "seg_intersect", counted)
+    built = [
+        scene.mesh_cycle(name, mesh) for scene, mesh in zip(scenes, meshes) for name in scene.cycles
+    ]
+    assert len(built) == 51
+    assert calls == []
+
+
+def test_circle_period_is_the_sum_of_its_segment_vectors(fuzz_tori_scenes):
+    meshes = [
+        parse_scene((DOCS / name).read_text(encoding="utf-8")).mesh("f")
+        for name in ("three-tori.scene", "two-tori-cycle.scene")
+    ]
+    meshes += [scene.mesh("f") for scene in fuzz_tori_scenes]
+    meshes += [
+        parse_scene(_bench_scene_text(seed, index)).mesh("f")
+        for seed in range(3)
+        for index in range(4)
+    ]
+    circles = 0
+    for mesh in meshes:
+        for dc in mesh.double_curves():
+            assert dc.h1 == oracles.circle_h1_reference(mesh, dc.path)
+            circles += 1
+    assert circles > 300
+
+
 # --- general-position violations --------------------------------------------
 
 
@@ -427,31 +555,35 @@ def test_quadruple_point_detected():
     assert "12 crossing witnesses" in cert.violations[0][1]
 
 
+def _contact(ta, tb, w):
+    return vertex_adjacent_contact(ta, tb, w, tri_normal(ta), tri_normal(tb))
+
+
 def test_vertex_contact_classifier():
     n = (rat(1, 2), rat(1, 2), rat(3, 4))
     t1 = (n, (rat(1, 2), Q, Q), (rat(1, 2), rat(3, 4), Q))
     t2 = (n, (Q, rat(1, 2), Q), (rat(3, 4), rat(1, 2), Q))
-    assert vertex_adjacent_contact(t1, t2, n) == "vertex-contact"
+    assert _contact(t1, t2, n) == "vertex-contact"
     # two fins meeting only at the apex are legal
     u1 = (n, (rat(1, 2), Q, rat(7, 8)), (rat(1, 2), rat(3, 4), rat(7, 8)))
-    assert vertex_adjacent_contact(t1, u1, n) is None
+    assert _contact(t1, u1, n) is None
     # a coplanar bowtie meets only at the apex: also legal
     bow = (n, (rat(1, 2), Q, rat(5, 4)), (rat(1, 2), rat(3, 4), rat(5, 4)))
-    assert vertex_adjacent_contact(t1, bow, n) is None
+    assert _contact(t1, bow, n) is None
     # a coplanar fin containing the first one is not
     wide = (n, (rat(1, 2), rat(3, 16), Q), (rat(1, 2), rat(13, 16), Q))
-    assert vertex_adjacent_contact(t1, wide, n) == "coplanar-overlap"
+    assert _contact(t1, wide, n) == "coplanar-overlap"
     # two cells of a sheet folded along the column x = 5, meeting at w:
     # the planes' common line runs along an edge of the second, which the
     # first meets only at w
     w = (5, 3, 27)
     fold_a, fold_b = ((0, 3, 24), w, (0, 8, 24)), (w, (10, 3, 24), (5, 8, 27))
-    assert vertex_adjacent_contact(fold_a, fold_b, w) is None
-    assert vertex_adjacent_contact(fold_b, fold_a, w) is None
+    assert _contact(fold_a, fold_b, w) is None
+    assert _contact(fold_b, fold_a, w) is None
     # a first triangle with an edge along the same line shares more than w
     along = (w, (0, 3, 24), (5, 6, 27))
-    assert vertex_adjacent_contact(along, fold_b, w) == "vertex-contact"
-    assert vertex_adjacent_contact(fold_b, along, w) == "vertex-contact"
+    assert _contact(along, fold_b, w) == "vertex-contact"
+    assert _contact(fold_b, along, w) == "vertex-contact"
 
 
 THIRD, FIFTH = rat(1, 3), rat(1, 5)
