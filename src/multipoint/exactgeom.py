@@ -645,29 +645,40 @@ def segment_triangle_hit(p, q, tri):
 
     Returns a :class:`SegmentHit` (the point and its parameter along pq)
     for a crossing strictly interior to both the segment and the
-    triangle, None when there is no contact, and ``DEGENERATE`` for
-    everything else (endpoint on the plane, coplanar segment, crossing on
-    an edge or vertex, zero-length segment).
+    triangle, ``DEGENERATE`` for every other contact of the closed segment
+    with the closed triangle (an end on the triangle, a segment in its
+    plane meeting it, a crossing on an edge or vertex) and for a
+    zero-length segment, and None when they do not meet.
     """
     if p == q:
         return DEGENERATE
     n = tri_normal(tri)
     d0 = vdot(n, vsub(p, tri[0]))
     d1 = vdot(n, vsub(q, tri[0]))
-    if d0 == 0 or d1 == 0:
+    if d0 == d1 == 0:
+        # pq lies in the plane, and misses the triangle exactly when the
+        # line of pq or of an edge has the other figure strictly outside
+        m = cross3(n, vsub(q, p))
+        sides = [vdot(m, vsub(v, p)) for v in tri]
+        if min(sides) > 0 or max(sides) < 0:
+            return None
+        for _, vi, m in _inward_edge_normals(tri, n):
+            if vdot(m, vsub(p, vi)) < 0 and vdot(m, vsub(q, vi)) < 0:
+                return None
         return DEGENERATE
-    if (d0 > 0) == (d1 > 0):
+    if d0 > 0 and d1 > 0 or d0 < 0 and d1 < 0:
         return None
-    tn, td = (d0, d0 - d1) if d0 > 0 else (-d0, d1 - d0)  # t = tn / td, td > 0
+    # t = tn / td with td > 0; an end on the plane has t = 0 or 1
+    tn, td = (d0, d0 - d1) if d0 > d1 else (-d0, d1 - d0)
     d = vsub(q, p)
-    x = vadd(vscale(td, p), vscale(tn, d))  # td times the crossing point
+    x = vadd(vscale(td, p), vscale(tn, d))  # td times the meeting point
+    degenerate = d0 == 0 or d1 == 0
     for _, vi, m in _inward_edge_normals(tri, n):
         s = vdot(m, x) - td * vdot(m, vi)
         if s < 0:
             return None
-        if s == 0:
-            return DEGENERATE
-    return SegmentHit(tn, None, td, (*x, td))
+        degenerate = degenerate or s == 0
+    return DEGENERATE if degenerate else SegmentHit(tn, None, td, (*x, td))
 
 
 def _positive_in_the_limit(c0, g):

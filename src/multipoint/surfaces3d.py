@@ -238,15 +238,12 @@ class DoubleCurve:
 class TriplePoint:
     """A transverse triple point of the mapped surface.
 
-    ``target`` is the point of the 3-torus (coordinates in [0, 1)),
-    ``preimages`` the three ``(triangle, point)`` source points over it,
-    and ``sheets`` the three local sheets ``(triangle, translate)`` in the
-    frame of the target representative.
+    ``target`` is the point of the 3-torus (coordinates in [0, 1)) and
+    ``preimages`` the three ``(triangle, point)`` source points over it.
     """
 
     target: tuple
     preimages: tuple
-    sheets: frozenset
 
 
 @dataclass(frozen=True)
@@ -348,7 +345,6 @@ class Mesh3:
         self._cert = None
         self._segments = None
         self._end_links = None
-        self._end_keys = None
         self._witnesses = None
         self._curves = None
         self._triples = None
@@ -518,9 +514,9 @@ class Mesh3:
 
         When the union is certified, a part that holds an ok certificate
         gives it the double segments of the pairs of triangles inside that
-        part, with their end links and triple-point witnesses; only the
-        other pairs run the predicates, only the ends of their segments are
-        matched, and only the pairs of arcs where one is theirs are crossed.
+        part and their triple-point witnesses; only the other pairs run the
+        predicates, and only the pairs of arcs where one is theirs are
+        crossed.  The union matches every segment end itself.
         """
         parts = (self, other)
         mesh = Mesh3.__new__(Mesh3)
@@ -591,10 +587,10 @@ class Mesh3:
     def _enumerate_pairs(self, parts):
         """Certify every pair of triangle lifts.
 
-        Returns the violations, the double segments, the indices of the
-        segments found here, and per certified part the index here of each
-        of its segments: a pair inside such a part takes that part's
-        segments, in the order a full enumeration would list them.
+        Returns the violations, the double segments and, per segment,
+        whether it was found here (fresh) or taken from a certified part:
+        a pair inside such a part takes that part's segments, in the order
+        a full enumeration would list them.
         """
         # The predicates run on the integer lifts D * t of the triangles; a
         # lattice shift v becomes D * v, and an arc's ends are put over D.
@@ -605,21 +601,20 @@ class Mesh3:
         known = {}
         for k, (part, offset) in enumerate(parts):
             home[offset : offset + len(part.triangles)] = [k] * len(part.triangles)
-            for si, s in enumerate(part._segments):
+            for s in part._segments:
                 ij = (s.tri_a + offset, s.tri_b + offset)
                 seg = DoubleSegment(*ij, s.shift, s.hp, s.hq, s.tag_p, s.tag_q)
-                known.setdefault(ij, []).append((k, si, seg))
-        placed = [[None] * len(part._segments) for part, _ in parts]
+                known.setdefault(ij, []).append(seg)
         violations = []
         segments = []
-        fresh = []
+        is_fresh = []
         for i in range(n):
             ta, na = lifts[i], normals[i]
             for j in range(i, n):
                 if home[i] is not None and home[i] == home[j]:
-                    for k, si, seg in known.get((i, j), ()):
-                        placed[k][si] = len(segments)
-                        segments.append(seg)
+                    taken = known.get((i, j), ())
+                    segments += taken
+                    is_fresh += [False] * len(taken)
                     continue
                 nb = normals[j]
                 for v in lattice_translates(*boxes[i], *boxes[j], den):
@@ -655,9 +650,9 @@ class Mesh3:
                         continue
                     # the ends are homogeneous over the lifts: put them over D
                     p, q = (lowest_terms(x, y, z, w * den) for x, y, z, w in (res.p, res.q))
-                    fresh.append(len(segments))
                     segments.append(DoubleSegment(i, j, v, p, q, res.tag_p, res.tag_q))
-        return violations, segments, fresh, placed
+                    is_fresh.append(True)
+        return violations, segments, is_fresh
 
     @staticmethod
     def _end_tag(seg, end):
@@ -672,64 +667,48 @@ class Mesh3:
             "b": (seg.tri_b, vsub(seg.shift, u)),
         }
 
-    def _match_ends(self, segments, fresh, parts, placed, violations):
+    def _match_ends(self, segments, is_fresh, violations):
         """Link the segment ends that meet in the 3-torus two by two.
 
-        A certified part's links are renumbered, and the ends of the other
-        segments are matched among themselves.  Every point where ends meet
-        is keyed by its homogeneous form mod the lattice.  A part's keys
-        each hold two of its ends, so a key that a part shares with another
-        part or with a matched end holds more than two.  Returns the links
-        and the keys.
+        Every point where ends meet is keyed by its homogeneous form mod
+        the lattice, and its two ends must share exactly one sheet.  Two
+        ends taken from certified parts are linked unchecked: a part's key
+        holds two of its own ends, so two such ends that meet alone belong
+        to one part, which has checked them.  Returns the links.
         """
-        links = {}
-        for (part, _), index in zip(parts, placed):
-            for (s1, e1), (s2, e2) in part._end_links.items():
-                links[(index[s1], e1)] = (index[s2], e2)
         groups = {}
-        for si in fresh:
-            seg = segments[si]
+        for si, seg in enumerate(segments):
             groups.setdefault(_mod_lattice(seg.hp), []).append((si, 0))
             groups.setdefault(_mod_lattice(seg.hq), []).append((si, 1))
-        part_keys = [part._end_keys for part, _ in parts]
-        crowded = set()
-        for k, keys in enumerate(part_keys):
-            crowded.update(keys.intersection(groups))
-            for other in part_keys[k + 1 :]:
-                crowded.update(keys & other)
+        links = {}
         found = []
-        for key in crowded:
-            count = len(groups.get(key, ())) + 2 * sum(key in keys for keys in part_keys)
-            found.append((key, f"{count} arc ends meet at"))
         for key, g in groups.items():
-            if key in crowded:
-                continue
             if len(g) != 2:
                 found.append((key, f"{len(g)} arc ends meet at"))
                 continue
             (s1, e1), (s2, e2) = g
-            sh1 = set(self._sheets_at(segments[s1], e1).values())
-            sh2 = set(self._sheets_at(segments[s2], e2).values())
-            if len(sh1 & sh2) != 1:
-                found.append((key, "sheet mismatch where arcs meet at"))
-                continue
+            if is_fresh[s1] or is_fresh[s2]:
+                sh1 = set(self._sheets_at(segments[s1], e1).values())
+                sh2 = set(self._sheets_at(segments[s2], e2).values())
+                if len(sh1 & sh2) != 1:
+                    found.append((key, "sheet mismatch where arcs meet at"))
+                    continue
             links[(s1, e1)] = (s2, e2)
             links[(s2, e2)] = (s1, e1)
         _report("double-curve-branching", found, violations)
-        return links, frozenset(groups).union(*part_keys)
+        return links
 
-    def _collect_witnesses(self, segments, links, fresh, parts, violations):
+    def _collect_witnesses(self, segments, is_fresh, links, parts, violations):
         """The triple-point witnesses: a crossing of two double arcs hosted
         by one triangle, keyed by its point mod the lattice.
 
         A certified part's witnesses are renumbered, and only the pairs of
-        arcs where at least one is a segment found here are crossed.
+        arcs where at least one is a fresh segment are crossed.
         """
-        is_fresh = [False] * len(segments)
         busy = set()
-        for si in fresh:
-            is_fresh[si] = True
-            busy.update((segments[si].tri_a, segments[si].tri_b))
+        for seg, fresh in zip(segments, is_fresh):
+            if fresh:
+                busy.update((seg.tri_a, seg.tri_b))
         hosts = {}
         for si, seg in enumerate(segments):
             if seg.tri_a in busy:
@@ -825,24 +804,21 @@ class Mesh3:
         # and the exact predicates do not depend on D: what a certified part
         # found holds here, renumbered by the part's offset.
         parts = certified_parts(self._parts, [len(p.triangles) for p in self._parts])
-        violations, segments, fresh, placed = self._enumerate_pairs(parts)
+        violations, segments, is_fresh = self._enumerate_pairs(parts)
         if not violations:
-            links, keys = self._match_ends(segments, fresh, parts, placed, violations)
-            if violations and parts:
-                # The union is refused, and where its ends do not pair up a
-                # part's links no longer hold.  Match and cross every end
-                # and arc, as the whole mesh does, to list its violations.
-                violations.clear()
-                parts, fresh = [], range(len(segments))
-                links, keys = self._match_ends(segments, fresh, parts, [], violations)
-            witnesses = self._collect_witnesses(segments, links, fresh, parts, violations)
+            links = self._match_ends(segments, is_fresh, violations)
+            if violations:
+                # where ends do not pair up, a part's links, and so its
+                # witnesses, need not hold: cross every pair of arcs, as
+                # the whole mesh does
+                parts, is_fresh = [], [True] * len(segments)
+            witnesses = self._collect_witnesses(segments, is_fresh, links, parts, violations)
         self._parts = ()  # no longer needed; do not keep the parts alive
         ok = not violations
         self._cert = GeneralPositionCert3(ok, tuple(violations), len(segments))
         if ok:
             self._segments = tuple(segments)
             self._end_links = links
-            self._end_keys = keys
             self._witnesses = witnesses
         return self._cert
 
@@ -953,7 +929,7 @@ class Mesh3:
         points = []
         for key, ws in self._witnesses.items():
             preimages = tuple(sorted((t, from_homogeneous(y)) for t, y, _ in ws))
-            points.append(TriplePoint(from_homogeneous(key), preimages, ws[0][2]))
+            points.append(TriplePoint(from_homogeneous(key), preimages))
         points.sort(key=lambda tp: tp.target)
         self._triples = TriplePointSet(tuple(points))
         return self._triples

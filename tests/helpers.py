@@ -126,3 +126,21 @@ def z_sheet(xs, zs, ys):
             c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
             triangles += [(a, b, d), (b, c, d)]
     return Mesh3(triangles)
+
+
+def diagonal_fold_sheet(h):
+    """The torus ``z = h(x, y)`` in the 3-torus over 2 x 2 cells of side
+    1/2, with height ``h[i][j]`` at the vertex ``(i/2, j/2)``: each cell is
+    split along its diagonal from ``(i + 1, j)`` to ``(i, j + 1)``, so that
+    unequal heights fold the sheet along grid lines and cell diagonals."""
+
+    def vertex(i, j):
+        return (rat(i, 2), rat(j, 2), h[i % 2][j % 2])
+
+    triangles = []
+    for i in range(2):
+        for j in range(2):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
+            triangles += [(a, b, d), (b, c, d)]
+    return Mesh3(triangles)

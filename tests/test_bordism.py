@@ -39,7 +39,7 @@ from multipoint.rational import rat
 from multipoint.surfaces3d import Mesh3, coordinate_torus
 
 import oracles
-from helpers import klein_complex, torus_complex
+from helpers import diagonal_fold_sheet, klein_complex, torus_complex
 
 TORUS = torus_complex()
 KLEIN = klein_complex()
@@ -372,6 +372,19 @@ def test_naturality_with_embedded_f():
     assert rep.ok and rep.lhs == () and rep.rhs == ()
     rep2 = check_naturality(g, class_of_mesh(Mesh3(coordinate_torus(2, rat(3, 4)))))
     assert rep2.ok and rep2.lhs == ()
+
+
+def test_laws_hold_where_a_double_segment_ends_on_a_plane_outside_a_triangle():
+    # f's double segment ending at (3/8, 49/64, 17/32) has that end on the
+    # plane of g's triangle 2, outside the triangle: no contact
+    h = [[rat(49, 64), rat(49, 64)], [rat(11, 64), rat(29, 64)]]
+    g = class_of_mesh(diagonal_fold_sheet(h))
+    f = class_of_mesh(
+        Mesh3(coordinate_torus(0, rat(3, 8), rat(3, 16)) + coordinate_torus(1, rat(49, 64), rat(-3, 64)))
+    )
+    rep = check_naturality(g, f)
+    assert rep.ok and len(rep.lhs) == 1
+    assert check_cartan(f, g, 3).ok
 
 
 def test_naturality_requires_mesh_universe():

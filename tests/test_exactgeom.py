@@ -648,6 +648,16 @@ def test_segment_triangle_degenerate_contacts():
     ) is DEGENERATE
 
 
+def test_segment_triangle_contacts_outside_the_triangle():
+    tri = (_pt(0, 0, 0), _pt(1, 0, 0), _pt(0, 1, 0))
+    # the plane crossing lies on edge 0's line, beyond the triangle
+    assert segment_triangle_hit(_pt(2, 0, -1), _pt(2, 0, 1), tri) is None
+    # an end on the plane, outside the triangle
+    assert segment_triangle_hit(_pt(2, 2, 0), _pt(2, 2, 1), tri) is None
+    # a segment in the plane, outside the triangle
+    assert segment_triangle_hit(_pt(2, 2, 0), _pt(3, 2, 0), tri) is None
+
+
 @settings(max_examples=150, deadline=None)
 @given(points3(max_denominator=4), points3(max_denominator=4), nondegenerate_triangle3(max_denominator=4))
 def test_segment_triangle_back_substitution(p, q, tri):

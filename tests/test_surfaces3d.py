@@ -32,7 +32,7 @@ from multipoint.surfaces3d import (
 )
 
 import oracles
-from helpers import subdivide_mesh, z_sheet
+from helpers import diagonal_fold_sheet, subdivide_mesh, z_sheet
 
 Q = rat(1, 4)
 
@@ -947,6 +947,37 @@ def _union_of_certified_parts(a, b):
     part_a, part_b = Mesh3(a), Mesh3(b)
     assert part_a.certify().ok and part_b.certify().ok
     return part_a.union(part_b), Mesh3(a + b)
+
+
+def test_union_of_folded_parts_certifies_like_the_concatenated_mesh():
+    # sheets folded along their cell diagonals at drawn heights, and sheets
+    # folded along their columns, each with two coordinate tori at drawn
+    # levels
+    rng = random.Random(0)
+    column_folds = [
+        z_sheet((0, THIRD, 2 * THIRD), (rat(1, 7), rat(2, 7), rat(3, 7)), ROWS),
+        z_sheet((rat(1, 9), rat(4, 9), rat(7, 9)), (rat(1, 8), rat(1, 4), 0), (rat(1, 7), rat(3, 7), rat(5, 7))),
+    ]
+    names = set()
+    for k in range(100):
+        if k % 4:
+            heights = [[rat(rng.randrange(64), 64) for _ in range(2)] for _ in range(2)]
+            sheet = diagonal_fold_sheet(heights)
+        else:
+            sheet = column_folds[k // 4 % 2]
+        tori = coordinate_torus(
+            0, rat(rng.randrange(64), 64), rat(rng.randrange(-8, 8), 64)
+        ) + coordinate_torus(1, rat(rng.randrange(64), 64), rat(rng.randrange(-8, 8), 64))
+        # the union reuses the certificate of each part that holds an ok one
+        torus_pair = Mesh3(tori)
+        sheet.certify()
+        torus_pair.certify()
+        union, full = sheet.union(torus_pair), Mesh3(sheet.triangles + tori)
+        assert _certified_state(union) == _certified_state(full)
+        names.add(tuple(full.certify().violation_names))
+    # accepted unions, unions refused by their pairs, and unions refused
+    # where their segment ends meet
+    assert {(), ("tangency",), ("double-curve-branching", "tangency")} <= names
 
 
 def test_union_refuses_a_cross_end_on_an_end_of_a_part():
