@@ -10,12 +10,15 @@ and exit codes are compared:
 - ``scripts/fuzz_campaign.py --machine`` on curves (seeds 0-499, at the
   default shape and at ``--components 2 2``), tori (0-99) and laws (0-99).
 
-Then ``bench/run.py --seconds 1`` runs on a copy of the working tree for
+Then the golden pin of the bordism outputs, ``tests/test_bordism_golden.py``,
+runs on the working tree and prints ``correct`` or ``WRONG``.  Then
+``bench/run.py --seconds 1`` runs on a copy of the working tree for
 every workload at seeds 0-9, and its ``correct`` field is reported.
 
 One line is printed per gate: ``same``, or ``DIFFERS`` with the first
-differing line.  The exit code is 1 when any gate differs or any bench run
-is not correct.  Nothing is written outside the temporary directory.
+differing line.  The exit code is 1 when any gate differs, the golden pin
+fails or any bench run is not correct.  Nothing is written outside the
+temporary directory.
 
 Example:
     python3 scripts/gate.py HEAD~1
@@ -104,6 +107,11 @@ def main(argv=None):
             else:
                 print(f"DIFFERS  {name}: {first_difference(before, after)}")
                 failed = True
+
+        pin = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_bordism_golden.py"]
+        pinned = run(ROOT, pin)[0] == 0
+        print(f"{'correct' if pinned else 'WRONG':8s} pytest tests/test_bordism_golden.py")
+        failed = failed or not pinned
 
         # the bench writes its results next to itself: run it on a copy
         work_tree = Path(tmp) / "work"

@@ -10,7 +10,6 @@ fundamental class, r = 1 on user-supplied cycles) — and emits structured
 pass/fail reports.
 """
 
-import time
 from dataclasses import dataclass
 
 from .curves2d import (
@@ -53,14 +52,13 @@ class HerbertReport:
     rows: tuple
     n_double: int
     n_triple: int
-    elapsed_ms: float
 
     @property
     def all_pass(self):
         return all(row.verdict == "PASS" for row in self.rows)
 
     def to_tsv(self):
-        """Machine format; excludes timing so repeated runs are identical."""
+        """Machine format: a header, then one tab-separated line per row."""
         lines = ["\t".join(TSV_COLUMNS)]
         for row in self.rows:
             lines.append(
@@ -141,15 +139,13 @@ def verify(scene, targets=None, scene_id="scene"):
     ``scene`` is a :class:`MultiCurve` or a :class:`Mesh3`.  For meshes,
     ``targets`` optionally maps cycle names to :class:`MeshCycle` objects.
     """
-    start = time.perf_counter()
     if isinstance(scene, MultiCurve):
         rows, n_double, n_triple = _verify_curve(scene)
     elif isinstance(scene, Mesh3):
         rows, n_double, n_triple = _verify_mesh(scene, targets)
     else:
         raise TypeError(f"cannot verify scenes of type {type(scene).__name__}")
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return HerbertReport(scene_id, tuple(rows), n_double, n_triple, elapsed_ms)
+    return HerbertReport(scene_id, tuple(rows), n_double, n_triple)
 
 
 def _geometry_lines(scene):

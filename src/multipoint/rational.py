@@ -1,10 +1,8 @@
 """Exact rational scalars.
 
 Every coordinate in this package is a rational number in lowest terms with
-positive denominator.  We use gmpy2's mpq when available (much faster on
-the fuzzing workloads) and fall back to fractions.Fraction, which has the
-same canonical-form guarantees.  Plain ``int`` values mix freely with
-either type under arithmetic, and certification runs the exact predicates
+positive denominator, a ``fractions.Fraction``.  Plain ``int`` values mix
+freely with it under arithmetic, and certification runs the exact predicates
 on ints: each mesh or multicurve is scaled by the common denominator of its
 coordinates.
 
@@ -16,15 +14,11 @@ built with :func:`rat`, which takes ints or rationals.
 from __future__ import annotations
 
 import re
+from fractions import Fraction as Rat
 
-try:
-    from gmpy2 import mpq as Rat  # type: ignore[import-not-found]
-
-    GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat  # type: ignore[assignment]
-
-    GMPY2 = False
+# the bench's machine fingerprint records which rational type ran; it is
+# always Fraction
+GMPY2 = False
 
 
 def rat(num, den=1):

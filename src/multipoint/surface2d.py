@@ -12,7 +12,6 @@ its determinant records whether the gluing preserves orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .rational import rat
 from .exactgeom import SQUARE_EDGES, InputError, Transform2, UnionFind
@@ -84,9 +83,6 @@ class Gluing:
 class ComplexReport:
     ok: bool
     violations: tuple
-    connected: bool
-    vertex_count: int
-    euler: Optional[int]
 
 
 class SquareComplex:
@@ -148,12 +144,9 @@ class SquareComplex:
         comp = UnionFind(n)
         for g in self.gluings:
             comp.union(g.square_a, g.square_b)
-        connected = len({comp.find(sq) for sq in range(n)}) == 1
-        if not connected:
+        if len({comp.find(sq) for sq in range(n)}) != 1:
             violations.append("disconnected")
 
-        vertex_count = 0
-        euler = None
         if not violations:
             # corner c of square sq is 4 * sq + c
             verts = UnionFind(4 * n)
@@ -164,17 +157,10 @@ class SquareComplex:
                     cb = _CORNER_OF_EDGE_END[(g.edge_b, t2)]
                     verts.union(4 * g.square_a + ca, 4 * g.square_b + cb)
             vertex_count = len({verts.find(c) for c in range(4 * n)})
-            euler = vertex_count - self.num_squares
             if self._sigma_cycle_count() != 2 * vertex_count:
                 violations.append("vertex-link-mismatch")
 
-        self._build_report = ComplexReport(
-            ok=not violations,
-            violations=tuple(violations),
-            connected=connected,
-            vertex_count=vertex_count,
-            euler=euler,
-        )
+        self._build_report = ComplexReport(ok=not violations, violations=tuple(violations))
         return self._build_report
 
     def _sigma_step(self, flag):

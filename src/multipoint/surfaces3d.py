@@ -59,7 +59,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .rational import ONE, ZERO, rat, rfloor
+from .rational import ONE, ZERO, format_point, rat, rfloor
 from .exactgeom import (
     DEGENERATE,
     GeneralPositionError,
@@ -194,7 +194,6 @@ class DoubleSegment:
 class GeneralPositionCert3:
     ok: bool
     violations: tuple
-    n_double_segments: int
 
     @property
     def violation_names(self):
@@ -270,7 +269,7 @@ def _report(name, found, violations):
     """Add the violations ``found`` at keyed points, as ``(key, text)``
     pairs, in the order of their points, each text ending in its point."""
     points = sorted((from_homogeneous(key), text) for key, text in found)
-    violations.extend((name, f"{text} {point}") for point, text in points)
+    violations.extend((name, f"{text} {format_point(point)}") for point, text in points)
 
 
 def vertex_adjacent_contact(ta, tb, w, na, nb):
@@ -335,7 +334,6 @@ class Mesh3:
         self._normals = tuple(normals)
         self._build_matching()
         self._check_vertex_links()
-        self._build_edge_adjacency()
         self._build_vertex_adjacency()
         self._init_results(())
 
@@ -403,34 +401,6 @@ class Mesh3:
             for c in range(3):
                 classes.setdefault(uf.find(3 * t + c), []).append((t, c))
         self._vertex_classes = tuple(tuple(v) for _, v in sorted(classes.items()))
-        self.num_vertices = len(self._vertex_classes)
-        self.euler = self.num_vertices - len(self.matches) + len(self.triangles)
-
-        # orientation: the flip bits must form a coboundary
-        colors = [None] * n
-        orientable = True
-        for start in range(n):
-            if colors[start] is not None:
-                continue
-            colors[start] = 0
-            stack = [start]
-            while stack:
-                t = stack.pop()
-                for e in range(3):
-                    mi, side = self._slot_of[(t, e)]
-                    m = self.matches[mi]
-                    other = m.slot_b[0] if side == 0 else m.slot_a[0]
-                    want = colors[t] ^ m.flip
-                    if colors[other] is None:
-                        colors[other] = want
-                        stack.append(other)
-                    elif colors[other] != want:
-                        orientable = False
-        self.orientable = orientable
-        comp = UnionFind(n)
-        for m in self.matches:
-            comp.union(m.slot_a[0], m.slot_b[0])
-        self.num_components = len({comp.find(t) for t in range(n)})
 
     def _link_step(self, t, c, e_in):
         # leave corner (t, c) through its edge other than e_in; corner c
@@ -466,16 +436,6 @@ class Mesh3:
                     "vertex-link: vertex neighborhood is not a single disk "
                     f"(corners {sorted(members)})"
                 )
-
-    def _build_edge_adjacency(self):
-        edge_adj = {}
-        for mi, m in enumerate(self.matches):
-            (t1, _), (t2, _) = m.slot_a, m.slot_b
-            edge_adj.setdefault((t1, t2), {}).setdefault(m.rel_shift, []).append(mi)
-            edge_adj.setdefault((t2, t1), {}).setdefault(
-                vscale(-1, m.rel_shift), []
-            ).append(mi)
-        self._edge_adj = edge_adj
 
     def _build_vertex_adjacency(self):
         vertex_adj = {}
@@ -563,7 +523,6 @@ class Mesh3:
         for mi, m in enumerate(mesh.matches):
             mesh._slot_of[m.slot_a] = (mi, 0)
             mesh._slot_of[m.slot_b] = (mi, 1)
-        mesh._build_edge_adjacency()
         mesh._vertex_classes = self._vertex_classes + tuple(
             [tuple([(t + offset, c) for t, c in cls]) for cls in other._vertex_classes]
         )
@@ -571,10 +530,6 @@ class Mesh3:
         mesh._vertex_adj = dict(self._vertex_adj)
         for (t1, t2), by_shift in other._vertex_adj.items():
             mesh._vertex_adj[(t1 + offset, t2 + offset)] = by_shift
-        mesh.num_vertices = self.num_vertices + other.num_vertices
-        mesh.euler = self.euler + other.euler
-        mesh.orientable = self.orientable and other.orientable
-        mesh.num_components = self.num_components + other.num_components
         mesh._init_results(parts)
         return mesh
 
@@ -617,20 +572,21 @@ class Mesh3:
                     is_fresh += [False] * len(taken)
                     continue
                 nb = normals[j]
+                corners_at = self._vertex_adj.get((i, j), {})
                 for v in lattice_translates(*boxes[i], *boxes[j], den):
                     if i == j and v <= (0, 0, 0):
                         continue
                     tb = _shift_tri(lifts[j], vscale(den, v))
-                    if self._edge_adj.get((i, j), {}).get(v):
+                    # two corners shared at one shift are the ends of a
+                    # shared edge: the segment between them is an edge of
+                    # both lifts, and so of one edge key
+                    shared = corners_at.get(v, ())
+                    if len(shared) > 1:
                         if coplanar(ta, na, tb, nb):
                             if coplanar_tri_relation(ta, tb, na) == "overlap":
                                 violations.append(("coplanar-overlap", _pair(i, j, v)))
                         continue
-                    shared = self._vertex_adj.get((i, j), {}).get(v)
                     if shared:
-                        if len(shared) != 1:
-                            violations.append(("vertex-contact", _pair(i, j, v)))
-                            continue
                         verdict = vertex_adjacent_contact(ta, tb, ta[shared[0][0]], na, nb)
                         if verdict is not None:
                             violations.append((verdict, _pair(i, j, v)))
@@ -799,7 +755,7 @@ class Mesh3:
     def certify(self):
         if self._cert is not None:
             return self._cert
-        # Inside one part the edge and vertex adjacency are the part's own,
+        # Inside one part the vertex adjacency is the part's own,
         # since an edge shared across parts fails the union's edge matching,
         # and the exact predicates do not depend on D: what a certified part
         # found holds here, renumbered by the part's offset.
@@ -815,7 +771,7 @@ class Mesh3:
             witnesses = self._collect_witnesses(segments, is_fresh, links, parts, violations)
         self._parts = ()  # no longer needed; do not keep the parts alive
         ok = not violations
-        self._cert = GeneralPositionCert3(ok, tuple(violations), len(segments))
+        self._cert = GeneralPositionCert3(ok, tuple(violations))
         if ok:
             self._segments = tuple(segments)
             self._end_links = links

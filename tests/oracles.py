@@ -696,12 +696,45 @@ def translate_crossing_reference(p, q, tri, d):
 # of its triangles.  This builds the same tables on Fraction coordinates.
 
 
+def mesh_topology(mesh):
+    """``(euler, orientable, components)`` of a mesh's source surface, read
+    off its edge matches and vertex classes: the Euler characteristic is
+    V - E + F, and a component is orientable when its triangles 2-colour
+    so that each match's flip is the change of colour across it."""
+    n = len(mesh.triangles)
+    across = [[] for _ in range(n)]
+    for m in mesh.matches:
+        (a, _), (b, _) = m.slot_a, m.slot_b
+        across[a].append((b, m.flip))
+        across[b].append((a, m.flip))
+    colour = [None] * n
+    orientable, components = True, 0
+    for start in range(n):
+        if colour[start] is not None:
+            continue
+        components += 1
+        colour[start] = 0
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            for u, flip in across[t]:
+                if colour[u] is None:
+                    colour[u] = colour[t] ^ flip
+                    stack.append(u)
+                elif colour[u] != colour[t] ^ flip:
+                    orientable = False
+    euler = len(mesh._vertex_classes) - len(mesh.matches) + n
+    return euler, orientable, components
+
+
 def mesh_tables_reference(mesh):
     """``(matches, edge_adj, vertex_adj, chart_axes)`` of a mesh, built on
     its Fraction vertices: an edge is keyed by its end points less the
-    floor of its least end, a corner translation is the floor of a
-    Fraction difference, and a chart axis is the dominant coordinate of a
-    Fraction normal.  The vertex classes are read from the mesh."""
+    floor of its least end, ``edge_adj`` maps each pair of triangles to the
+    shifts at which they share a matched edge, a corner translation is the
+    floor of a Fraction difference, and a chart axis is the dominant
+    coordinate of a Fraction normal.  The vertex classes are read from the
+    mesh."""
     from multipoint.exactgeom import PlaneChart, floor_vec, tri_normal, vscale
     from multipoint.surfaces3d import EdgeMatch
 
@@ -717,10 +750,10 @@ def mesh_tables_reference(mesh):
     for _, ((t1, e1, s1, o1), (t2, e2, s2, o2)) in sorted(slots.items()):
         matches.append(EdgeMatch((t1, e1), (t2, e2), vsub(s1, s2), int(o1 == o2)))
     edge_adj = {}
-    for mi, m in enumerate(matches):
+    for m in matches:
         (t1, _), (t2, _) = m.slot_a, m.slot_b
-        edge_adj.setdefault((t1, t2), {}).setdefault(m.rel_shift, []).append(mi)
-        edge_adj.setdefault((t2, t1), {}).setdefault(vscale(-1, m.rel_shift), []).append(mi)
+        edge_adj.setdefault((t1, t2), set()).add(m.rel_shift)
+        edge_adj.setdefault((t2, t1), set()).add(vscale(-1, m.rel_shift))
     vertex_adj = {}
     for cls in mesh._vertex_classes:
         for t1, c1 in cls:

@@ -21,7 +21,7 @@ from multipoint import curves2d, herbert, surfaces3d
 from multipoint.curves2d import MultiCurve, initial_epsilon, pairing_mod2
 from multipoint.exactgeom import GenericityError, PushoffCollision, lowest_terms, vsub
 from multipoint.generate import CURVE_AMBIENTS, TORI_AMBIENT, GeneratorConfig, generate
-from multipoint.rational import GMPY2, rat
+from multipoint.rational import rat
 from multipoint.scene import parse_scene
 from multipoint.surfaces3d import crossings_mod2_with_generic_translate, mesh_segment_hits
 
@@ -348,7 +348,6 @@ def fraction_count(monkeypatch):
     return count
 
 
-@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
 def test_pushoff_construction_creates_no_fraction(fraction_count):
     curve = _generated_curve("klein", 3, (2, 2))
     epsilon = initial_epsilon(curve.min_sep_sq)  # certifies and lifts the curve
@@ -357,7 +356,6 @@ def test_pushoff_construction_creates_no_fraction(fraction_count):
     assert fraction_count(curves2d.pushoff_all, curve, epsilon) == 0
 
 
-@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
 def test_separation_scale_and_crossing_count_create_no_fraction_per_pair(fraction_count):
     curve = _generated_curve("klein", 3, (2, 2))  # certified and lifted
     _, _, lifts, _ = curve.lift()
@@ -422,7 +420,6 @@ def test_curve_certificate_matches_rational_reference(ambient):
     assert 100 < sum(verdicts) < len(verdicts)
 
 
-@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
 def test_curve_certification_creates_no_fraction_per_pair(fraction_count):
     # a double point is its point and its two branch parameters, built
     # once; a pair of pieces that does not cross makes none
@@ -439,7 +436,6 @@ def test_curve_certification_creates_no_fraction_per_pair(fraction_count):
     assert found > 20
 
 
-@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
 def test_curve_union_certification_makes_no_fraction_for_reused_double_points(fraction_count):
     from multipoint.bordism import class_of_curve
 
@@ -525,7 +521,6 @@ def test_verify_on_a_curve_builds_no_branch_parameter(fraction_calls):
     assert "_segment_t" in fraction_calls(herbert.explain, reports[0], curve)
 
 
-@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
 def test_cartan_check_compares_no_fraction_once_its_union_is_certified(monkeypatch, fraction_calls):
     from multipoint import bordism
 
@@ -560,7 +555,6 @@ def _generated_mesh(sheets, seed):
     return generate(config).mesh("f")  # certified by the generator
 
 
-@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
 def test_mesh_certification_creates_no_fraction(fraction_count):
     fresh = surfaces3d.Mesh3(_generated_mesh(3, 1).triangles)
     assert fraction_count(fresh.certify) == 0
@@ -574,7 +568,6 @@ def test_mesh_certification_creates_no_fraction(fraction_count):
     assert b._witnesses and len(union._witnesses) > len(a._witnesses) + len(b._witnesses)
 
 
-@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
 def test_mesh_union_construction_creates_no_fraction(fraction_count):
     # the parts have different D, so the union scales the lifts of one
     a, b = _generated_mesh(2, 1), _generated_mesh(3, 4)
@@ -583,7 +576,6 @@ def test_mesh_union_construction_creates_no_fraction(fraction_count):
     assert fraction_count(surfaces3d.Mesh3, a.triangles + b.triangles) > 0
 
 
-@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
 def test_arc_crossings_build_only_the_returned_points(fraction_count):
     from multipoint import bordism
     from multipoint.exactgeom import seg_intersect
@@ -599,7 +591,6 @@ def test_arc_crossings_build_only_the_returned_points(fraction_count):
     assert count == (per_hit + 3) * len(crossings)
 
 
-@pytest.mark.skipif(GMPY2, reason="counts fractions.Fraction; the rationals are gmpy2's mpq")
 def test_mu_2_of_a_mesh_hashes_no_fraction(fraction_calls):
     from multipoint import bordism
 

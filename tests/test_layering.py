@@ -6,6 +6,7 @@ defines it.  Geometry shared between modules lives, public, in
 """
 
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
@@ -350,6 +351,147 @@ def test_api_names_are_defined():
         for _, name in _definitions(path.read_text(encoding="utf-8"), path.name)
     }
     assert set(API) <= defined
+
+
+# -- every field has a reader in the program -----------------------------------
+#
+# A field of a class of the package (a dataclass field, or an attribute
+# that a method stores on ``self``) that only tests read is dead state with
+# a test around it.  A read is an ``Attribute`` load of its name in src/,
+# bench/ or scripts/; a load inside an assignment that stores an attribute
+# of the same name does not count, so ``mesh.x = a.x + b.x`` does not keep
+# ``x`` alive.  An exception's attributes are for its handler, so the
+# classes that derive from an exception are not checked.
+
+# fields kept for readers outside the program
+FIELDS = {
+    "CheckReport.check": "names the law in each report that tests/data/bordism_golden.json pins",
+}
+
+
+def _exception_classes(modules):
+    """The names of the classes in ``modules`` that derive from an exception."""
+    bases = {
+        node.name: {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases}
+        for filename, source in modules.items()
+        for node in ast.parse(source, filename=filename).body
+        if isinstance(node, ast.ClassDef)
+    }
+    found = {
+        name
+        for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    grown = True
+    while grown:
+        new = {name for name, of in bases.items() if of & found} - found
+        found |= new
+        grown = bool(new)
+    return found & set(bases)
+
+
+def _fields(source, filename, exceptions):
+    """(line, ``Class.field``) of each field of a class that is not one of
+    ``exceptions``, at its first definition."""
+    for node in ast.parse(source, filename=filename).body:
+        if not isinstance(node, ast.ClassDef) or node.name in exceptions:
+            continue
+        seen = set()
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                stored = [(item.lineno, item.target.id)]
+            elif isinstance(item, ast.FunctionDef):
+                stored = sorted(
+                    (x.lineno, x.attr)
+                    for x in ast.walk(item)
+                    if isinstance(x, ast.Attribute)
+                    and isinstance(x.ctx, ast.Store)
+                    and isinstance(x.value, ast.Name)
+                    and x.value.id == "self"
+                )
+            else:
+                continue
+            for line, name in stored:
+                if name not in seen and not name.startswith("__"):
+                    seen.add(name)
+                    yield line, f"{node.name}.{name}"
+
+
+def _attribute_reads(source):
+    """The names of the ``Attribute`` loads in ``source``, less those inside
+    an assignment that stores an attribute of the same name."""
+    reads = set()
+
+    def visit(node, storing):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            storing = storing | {
+                x.attr
+                for target in targets
+                for x in ast.walk(target)
+                if isinstance(x, ast.Attribute) and isinstance(x.ctx, ast.Store)
+            }
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in storing:
+                reads.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, storing)
+
+    visit(ast.parse(source), frozenset())
+    return reads
+
+
+def _unread_fields(modules, readers, allowed):
+    """``file:line Class.field`` for each field in ``modules`` (filename to
+    source) that no reader source reads and ``allowed`` does not hold."""
+    exceptions = _exception_classes(modules)
+    reads = set().union(*(_attribute_reads(source) for source in readers))
+    for filename, source in modules.items():
+        for line, name in _fields(source, filename, exceptions):
+            if name.rpartition(".")[2] not in reads and name not in allowed:
+                yield f"{filename}:{line} {name}"
+
+
+def test_unread_field_is_detected():
+    module = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    ok: bool\n"
+        "    spent: float\n"
+        "    kept: int\n"
+        "class Counter:\n"
+        "    def __init__(self):\n"
+        "        self.total = 0\n"
+        "        self.size = 1\n"
+        "    def add(self, other):\n"
+        "        self.total = self.total + other.total\n"
+        "        return self.size\n"
+        "class Refusal(ValueError):\n"
+        "    def __init__(self, where):\n"
+        "        self.where = where\n"
+        "class NarrowRefusal(Refusal):\n"
+        "    def __init__(self):\n"
+        "        self.why = 1\n"
+    )
+    reader = "def f(report):\n    return report.ok\n"
+    found = list(_unread_fields({"sample.py": module}, [module, reader], {"Report.kept": ""}))
+    # a load inside an assignment that stores the same name does not read it
+    assert found == ["sample.py:5 Report.spent", "sample.py:9 Counter.total"]
+
+
+def test_every_field_has_a_reader_outside_tests():
+    modules = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
+    }
+    readers = [source for _, source in _program_sources()]
+    assert list(_unread_fields(modules, readers, FIELDS)) == []
+    fields = {
+        name
+        for filename, source in modules.items()
+        for _, name in _fields(source, filename, _exception_classes(modules))
+    }
+    assert set(FIELDS) <= fields
 
 
 def test_every_exported_name_exists():

@@ -1,5 +1,6 @@
 """Meshes in the 3-torus: structure, double locus, triple points, identities."""
 
+import dataclasses
 import importlib.util
 import random
 from pathlib import Path
@@ -53,11 +54,9 @@ THREE_TORI = Mesh3(
 def test_single_torus_structure():
     for axis, expect_h2 in ((0, (1, 0, 0)), (1, (0, 1, 0)), (2, (0, 0, 1))):
         m = Mesh3(coordinate_torus(axis, Q))
-        assert m.euler == 0
-        assert m.num_vertices == 1
+        assert oracles.mesh_topology(m) == (0, True, 1)
+        assert len(m._vertex_classes) == 1
         assert len(m.matches) == 3
-        assert m.orientable
-        assert m.num_components == 1
         assert m.certify().ok
         assert m.double_segments() == ()
         assert m.double_curves() == ()
@@ -102,14 +101,13 @@ def test_flat_parallelogram_torus(u, v):
             Mesh3(parallelogram_torus((0, 0, 0), u, v))
         return
     m = Mesh3(parallelogram_torus((rat(1, 7), rat(2, 11), rat(3, 13)), u, v))
-    assert m.euler == 0
-    assert m.num_vertices == 1
-    assert m.orientable
+    assert oracles.mesh_topology(m) == (0, True, 1)
+    assert len(m._vertex_classes) == 1
     cert = m.certify()
     if oracles.plane_torus_is_primitive(u, v):
         # spans the full lattice of its plane: an embedded flat torus
         assert cert.ok
-        assert cert.n_double_segments == 0
+        assert m.double_segments() == ()
         assert ambient_class_h2(m) == oracles.plane_torus_h2(u, v)
     else:
         # wraps onto a smaller flat torus: sheets coincide
@@ -124,7 +122,7 @@ def test_two_tori_anchor():
     m = TWO_TORI
     cert = m.certify()
     assert cert.ok and cert.violations == ()
-    assert cert.n_double_segments == 4
+    assert len(m.double_segments()) == 4
     curves = m.double_curves()
     assert len(curves) == 1
     dc = curves[0]
@@ -164,7 +162,7 @@ def test_three_tori_anchor():
     m = THREE_TORI
     cert = m.certify()
     assert cert.ok and cert.violations == ()
-    assert cert.n_double_segments == 12
+    assert len(m.double_segments()) == 12
     curves = m.double_curves()
     assert sorted(dc.h1 for dc in curves) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     for dc in curves:
@@ -254,8 +252,8 @@ def test_subdivision_preserves_every_invariant():
     assert len(fine.triangles) == 4 * len(base.triangles)
     for m in (base, fine):
         assert m.certify().ok
-        assert m.euler == 0
-        assert m.num_components == 3
+        euler, _, components = oracles.mesh_topology(m)
+        assert euler == 0 and components == 3
         assert sorted(dc.h1 for dc in m.double_curves()) == [
             (0, 0, 1),
             (0, 1, 0),
@@ -607,7 +605,7 @@ def test_folded_sheets_certify():
         m = z_sheet(xs, zs, ys)
         assert m.certify().ok
         assert m.double_segments() == ()
-        assert m.euler == 0 and m.orientable
+        assert oracles.mesh_topology(m) == (0, True, 1)
         assert ambient_class_h2(m) == (0, 0, 1)
 
 
@@ -710,7 +708,7 @@ def _summary(mesh, perm=(0, 1, 2)):
         for dc in mesh.double_curves()
     )
     triples = sorted(P(t.target) for t in mesh.triple_points().points)
-    return cert.ok, cert.n_double_segments, circles, triples
+    return cert.ok, len(mesh.double_segments()), circles, triples
 
 
 def _lhs_summary(mesh, other, perm=(0, 1, 2)):
@@ -836,11 +834,6 @@ _UNION_TABLES = (
     "_normals",
     "matches",
     "_slot_of",
-    "_edge_adj",
-    "num_vertices",
-    "euler",
-    "orientable",
-    "num_components",
 )
 
 
@@ -991,8 +984,30 @@ def test_union_refuses_a_cross_end_on_an_end_of_a_part():
     cert = union.certify()
     assert not cert.ok
     assert "double-curve-branching" in cert.violation_names
-    assert ("double-curve-branching", f"4 arc ends meet at {(rat(3, 4), Q, Q)}") in cert.violations
+    assert ("double-curve-branching", "4 arc ends meet at (3/4, 1/4, 1/4)") in cert.violations
     assert _certified_state(union) == _certified_state(full)
+
+
+def test_end_matching_checks_the_sheets_where_fresh_ends_meet():
+    # one of the two tori's segments moved to another translate of its
+    # second sheet: its ends still meet the same ends, but not on a sheet
+    # of theirs
+    segments = TWO_TORI.double_segments()
+    for k, seg in enumerate(segments):
+        for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            moved = list(segments)
+            moved[k] = dataclasses.replace(seg, shift=vadd(seg.shift, unit))
+            violations = []
+            TWO_TORI._match_ends(moved, [True] * 4, violations)
+            assert violations, (k, unit)
+            for name, detail in violations:
+                assert name == "double-curve-branching"
+                assert detail.startswith("sheet mismatch where arcs meet at (")
+            # ends taken from certified parts are linked unchecked
+            violations = []
+            links = TWO_TORI._match_ends(moved, [False] * 4, violations)
+            assert violations == []
+            assert links == TWO_TORI._end_links
 
 
 def test_union_refuses_a_cross_witness_at_a_triple_point_of_a_part():
@@ -1036,8 +1051,14 @@ def test_certify_computes_no_normal(monkeypatch):
 
 
 def _lift_tables(mesh):
+    # two corners shared at one shift are the ends of a shared edge
+    edge_adj = {}
+    for pair, by_shift in mesh._vertex_adj.items():
+        shifts = {v for v, corners in by_shift.items() if len(corners) > 1}
+        if shifts:
+            edge_adj[pair] = shifts
     axes = [mesh.chart(t).axis for t in range(len(mesh.triangles))]
-    return mesh.matches, mesh._edge_adj, mesh._vertex_adj, axes
+    return mesh.matches, edge_adj, mesh._vertex_adj, axes
 
 
 def test_lift_built_tables_match_the_fraction_reference(generated_meshes):
@@ -1049,6 +1070,14 @@ def test_lift_built_tables_match_the_fraction_reference(generated_meshes):
     assert len(meshes) == 2
     meshes += generated_meshes
     meshes += [a.union(b) for a, b in list(_disjoint_pairs(generated_meshes))[:6]]
+    # sheets folded along columns and cell diagonals, and subdivided
+    folded = [
+        z_sheet((0, THIRD, 2 * THIRD), (rat(3, 5), rat(4, 5), rat(3, 5)), ROWS),
+        z_sheet((0, rat(1, 4), rat(1, 2), rat(3, 4)), (0, rat(1, 16), 0, rat(1, 16)), (FIFTH, FIFTH + rat(1, 2))),
+        diagonal_fold_sheet([[rat(49, 64), rat(49, 64)], [rat(11, 64), rat(29, 64)]]),
+        diagonal_fold_sheet([[0, rat(1, 2)], [rat(1, 4), rat(3, 4)]]),
+    ]
+    meshes += folded + [subdivide_mesh(m) for m in folded]
     # large prime denominators, and each triangle moved by its own lattice
     # vector, so that edges match across translates with nonzero shifts
     w = (rat(1, 1000003), rat(-7, 999983), rat(5, 1000033))
