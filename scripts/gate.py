@@ -15,9 +15,11 @@ runs on the working tree and prints ``correct`` or ``WRONG``.  Then
 ``bench/run.py --seconds 1`` runs on a copy of the working tree for
 every workload at seeds 0-9, and its ``correct`` field is reported.
 
-One line is printed per gate: ``same``, or ``DIFFERS`` with the first
-differing line.  The exit code is 1 when any gate differs, the golden pin
-fails or any bench run is not correct.  Nothing is written outside the
+First the line count of ``src/multipoint`` (the newlines of its ``.py``
+files, as ``wc -l`` counts them) is printed for REF and for the working
+tree.  Then one line is printed per gate: ``same``, or ``DIFFERS`` with
+the first differing line.  The exit code is 1 when any gate differs, the
+golden pin fails or any bench run is not correct.  Nothing is written outside the
 temporary directory.
 
 Example:
@@ -51,6 +53,11 @@ def run(tree, args):
         [sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True
     )
     return done.returncode, done.stdout
+
+
+def package_lines(tree):
+    """The line count of the ``.py`` files of ``src/multipoint`` in ``tree``."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "multipoint").glob("*.py"))
 
 
 def first_difference(ref, work):
@@ -91,6 +98,10 @@ def main(argv=None):
             print(archive.stderr.decode().strip(), file=sys.stderr)
             return 2
         subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive.stdout, check=True)
+        print(
+            f"lines    src/multipoint: {package_lines(ref_tree)} at REF, "
+            f"{package_lines(ROOT)} here"
+        )
 
         gates = []
         for scene in sorted((ROOT / "docs").glob("*.scene")):

@@ -189,7 +189,10 @@ def explain(report, scene):
         f"{report.n_triple} triple point(s)"
     ]
     if report.n_double == 0 and report.n_triple == 0:
-        lines.append("no intersections: every identity instance is 0 = 0 + 0")
+        if all((row.lhs, row.mu, row.euler) == (0, 0, 0) for row in report.rows):
+            lines.append("no intersections: every identity instance is 0 = 0 + 0")
+        else:
+            lines.append("no intersections: mu is 0 on every row")
     lines.extend(_geometry_lines(scene))
     for row in report.rows:
         if row.verdict == "ERROR":

@@ -4,9 +4,10 @@ A mesh is a soup of nondegenerate triangles with exact rational vertices in
 R^3, read modulo the integer lattice.  The source surface is defined
 implicitly: two triangle edges are the same source edge exactly when they
 coincide in the 3-torus, i.e. when they agree after an integer translation.
-Every edge must be shared by exactly two edge slots (a closed surface) and
-every vertex link must be a single cycle (a manifold).  Note the flavor of
-gluing this supports: edge identifications are always pointwise-by-position,
+Every edge must be shared by exactly two edge slots (a closed surface).
+Each corner lies on two slots, so the corners around a vertex then form a
+single cycle and the surface is a manifold.  Note the flavor of gluing this
+supports: edge identifications are always pointwise-by-position,
 so creases, folds and self-intersections are expressed by the geometry of
 the soup itself.
 
@@ -332,9 +333,7 @@ class Mesh3:
             except ValueError:
                 raise MeshBuildError(f"degenerate-triangle: triangle {k}")
         self._normals = tuple(normals)
-        self._build_matching()
-        self._check_vertex_links()
-        self._build_vertex_adjacency()
+        self._build_vertex_adjacency(self._build_matching())
         self._init_results(())
 
     def _init_results(self, parts):
@@ -354,6 +353,7 @@ class Mesh3:
         return tuple(c // self.den for c in lifted)
 
     def _build_matching(self):
+        """Match the edge slots two by two; returns the vertex classes."""
         # edges are keyed on their lifts; scaling by D keeps the key order
         slots = {}
         for t, lift in enumerate(self._lifts):
@@ -383,7 +383,9 @@ class Mesh3:
         self.matches = tuple(matches)
         self._slot_of = slot_of
 
-        # vertex classes via corner identifications induced by the matching
+        # Vertex classes: the corners that the matches identify.  Each
+        # corner lies on two edge slots and each slot is matched once, so
+        # the corners of a class form one cycle around a disk.
         n = len(self.triangles)
         uf = UnionFind(3 * n)
         for m in self.matches:
@@ -400,62 +402,23 @@ class Mesh3:
         for t in range(n):
             for c in range(3):
                 classes.setdefault(uf.find(3 * t + c), []).append((t, c))
-        self._vertex_classes = tuple(tuple(v) for _, v in sorted(classes.items()))
+        return classes.values()
 
-    def _link_step(self, t, c, e_in):
-        # leave corner (t, c) through its edge other than e_in; corner c
-        # belongs to edges c and c-1
-        edges = (c, (c + 2) % 3)
-        e_out = edges[0] if edges[0] != e_in else edges[1]
-        mi, side = self._slot_of[(t, e_out)]
-        m = self.matches[mi]
-        (t2, e2) = m.slot_b if side == 0 else m.slot_a
-        ends1 = (e_out, (e_out + 1) % 3)
-        ends2 = (e2, (e2 + 1) % 3)
-        pos = ends1.index(c)
-        c2 = ends2[pos] if m.flip else ends2[1 - pos]
-        return t2, c2, e2
-
-    def _check_vertex_links(self):
-        # around every vertex class the corner-to-corner walk must visit
-        # each corner exactly once before closing up
-        for cls in self._vertex_classes:
-            members = set(cls)
-            t0, c0 = cls[0]
-            state = (t0, c0, c0)
-            seen = []
-            while True:
-                seen.append(state[:2])
-                state = self._link_step(*state)
-                if state == (t0, c0, c0):
-                    break
-                if len(seen) > 2 * len(members):
-                    break
-            if len(seen) != len(members) or set(seen) != members:
-                raise MeshBuildError(
-                    "vertex-link: vertex neighborhood is not a single disk "
-                    f"(corners {sorted(members)})"
-                )
-
-    def _build_vertex_adjacency(self):
-        vertex_adj = {}
-        for cls in self._vertex_classes:
-            for (t1, c1) in cls:
-                for (t2, c2) in cls:
-                    if (t1, c1) == (t2, c2):
-                        continue
-                    d = vsub(self._lifts[t1][c1], self._lifts[t2][c2])
-                    v = self._floor(d)
-                    if vscale(self.den, v) != d:
-                        raise MeshBuildError(
-                            "edge-matching: identified vertices differ by a "
-                            "non-integer translation"
-                        )
-                    if t1 == t2 and v == (0, 0, 0):
-                        continue
-                    vertex_adj.setdefault((t1, t2), {}).setdefault(v, []).append(
-                        (c1, c2)
-                    )
+    def _build_vertex_adjacency(self, classes):
+        """The corners shared by each pair of lifts that
+        :meth:`_enumerate_pairs` crosses: triangles ``i <= j`` and, for
+        ``i == j``, shifts ``v > 0``.  A match pairs the ends of one edge
+        key, so identified corners differ by D times a lattice vector, and
+        two corners of one nondegenerate triangle never coincide."""
+        lifts, vertex_adj = self._lifts, {}
+        for cls in classes:  # corners in (triangle, corner) order
+            for k, (t1, c1) in enumerate(cls):
+                for t2, c2 in cls[k + 1 :]:
+                    v = self._floor(vsub(lifts[t1][c1], lifts[t2][c2]))
+                    corners = (c1, c2)
+                    if t1 == t2 and v < (0, 0, 0):
+                        v, corners = vscale(-1, v), (c2, c1)
+                    vertex_adj.setdefault((t1, t2), {}).setdefault(v, []).append(corners)
         self._vertex_adj = vertex_adj
 
     def __eq__(self, other):
@@ -469,7 +432,7 @@ class Mesh3:
 
         It is built from its parts' tables: its lift D is the lcm of
         theirs, their lifts and normals are scaled to it, and their edge
-        matches, vertex classes and adjacency are renumbered.  An edge of
+        matches and vertex adjacency are renumbered.  An edge of
         both parts raises the :class:`MeshBuildError` of the whole mesh.
 
         When the union is certified, a part that holds an ok certificate
@@ -523,9 +486,6 @@ class Mesh3:
         for mi, m in enumerate(mesh.matches):
             mesh._slot_of[m.slot_a] = (mi, 0)
             mesh._slot_of[m.slot_b] = (mi, 1)
-        mesh._vertex_classes = self._vertex_classes + tuple(
-            [tuple([(t + offset, c) for t, c in cls]) for cls in other._vertex_classes]
-        )
         # only the keys name triangles: the corner pairs by shift are shared
         mesh._vertex_adj = dict(self._vertex_adj)
         for (t1, t2), by_shift in other._vertex_adj.items():

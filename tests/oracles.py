@@ -10,7 +10,7 @@ instead of pushoffs.  Tests compare library output against these.
 from fractions import Fraction
 
 from multipoint.rational import rat, ZERO
-from multipoint.exactgeom import DEGENERATE, seg_intersect, vsub, vdot, cross2, cross3
+from multipoint.exactgeom import DEGENERATE, seg_intersect, vadd, vsub, vdot, cross2, cross3
 
 
 def dist2(p, q):
@@ -696,6 +696,71 @@ def translate_crossing_reference(p, q, tri, d):
 # of its triangles.  This builds the same tables on Fraction coordinates.
 
 
+def _find(parent, k):
+    while parent[k] != k:
+        k = parent[k]
+    return k
+
+
+def _shared_corners(mesh, m):
+    """The corner pairs ``((t1, c1), (t2, c2))`` that one edge match
+    identifies: the ends of its two edges that coincide once the second
+    triangle is moved by the match's shift."""
+    (t1, e1), (t2, e2) = m.slot_a, m.slot_b
+    tri1, tri2 = mesh.triangles[t1], mesh.triangles[t2]
+    pairs = []
+    for c1 in (e1, (e1 + 1) % 3):
+        (c2,) = [c for c in (e2, (e2 + 1) % 3) if vadd(tri2[c], m.rel_shift) == tri1[c1]]
+        pairs.append(((t1, c1), (t2, c2)))
+    return pairs
+
+
+def mesh_vertex_classes(mesh):
+    """The vertex classes of a mesh, each a sorted tuple of its corners
+    ``(triangle, corner)``: the corners that its edge matches put at one
+    point, joined by a union-find of this module's own."""
+    parent = {(t, c): (t, c) for t in range(len(mesh.triangles)) for c in range(3)}
+    for m in mesh.matches:
+        for a, b in _shared_corners(mesh, m):
+            parent[_find(parent, a)] = _find(parent, b)
+    classes = {}
+    for k in sorted(parent):
+        classes.setdefault(_find(parent, k), []).append(k)
+    return sorted(tuple(cls) for cls in classes.values())
+
+
+def mesh_vertex_links(mesh):
+    """``(class, cycles)`` per vertex class: the cycles of the walk that
+    enters a corner through one of its two edges, leaves through the other
+    and crosses that edge's match to the corner it identifies.  The
+    corners around a vertex that is a disk form one cycle, which the walk
+    goes round once in each direction."""
+    across = {}
+    for m in mesh.matches:
+        for (t1, c1), (t2, c2) in _shared_corners(mesh, m):
+            across[(t1, c1, m.slot_a[1])] = (t2, c2, m.slot_b[1])
+            across[(t2, c2, m.slot_b[1])] = (t1, c1, m.slot_a[1])
+    out = []
+    for cls in mesh_vertex_classes(mesh):
+        # a flag is a corner and the edge it is entered by: edge c or c - 1
+        todo = {(t, c, e) for t, c in cls for e in (c, (c + 2) % 3)}
+        cycles = []
+        while todo:
+            flag = start = min(todo)
+            cycle = []
+            while True:
+                todo.discard(flag)
+                t, c, e_in = flag
+                cycle.append((t, c))
+                e_out = c if e_in != c else (c + 2) % 3
+                flag = across[(t, c, e_out)]
+                if flag == start:
+                    break
+            cycles.append(tuple(cycle))
+        out.append((cls, cycles))
+    return out
+
+
 def mesh_topology(mesh):
     """``(euler, orientable, components)`` of a mesh's source surface, read
     off its edge matches and vertex classes: the Euler characteristic is
@@ -723,7 +788,7 @@ def mesh_topology(mesh):
                     stack.append(u)
                 elif colour[u] != colour[t] ^ flip:
                     orientable = False
-    euler = len(mesh._vertex_classes) - len(mesh.matches) + n
+    euler = len(mesh_vertex_classes(mesh)) - len(mesh.matches) + n
     return euler, orientable, components
 
 
@@ -733,10 +798,14 @@ def mesh_tables_reference(mesh):
     floor of its least end, ``edge_adj`` maps each pair of triangles to the
     shifts at which they share a matched edge, a corner translation is the
     floor of a Fraction difference, and a chart axis is the dominant
-    coordinate of a Fraction normal.  The vertex classes are read from the
-    mesh."""
+    coordinate of a Fraction normal.  The adjacencies hold the pairs of
+    lifts ``i`` and ``j + v`` that certification crosses, ``i <= j`` and,
+    for ``i == j``, ``v > 0``; corner lists are sets."""
     from multipoint.exactgeom import PlaneChart, floor_vec, tri_normal, vscale
     from multipoint.surfaces3d import EdgeMatch
+
+    def crossed(t1, t2, v):
+        return t1 < t2 or (t1 == t2 and v > (0, 0, 0))
 
     tris = mesh.triangles
     slots = {}
@@ -752,10 +821,11 @@ def mesh_tables_reference(mesh):
     edge_adj = {}
     for m in matches:
         (t1, _), (t2, _) = m.slot_a, m.slot_b
-        edge_adj.setdefault((t1, t2), set()).add(m.rel_shift)
-        edge_adj.setdefault((t2, t1), set()).add(vscale(-1, m.rel_shift))
+        for pair, v in (((t1, t2), m.rel_shift), ((t2, t1), vscale(-1, m.rel_shift))):
+            if crossed(*pair, v):
+                edge_adj.setdefault(pair, set()).add(v)
     vertex_adj = {}
-    for cls in mesh._vertex_classes:
+    for cls in mesh_vertex_classes(mesh):
         for t1, c1 in cls:
             for t2, c2 in cls:
                 if (t1, c1) == (t2, c2):
@@ -763,11 +833,75 @@ def mesh_tables_reference(mesh):
                 d = vsub(tris[t1][c1], tris[t2][c2])
                 v = floor_vec(d)
                 assert vsub(d, v) == (ZERO, ZERO, ZERO), "non-integer translation"
-                if t1 == t2 and v == (0, 0, 0):
-                    continue
-                vertex_adj.setdefault((t1, t2), {}).setdefault(v, []).append((c1, c2))
+                if crossed(t1, t2, v):
+                    vertex_adj.setdefault((t1, t2), {}).setdefault(v, set()).add((c1, c2))
     axes = [PlaneChart.of(tri_normal(tri)).axis for tri in tris]
     return tuple(matches), edge_adj, vertex_adj, axes
+
+
+# --- square complexes ------------------------------------------------------
+#
+# SquareComplex.validate() checks that every edge slot is glued exactly
+# once and that the squares are connected.  This verdict also counts the
+# cycles of the walk around the corners, which must be two per vertex.
+
+# each edge's two ends, first to last along its tangent, as corner points
+_SQUARE_EDGE_ENDS = {"E": ((1, 0), (1, 1)), "W": ((0, 0), (0, 1)),
+                     "N": ((0, 1), (1, 1)), "S": ((0, 0), (1, 0))}
+
+
+def complex_verdict(num_squares, gluings):
+    """``(ok, sorted violations)`` of a square complex with the gluings
+    ``(square_a, edge_a, square_b, edge_b, flip)``, as
+    :meth:`SquareComplex.validate` names them, plus
+    ``vertex-link-mismatch`` when a valid complex has other than two
+    cycles of the corner walk per vertex."""
+    violations, other = [], {}
+    for sa, ea, sb, eb, flip in gluings:
+        if (sa, ea) == (sb, eb):
+            violations.append(f"self-glued-edge {sa}.{ea}")
+            continue
+        for slot, far in (((sa, ea), (sb, eb, flip)), ((sb, eb), (sa, ea, flip))):
+            if slot in other:
+                violations.append(f"duplicate-edge-slot {slot[0]}.{slot[1]}")
+            else:
+                other[slot] = far
+    slots = [(sq, ed) for sq in range(num_squares) for ed in "EWNS"]
+    violations += [f"unglued-edge {sq}.{ed}" for sq, ed in slots if (sq, ed) not in other]
+    parent = list(range(num_squares))
+    for sa, _, sb, _, _ in gluings:
+        parent[_find(parent, sa)] = _find(parent, sb)
+    if len({_find(parent, sq) for sq in range(num_squares)}) != 1:
+        violations.append("disconnected")
+    if not violations:
+        # the corners that the gluings put at one point
+        corners = {(sq, p): (sq, p) for sq, ed in slots for p in _SQUARE_EDGE_ENDS[ed]}
+        for (sq, ed), (osq, oed, flip) in other.items():
+            ends, far = _SQUARE_EDGE_ENDS[ed], _SQUARE_EDGE_ENDS[oed]
+            for a, b in zip(ends, far[::-1] if flip else far):
+                corners[_find(corners, (sq, a))] = _find(corners, (osq, b))
+        vertices = len({_find(corners, k) for k in corners})
+
+        # a flag is a square, a corner and an edge at that corner; a step
+        # crosses the edge and turns to the other edge at the far corner
+        def step(flag):
+            sq, corner, ed = flag
+            osq, oed, flip = other[(sq, ed)]
+            end = _SQUARE_EDGE_ENDS[ed].index(corner)
+            corner2 = _SQUARE_EDGE_ENDS[oed][1 - end if flip else end]
+            (ed2,) = [e for e in "EWNS" if e != oed and corner2 in _SQUARE_EDGE_ENDS[e]]
+            return osq, corner2, ed2
+
+        flags = {(sq, p, ed) for sq, ed in slots for p in _SQUARE_EDGE_ENDS[ed]}
+        cycles = 0
+        while flags:
+            start = flag = flags.pop()
+            while (flag := step(flag)) != start:
+                flags.remove(flag)
+            cycles += 1
+        if cycles != 2 * vertices:
+            violations.append("vertex-link-mismatch")
+    return not violations, sorted(violations)
 
 
 # --- the rational triangle-triangle intersection ---------------------------

@@ -203,7 +203,16 @@ def test_explain_names_the_double_point():
 def test_explain_empty_scene():
     scene = curve(HORIZ)
     text = explain(verify(scene, scene_id="loop"), scene)
-    assert "no intersections" in text
+    assert "no intersections: every identity instance is 0 = 0 + 0" in text
+
+
+def test_explain_klein_core_loop_claims_only_mu_zero():
+    # embedded but one-sided: the row reads 1 = 0 + 1, not 0 = 0 + 0
+    scene = MultiCurve.build(KLEIN, [[(0, (rat(1, 4), rat(1, 2))), (0, (rat(5, 4), rat(1, 2)))]])
+    text = explain(verify(scene, scene_id="c"), scene)
+    assert "no intersections: mu is 0 on every row\n" in text
+    assert "0 = 0 + 0" not in text
+    assert "component[0] (r=1): lhs 1 = mu 0 + euler 1 (mod 2) [PASS]" in text
 
 
 def test_explain_highlights_injected_failure():

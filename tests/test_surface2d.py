@@ -1,8 +1,13 @@
 """Square complexes: transitions and validation."""
 
+import itertools
+import random
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from helpers import genus2_complex, klein_complex, torus_complex
 from multipoint.rational import rat
 from multipoint.surface2d import EDGE_NAMES, Gluing, SquareComplex, edge_transition
@@ -222,3 +227,64 @@ def test_complex_equality_is_structural():
     b = SquareComplex(1, [Gluing(0, "W", 0, "E", False), Gluing(0, "S", 0, "N", False)])
     assert a == b  # gluing slots normalize to the same order
     assert a != klein_complex()
+
+
+def _pairings(slots):
+    """Every way to split ``slots`` into pairs."""
+    if not slots:
+        yield []
+        return
+    for k in range(1, len(slots)):
+        for rest in _pairings(slots[1:k] + slots[k + 1 :]):
+            yield [(slots[0], slots[k])] + rest
+
+
+def every_closed_gluing(num_squares):
+    """Every gluing of ``num_squares`` squares with each edge slot glued
+    once: each pairing of the slots, with each choice of flips."""
+    slots = [(sq, ed) for sq in range(num_squares) for ed in EDGE_NAMES]
+    for pairs in _pairings(slots):
+        for flips in itertools.product((False, True), repeat=len(pairs)):
+            yield [(*a, *b, flip) for (a, b), flip in zip(pairs, flips)]
+
+
+def random_gluing(rng):
+    """A random gluing of 3-6 squares: a random pairing of the edge slots
+    with random flips, then most often one fault: a gluing dropped, a slot
+    glued twice (re-glued, or by an extra gluing) or a slot glued to
+    itself."""
+    n = rng.randint(3, 6)
+    slots = [(sq, ed) for sq in range(n) for ed in EDGE_NAMES]
+    rng.shuffle(slots)
+    gluings = [(*slots[k], *slots[k + 1], rng.random() < 0.5) for k in range(0, len(slots), 2)]
+    fault = rng.randrange(5)
+    sq, ed, _, _, flip = gluings[-1]
+    if fault == 1:
+        gluings.pop()
+    elif fault == 2:
+        gluings[-1] = (sq, ed, *slots[0], flip)
+    elif fault == 3:
+        gluings.append((*slots[0], *slots[2], flip))
+    elif fault == 4:
+        gluings[-1] = (sq, ed, sq, ed, flip)
+    return n, gluings
+
+
+def test_validate_is_the_verdict_that_walks_the_vertex_links():
+    # Gluing every edge slot exactly once makes every vertex a disk, so
+    # validate() needs no walk around the corners: it equals the verdict
+    # that still counts the walk's cycles, two per vertex.
+    cases = [(n, g) for n in (1, 2) for g in every_closed_gluing(n)]
+    assert len(cases) == 12 + 1680
+    rng = random.Random(0)
+    cases += [random_gluing(rng) for _ in range(2000)]
+    names = Counter()
+    for n, gluings in cases:
+        rep = SquareComplex(n, gluings).validate()
+        verdict = oracles.complex_verdict(n, gluings)
+        assert (rep.ok, sorted(rep.violations)) == verdict, (n, gluings)
+        names.update({v.split()[0] for v in verdict[1]} or {"ok"})
+    assert set(names) == {
+        "ok", "self-glued-edge", "duplicate-edge-slot", "unglued-edge", "disconnected"
+    }
+    assert names["ok"] > 1000 and names["duplicate-edge-slot"] > 500

@@ -55,7 +55,7 @@ def test_single_torus_structure():
     for axis, expect_h2 in ((0, (1, 0, 0)), (1, (0, 1, 0)), (2, (0, 0, 1))):
         m = Mesh3(coordinate_torus(axis, Q))
         assert oracles.mesh_topology(m) == (0, True, 1)
-        assert len(m._vertex_classes) == 1
+        assert len(oracles.mesh_vertex_classes(m)) == 1
         assert len(m.matches) == 3
         assert m.certify().ok
         assert m.double_segments() == ()
@@ -102,7 +102,7 @@ def test_flat_parallelogram_torus(u, v):
         return
     m = Mesh3(parallelogram_torus((rat(1, 7), rat(2, 11), rat(3, 13)), u, v))
     assert oracles.mesh_topology(m) == (0, True, 1)
-    assert len(m._vertex_classes) == 1
+    assert len(oracles.mesh_vertex_classes(m)) == 1
     cert = m.certify()
     if oracles.plane_torus_is_primitive(u, v):
         # spans the full lattice of its plane: an embedded flat torus
@@ -826,7 +826,7 @@ def test_union_certifies_like_the_concatenated_mesh(generated_meshes):
 
 
 # the tables of a mesh that its union reads or keeps, compared in order;
-# vertex classes and adjacency lists are compared as sets below
+# adjacency lists are compared as sets below
 _UNION_TABLES = (
     "triangles",
     "den",
@@ -867,7 +867,7 @@ def test_union_is_built_from_its_parts_like_the_whole_mesh(generated_meshes):
             union = a.union(b)
             for name in _UNION_TABLES:
                 assert getattr(union, name) == getattr(whole, name), name
-            assert set(union._vertex_classes) == set(whole._vertex_classes)
+            assert oracles.mesh_vertex_classes(union) == oracles.mesh_vertex_classes(whole)
             assert _as_sets(union._vertex_adj) == _as_sets(whole._vertex_adj)
             assert _lift_tables(union) == oracles.mesh_tables_reference(union)
             built += 1
@@ -1050,6 +1050,18 @@ def test_certify_computes_no_normal(monkeypatch):
 # tables built on the integer lifts
 
 
+def _folded_sheets():
+    """Sheets folded along columns and cell diagonals, and their
+    subdivisions."""
+    folded = [
+        z_sheet((0, THIRD, 2 * THIRD), (rat(3, 5), rat(4, 5), rat(3, 5)), ROWS),
+        z_sheet((0, rat(1, 4), rat(1, 2), rat(3, 4)), (0, rat(1, 16), 0, rat(1, 16)), (FIFTH, FIFTH + rat(1, 2))),
+        diagonal_fold_sheet([[rat(49, 64), rat(49, 64)], [rat(11, 64), rat(29, 64)]]),
+        diagonal_fold_sheet([[0, rat(1, 2)], [rat(1, 4), rat(3, 4)]]),
+    ]
+    return folded + [subdivide_mesh(m) for m in folded]
+
+
 def _lift_tables(mesh):
     # two corners shared at one shift are the ends of a shared edge
     edge_adj = {}
@@ -1058,7 +1070,7 @@ def _lift_tables(mesh):
         if shifts:
             edge_adj[pair] = shifts
     axes = [mesh.chart(t).axis for t in range(len(mesh.triangles))]
-    return mesh.matches, edge_adj, mesh._vertex_adj, axes
+    return mesh.matches, edge_adj, _as_sets(mesh._vertex_adj), axes
 
 
 def test_lift_built_tables_match_the_fraction_reference(generated_meshes):
@@ -1070,14 +1082,7 @@ def test_lift_built_tables_match_the_fraction_reference(generated_meshes):
     assert len(meshes) == 2
     meshes += generated_meshes
     meshes += [a.union(b) for a, b in list(_disjoint_pairs(generated_meshes))[:6]]
-    # sheets folded along columns and cell diagonals, and subdivided
-    folded = [
-        z_sheet((0, THIRD, 2 * THIRD), (rat(3, 5), rat(4, 5), rat(3, 5)), ROWS),
-        z_sheet((0, rat(1, 4), rat(1, 2), rat(3, 4)), (0, rat(1, 16), 0, rat(1, 16)), (FIFTH, FIFTH + rat(1, 2))),
-        diagonal_fold_sheet([[rat(49, 64), rat(49, 64)], [rat(11, 64), rat(29, 64)]]),
-        diagonal_fold_sheet([[0, rat(1, 2)], [rat(1, 4), rat(3, 4)]]),
-    ]
-    meshes += folded + [subdivide_mesh(m) for m in folded]
+    meshes += _folded_sheets()
     # large prime denominators, and each triangle moved by its own lattice
     # vector, so that edges match across translates with nonzero shifts
     w = (rat(1, 1000003), rat(-7, 999983), rat(5, 1000033))
@@ -1093,3 +1098,27 @@ def test_lift_built_tables_match_the_fraction_reference(generated_meshes):
     assert moved.den == 16 * 1000003 * 999983 * 1000033
     assert any(any(v) for adj in moved._vertex_adj.values() for v in adj)
     assert any(any(m.rel_shift) for m in moved.matches)
+
+
+def test_every_vertex_is_one_link_cycle(fuzz_tori_scenes):
+    # Each corner lies on two edge slots and each slot is matched once, so
+    # the walk around a vertex class goes round one cycle of all its
+    # corners, once in each direction: every vertex is a disk.
+    meshes = [
+        parse_scene((DOCS / name).read_text(encoding="utf-8")).mesh("f")
+        for name in ("three-tori.scene", "two-tori-cycle.scene")
+    ]
+    meshes += [scene.mesh("f") for scene in fuzz_tori_scenes]
+    meshes += _folded_sheets()
+    bench = [
+        parse_scene(_bench_scene_text(seed, index)).mesh("f")
+        for seed in range(2)
+        for index in range(4)
+    ]
+    meshes += bench + [a.union(b) for a, b in zip(bench, bench[1:])]
+    classes = 0
+    for mesh in meshes:
+        for cls, cycles in oracles.mesh_vertex_links(mesh):
+            assert [sorted(c) for c in cycles] == [list(cls)] * 2
+            classes += 1
+    assert classes > 500
