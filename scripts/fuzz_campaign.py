@@ -153,7 +153,7 @@ def _class_text(cls):
             (dc.canonical, dc.h1, [(pc.arcs, pc.w1, pc.doubled) for pc in dc.preimages])
             for dc in payload.double_curves()
         ]
-        triples = [(tp.target, tp.preimages) for tp in payload.triple_points().points]
+        triples = [(tp.target, tp.preimages) for tp in payload.triple_points()]
         payload = (curves, triples)
     return f"{cls.universe}\t{cls.note}\t{_text(payload)}\t{_text(cls.structure)}"
 

@@ -279,7 +279,7 @@ def _r_fold_points(payload, r):
     else:
         points = [
             (tp, tuple(pre[0] for pre in tp.preimages))
-            for tp in payload.triple_points().points
+            for tp in payload.triple_points()
         ]
     return [(i, point, sources) for i, (point, sources) in enumerate(points)]
 

@@ -176,7 +176,7 @@ def _geometry_lines(scene):
                 f"{len(dc.preimages)} preimage circle(s) with w1 bits "
                 f"{[pc.w1 for pc in dc.preimages]}"
             )
-        for tp in scene.triple_points().points:
+        for tp in scene.triple_points():
             pre = ", ".join(f"t{t}:{format_point(p)}" for t, p in tp.preimages)
             lines.append(f"triple point {format_point(tp.target)} over {pre}")
     return lines

@@ -94,7 +94,6 @@ class SquareComplex:
             glus.append(g.normalized())
         self.gluings = tuple(sorted(glus, key=lambda g: (g.square_a, g.edge_a)))
         self._by_edge = {}
-        self._build_report = None
         violations = []
         for g in self.gluings:
             if (g.square_a, g.edge_a) == (g.square_b, g.edge_b):
@@ -122,8 +121,6 @@ class SquareComplex:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ComplexReport:
-        if self._build_report is not None:
-            return self._build_report
         violations = list(self._construction_violations)
         for sq in range(self.num_squares):
             for ed in EDGE_NAMES:
@@ -139,8 +136,7 @@ class SquareComplex:
         # with every slot glued exactly once, each corner lies on two glued
         # slots, so the corners around a vertex form one cycle: a disk
 
-        self._build_report = ComplexReport(ok=not violations, violations=tuple(violations))
-        return self._build_report
+        return ComplexReport(ok=not violations, violations=tuple(violations))
 
     # -- equality ------------------------------------------------------------
 

@@ -246,14 +246,6 @@ class TriplePoint:
     preimages: tuple
 
 
-@dataclass(frozen=True)
-class TriplePointSet:
-    points: tuple
-
-    def __len__(self):
-        return len(self.points)
-
-
 def _canon_segment(p, q, den=1):
     """The segment pq moved back by the floor of its least end, for
     points lifted by ``den`` (rationals with ``den = 1``)."""
@@ -437,9 +429,9 @@ class Mesh3:
 
         When the union is certified, a part that holds an ok certificate
         gives it the double segments of the pairs of triangles inside that
-        part and their triple-point witnesses; only the other pairs run the
-        predicates, and only the pairs of arcs where one is theirs are
-        crossed.  The union matches every segment end itself.
+        part; only the other pairs run the predicates.  The union matches
+        every segment end and crosses every pair of arcs itself, as the
+        whole mesh does.
         """
         parts = (self, other)
         mesh = Mesh3.__new__(Mesh3)
@@ -502,10 +494,9 @@ class Mesh3:
     def _enumerate_pairs(self, parts):
         """Certify every pair of triangle lifts.
 
-        Returns the violations, the double segments and, per segment,
-        whether it was found here (fresh) or taken from a certified part:
-        a pair inside such a part takes that part's segments, in the order
-        a full enumeration would list them.
+        Returns the violations and the double segments.  A pair inside a
+        certified part takes that part's segments, in the order a full
+        enumeration would list them.
         """
         # The predicates run on the integer lifts D * t of the triangles; a
         # lattice shift v becomes D * v, and an arc's ends are put over D.
@@ -522,14 +513,11 @@ class Mesh3:
                 known.setdefault(ij, []).append(seg)
         violations = []
         segments = []
-        is_fresh = []
         for i in range(n):
             ta, na = lifts[i], normals[i]
             for j in range(i, n):
                 if home[i] is not None and home[i] == home[j]:
-                    taken = known.get((i, j), ())
-                    segments += taken
-                    is_fresh += [False] * len(taken)
+                    segments += known.get((i, j), ())
                     continue
                 nb = normals[j]
                 corners_at = self._vertex_adj.get((i, j), {})
@@ -567,8 +555,7 @@ class Mesh3:
                     # the ends are homogeneous over the lifts: put them over D
                     p, q = (lowest_terms(x, y, z, w * den) for x, y, z, w in (res.p, res.q))
                     segments.append(DoubleSegment(i, j, v, p, q, res.tag_p, res.tag_q))
-                    is_fresh.append(True)
-        return violations, segments, is_fresh
+        return violations, segments
 
     @staticmethod
     def _end_tag(seg, end):
@@ -583,14 +570,12 @@ class Mesh3:
             "b": (seg.tri_b, vsub(seg.shift, u)),
         }
 
-    def _match_ends(self, segments, is_fresh, violations):
+    def _match_ends(self, segments, violations):
         """Link the segment ends that meet in the 3-torus two by two.
 
         Every point where ends meet is keyed by its homogeneous form mod
-        the lattice, and its two ends must share exactly one sheet.  Two
-        ends taken from certified parts are linked unchecked: a part's key
-        holds two of its own ends, so two such ends that meet alone belong
-        to one part, which has checked them.  Returns the links.
+        the lattice, and its two ends must share exactly one sheet.
+        Returns the links.
         """
         groups = {}
         for si, seg in enumerate(segments):
@@ -603,44 +588,34 @@ class Mesh3:
                 found.append((key, f"{len(g)} arc ends meet at"))
                 continue
             (s1, e1), (s2, e2) = g
-            if is_fresh[s1] or is_fresh[s2]:
-                sh1 = set(self._sheets_at(segments[s1], e1).values())
-                sh2 = set(self._sheets_at(segments[s2], e2).values())
-                if len(sh1 & sh2) != 1:
-                    found.append((key, "sheet mismatch where arcs meet at"))
-                    continue
+            sh1 = set(self._sheets_at(segments[s1], e1).values())
+            sh2 = set(self._sheets_at(segments[s2], e2).values())
+            if len(sh1 & sh2) != 1:
+                found.append((key, "sheet mismatch where arcs meet at"))
+                continue
             links[(s1, e1)] = (s2, e2)
             links[(s2, e2)] = (s1, e1)
         _report("double-curve-branching", found, violations)
         return links
 
-    def _collect_witnesses(self, segments, is_fresh, links, parts, violations):
+    def _collect_witnesses(self, segments, links, violations):
         """The triple-point witnesses: a crossing of two double arcs hosted
-        by one triangle, keyed by its point mod the lattice.
-
-        A certified part's witnesses are renumbered, and only the pairs of
-        arcs where at least one is a fresh segment are crossed.
-        """
-        busy = set()
-        for seg, fresh in zip(segments, is_fresh):
-            if fresh:
-                busy.update((seg.tri_a, seg.tri_b))
+        by one triangle, keyed by its point mod the lattice.  Every segment
+        is hosted on both of its triangles."""
         hosts = {}
         for si, seg in enumerate(segments):
-            if seg.tri_a in busy:
-                hosts.setdefault(seg.tri_a, []).append(
-                    (seg.hp, seg.hq, (seg.tri_b, seg.shift), si)
+            hosts.setdefault(seg.tri_a, []).append(
+                (seg.hp, seg.hq, (seg.tri_b, seg.shift), si)
+            )
+            back = vscale(-1, seg.shift)
+            hosts.setdefault(seg.tri_b, []).append(
+                (
+                    _shift_homogeneous(seg.hp, back),
+                    _shift_homogeneous(seg.hq, back),
+                    (seg.tri_a, back),
+                    si,
                 )
-            if seg.tri_b in busy:
-                back = vscale(-1, seg.shift)
-                hosts.setdefault(seg.tri_b, []).append(
-                    (
-                        _shift_homogeneous(seg.hp, back),
-                        _shift_homogeneous(seg.hq, back),
-                        (seg.tri_a, back),
-                        si,
-                    )
-                )
+            )
         witnesses = {}
         for t, entries in sorted(hosts.items()):
             # the arcs meet in their chart, on one integer scale: the least
@@ -657,7 +632,7 @@ class Mesh3:
                 px, qx, ox, sx = entries[x]
                 for y in range(x + 1, len(entries)):
                     py, qy, oy, sy = entries[y]
-                    if ox == oy or not (is_fresh[sx] or is_fresh[sy]):
+                    if ox == oy:
                         continue
                     # consecutive pieces of one double curve share an end
                     # inside this chart when the other sheet crosses its
@@ -695,22 +670,13 @@ class Mesh3:
                         }
                     )
                     witnesses.setdefault(_mod_lattice(y3), []).append((t, y3, sheets))
-        merged = {}
-        for part, offset in parts:
-            for key, ws in part._witnesses.items():
-                merged.setdefault(key, []).extend(
-                    (t + offset, y3, frozenset((s + offset, v) for s, v in sheets))
-                    for t, y3, sheets in ws
-                )
-        for key, ws in witnesses.items():
-            merged.setdefault(key, []).extend(ws)
         found = [
             (key, f"{len(ws)} crossing witnesses at")
-            for key, ws in merged.items()
+            for key, ws in witnesses.items()
             if len(ws) != 3 or len({sh for _, _, sh in ws}) != 1
         ]
         _report("quadruple-point", found, violations)
-        return dict(sorted(merged.items()))
+        return dict(sorted(witnesses.items()))
 
     def certify(self):
         if self._cert is not None:
@@ -720,15 +686,10 @@ class Mesh3:
         # and the exact predicates do not depend on D: what a certified part
         # found holds here, renumbered by the part's offset.
         parts = certified_parts(self._parts, [len(p.triangles) for p in self._parts])
-        violations, segments, is_fresh = self._enumerate_pairs(parts)
+        violations, segments = self._enumerate_pairs(parts)
         if not violations:
-            links = self._match_ends(segments, is_fresh, violations)
-            if violations:
-                # where ends do not pair up, a part's links, and so its
-                # witnesses, need not hold: cross every pair of arcs, as
-                # the whole mesh does
-                parts, is_fresh = [], [True] * len(segments)
-            witnesses = self._collect_witnesses(segments, is_fresh, links, parts, violations)
+            links = self._match_ends(segments, violations)
+            witnesses = self._collect_witnesses(segments, links, violations)
         self._parts = ()  # no longer needed; do not keep the parts alive
         ok = not violations
         self._cert = GeneralPositionCert3(ok, tuple(violations))
@@ -847,7 +808,7 @@ class Mesh3:
             preimages = tuple(sorted((t, from_homogeneous(y)) for t, y, _ in ws))
             points.append(TriplePoint(from_homogeneous(key), preimages))
         points.sort(key=lambda tp: tp.target)
-        self._triples = TriplePointSet(tuple(points))
+        self._triples = tuple(points)
         return self._triples
 
 
@@ -1143,7 +1104,6 @@ __all__ = [
     "PreimageCircle",
     "DoubleCurve",
     "TriplePoint",
-    "TriplePointSet",
     "Mesh3",
     "vertex_adjacent_contact",
     "require_general_position",

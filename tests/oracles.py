@@ -1012,7 +1012,7 @@ def mu_r_reference(cls, r):
             for pc in dc.preimages * (2 // len(dc.preimages)):
                 records[(pc.arcs, pc.w1, pc.doubled)] = pc.w1
     else:
-        for tp in payload.triple_points().points:
+        for tp in payload.triple_points():
             for pre in tp.preimages:
                 records[pre] = None
     items = sorted(records.items(), key=lambda record: record[0])

@@ -93,7 +93,7 @@ def test_criterion_1_anchor_scenes():
     triples = mesh.triple_points()
     ok &= len(triples) == 1
     ok &= len(mesh.double_curves()) == 3
-    ok &= all(len(set(point.preimages)) == 3 for point in triples.points)
+    ok &= all(len(set(point.preimages)) == 3 for point in triples)
     ok &= len(mu_r(class_of_mesh(mesh), 3).payload) == 3
     ok &= time.perf_counter() - t < 1.0
 

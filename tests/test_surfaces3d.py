@@ -172,7 +172,7 @@ def test_three_tori_anchor():
             assert not pc.doubled
     tp = m.triple_points()
     assert len(tp) == 1
-    point = tp.points[0]
+    point = tp[0]
     assert point.target == (Q, Q, Q)
     assert point.preimages == ((0, (Q, Q, Q)), (2, (Q, Q, Q)), (4, (Q, Q, Q)))
     assert mu_r(class_of_mesh(m), 3).payload == point.preimages  # the mu_3 records
@@ -218,7 +218,7 @@ def test_translation_invariance_of_the_double_locus():
     ]
     tp = moved.triple_points()
     assert len(tp) == 1
-    assert tp.points[0].target == tuple(q + d for q, d in zip((Q, Q, Q), t))
+    assert tp[0].target == tuple(q + d for q, d in zip((Q, Q, Q), t))
     assert ambient_class_h2(moved) == (1, 1, 1)
     assert herbert_lhs_r2(moved) == 1
     assert herbert_rhs_r2_parts(moved) == (1, 0)
@@ -269,8 +269,8 @@ def test_subdivision_preserves_every_invariant():
         assert herbert_lhs_r2(m) == 1
         assert herbert_rhs_r2_parts(m) == (1, 0)
     assert (
-        fine.triple_points().points[0].target
-        == base.triple_points().points[0].target
+        fine.triple_points()[0].target
+        == base.triple_points()[0].target
     )
 
 
@@ -707,7 +707,7 @@ def _summary(mesh, perm=(0, 1, 2)):
         )
         for dc in mesh.double_curves()
     )
-    triples = sorted(P(t.target) for t in mesh.triple_points().points)
+    triples = sorted(P(t.target) for t in mesh.triple_points())
     return cert.ok, len(mesh.double_segments()), circles, triples
 
 
@@ -988,7 +988,7 @@ def test_union_refuses_a_cross_end_on_an_end_of_a_part():
     assert _certified_state(union) == _certified_state(full)
 
 
-def test_end_matching_checks_the_sheets_where_fresh_ends_meet():
+def test_end_matching_checks_the_sheets_of_every_end_group():
     # one of the two tori's segments moved to another translate of its
     # second sheet: its ends still meet the same ends, but not on a sheet
     # of theirs
@@ -998,16 +998,11 @@ def test_end_matching_checks_the_sheets_where_fresh_ends_meet():
             moved = list(segments)
             moved[k] = dataclasses.replace(seg, shift=vadd(seg.shift, unit))
             violations = []
-            TWO_TORI._match_ends(moved, [True] * 4, violations)
+            TWO_TORI._match_ends(moved, violations)
             assert violations, (k, unit)
             for name, detail in violations:
                 assert name == "double-curve-branching"
                 assert detail.startswith("sheet mismatch where arcs meet at (")
-            # ends taken from certified parts are linked unchecked
-            violations = []
-            links = TWO_TORI._match_ends(moved, [False] * 4, violations)
-            assert violations == []
-            assert links == TWO_TORI._end_links
 
 
 def test_union_refuses_a_cross_witness_at_a_triple_point_of_a_part():
